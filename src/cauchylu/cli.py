@@ -89,7 +89,7 @@ def cmd_det(args) -> int:
             {
                 "s": args.s,
                 "mode": "symbolic" if symbolic else "numeric",
-                "t": None if symbolic else str(t),
+                "t": None if symbolic else serialize_value(t),
                 "determinant": serialize_value(value),
                 "oracle": serialize_value(oracle) if oracle is not None else None,
                 "match": match,
@@ -123,7 +123,7 @@ def cmd_lu(args) -> int:
         payload = {
             "s": args.s,
             "mode": "symbolic" if symbolic else "numeric",
-            "t": None if symbolic else str(t),
+            "t": None if symbolic else serialize_value(t),
             "L": _matrix_lists(lower),
             "U": _matrix_lists(upper),
         }

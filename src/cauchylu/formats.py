@@ -15,12 +15,12 @@ from fractions import Fraction
 from .errors import DomainError
 from .polynomial import Polynomial
 from .ratfunc import RationalFunction, parse_ratfunc
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 
 
 def serialize_value(value) -> str:
     if isinstance(value, (int, Fraction)):
-        return str(Fraction(value))
+        return format_rational(value)
     if isinstance(value, (Polynomial, RationalFunction)):
         return str(value)
     raise DomainError(f"cannot serialize {value!r}")

@@ -83,9 +83,6 @@ class ExactMatrix:
 
     __matmul__ = matmul
 
-    def map(self, fn) -> ExactMatrix:
-        return ExactMatrix(tuple(tuple(fn(x) for x in row) for row in self._rows))
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -1,14 +1,24 @@
 """Dense univariate polynomials in t over the exact rationals.
 
-A polynomial is stored as a tuple of ``Fraction`` coefficients where index k
-holds the coefficient of t^k.  The form is canonical: trailing zeros are
-stripped, so every nonzero polynomial ends in its (nonzero) leading
-coefficient and the zero polynomial is the empty tuple.  The degree of the
-zero polynomial is the marker ``NEG_INFINITY``, which compares below every
-integer, so ``deg(remainder) < deg(divisor)`` holds uniformly.
+A polynomial is stored as a tuple of Python ints over one positive common
+denominator: index k of the tuple holds the numerator of the coefficient of
+t^k.  The form is canonical: trailing zeros are stripped, and the ints and
+the denominator share no common factor, so every nonzero polynomial ends in
+its (nonzero) leading numerator and the zero polynomial is the empty tuple
+over 1.  The degree of the zero polynomial is the marker ``NEG_INFINITY``,
+which compares below every integer, so ``deg(remainder) < deg(divisor)``
+holds uniformly.
 
-Instances are immutable and hashable.  Arithmetic coerces ``int`` and
-``Fraction`` scalars to constant polynomials; floats are refused everywhere.
+All arithmetic runs on ints: sums scale by the lcm of the denominators,
+products are integer convolutions, division scales its remainder by the
+least factor that keeps it integral, and the gcd is a primitive
+pseudo-remainder sequence (Collins 1967; Brown 1971).  The public accessors
+(``coeffs``, ``leading``, ``coefficient``, ``content``) hand out
+``Fraction``s.
+
+Instances are immutable and hashable; a constant hashes as its value.
+Arithmetic coerces ``int`` and ``Fraction`` scalars to constant
+polynomials; floats are refused everywhere.
 
 ``T`` is the indeterminate itself, the building block for all symbolic work:
 
@@ -24,28 +34,95 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, DomainError
+from .rational import format_ratio, parse_int
 
 NEG_INFINITY = float("-inf")
 
 Scalar = Union[int, Fraction]
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise DomainError(f"not an exact coefficient: {value!r}")
+def _as_ints(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
+    """(ints, den) with coeffs[k] == ints[k] / den; refuses inexact values."""
+    cs = list(coeffs)
+    den = 1
+    for c in cs:
+        if isinstance(c, int):
+            continue
+        if not isinstance(c, Fraction):
+            raise DomainError(f"not an exact coefficient: {c!r}")
+        den = _int_lcm(den, c.denominator)
+    if den == 1:
+        return [int(c) for c in cs], 1
+    return [c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
+            for c in cs], den
+
+
+def _divrem(rem: list[int], div: tuple[int, ...], quotient: bool):
+    """Integer division with lazy scaling: (quot, rem, scale).
+
+    On return scale * old_rem == quot * div + rem with deg(rem) < deg(div),
+    where rem is the first deg(div) entries of the list, updated in place.
+    Before each step only the part of rem still to be divided is multiplied
+    by lead / gcd(c, lead), the least factor making c a multiple of lead.
+    """
+    d = len(div) - 1
+    lead = div[-1]
+    scale = 1
+    quot = [0] * (len(rem) - d) if quotient else None
+    for k in range(len(rem) - d - 1, -1, -1):
+        c = rem[k + d]
+        if not c:
+            continue
+        mult = abs(lead) // _int_gcd(c, lead)
+        if mult != 1:
+            scale *= mult
+            for m in range(k + d):
+                rem[m] *= mult
+            if quotient:
+                for m in range(k + 1, len(quot)):
+                    quot[m] *= mult
+            c *= mult
+        c //= lead
+        if quotient:
+            quot[k] = c
+        for m in range(d):
+            rem[k + m] -= c * div[m]
+    del rem[d:]
+    return quot, rem, scale
+
+
+def _primitive_ints(cs) -> list[int]:
+    """cs divided by the gcd of its entries (sign kept)."""
+    g = _int_gcd(*cs)
+    return [c // g for c in cs] if g != 1 else list(cs)
 
 
 class Polynomial:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_to_fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
+    def __init__(self, coeffs: Iterable[Scalar] = (), *, den: int | None = None):
+        """Build from int/Fraction coefficients, lowest power first.
+
+        With ``den`` the coefficients must be ints: they are the numerators
+        over the positive int ``den``, and no Fraction is formed.
+        """
+        if den is None:
+            nums, den = _as_ints(coeffs)
+        else:
+            nums = list(coeffs)
+            if den < 1:
+                raise DomainError(f"common denominator must be positive, got {den!r}")
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = _int_gcd(den, *nums)
+            if g != 1:
+                nums = [c // g for c in nums]
+                den //= g
+        self._nums = tuple(nums)
+        self._den = den
 
     @classmethod
     def constant(cls, value: Scalar) -> Polynomial:
@@ -53,28 +130,29 @@ class Polynomial:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._nums)
 
     @property
     def degree(self):
         """Degree of the polynomial; NEG_INFINITY for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else NEG_INFINITY
+        return len(self._nums) - 1 if self._nums else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._nums
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._nums:
             raise DomainError("the zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._nums[-1], self._den)
 
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of t^k; zero beyond the stored degree."""
         if k < 0:
             raise DomainError(f"negative power {k}")
-        return self._coeffs[k] if k < len(self._coeffs) else Fraction(0)
+        return Fraction(self._nums[k], self._den) if k < len(self._nums) else Fraction(0)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -82,53 +160,74 @@ class Polynomial:
     def _coerce(other) -> Polynomial | None:
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial((other,))
+        if isinstance(other, int):
+            return Polynomial((other,), den=1)
+        if isinstance(other, Fraction):
+            return Polynomial((other.numerator,), den=other.denominator)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
+    def _combine(self, other: Polynomial, sign: int) -> Polynomial:
+        """self + sign * other."""
+        a, da = self._nums, self._den
+        b, db = other._nums, other._den
+        if da == db:
+            den = da
+        else:
+            den = da // _int_gcd(da, db) * db
+            sa, sb = den // da, den // db
+            a = [c * sa for c in a] if sa != 1 else a
+            b = [c * sb for c in b] if sb != 1 else b
+        if sign < 0:
+            b = [-c for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Polynomial(out)
+        return Polynomial(out, den=den)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(tuple(-c for c in self._coeffs))
+        return Polynomial([-c for c in self._nums], den=self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, Polynomial):
+            if isinstance(other, int):
+                return Polynomial([c * other for c in self._nums], den=self._den)
+            if isinstance(other, Fraction):
+                n = other.numerator
+                return Polynomial([c * n for c in self._nums], den=self._den * other.denominator)
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._nums, other._nums
         if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Polynomial(out)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                for i, ca in enumerate(a, j):
+                    out[i] += ca * cb
+        return Polynomial(out, den=self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -152,18 +251,13 @@ class Polynomial:
             raise DivisionByZero("polynomial division by the zero polynomial")
         if self.degree < other.degree:
             return Polynomial(), self
-        rem = list(self._coeffs)
-        div = other._coeffs
-        d = len(div) - 1
-        lead = div[-1]
-        quot = [Fraction(0)] * (len(rem) - d)
-        for k in range(len(quot) - 1, -1, -1):
-            c = rem[k + d] / lead
-            if c:
-                quot[k] = c
-                for m, oc in enumerate(div):
-                    rem[k + m] -= c * oc
-        return Polynomial(quot), Polynomial(rem[:d])
+        # self = A/da, other = B/db and scale*A = Q*B + R give
+        # self = (Q*db/(da*scale)) * other + R/(da*scale).
+        quot, rem, scale = _divrem(list(self._nums), other._nums, True)
+        den = self._den * scale
+        db = other._den
+        return (Polynomial([c * db for c in quot] if db != 1 else quot, den=den),
+                Polynomial(rem, den=den))
 
     def __floordiv__(self, other):
         q, _ = divmod(self, other)
@@ -174,57 +268,68 @@ class Polynomial:
         return r
 
     def __call__(self, t0: Scalar) -> Fraction:
-        """Evaluate at t0 by Horner's rule."""
-        t0 = _to_fraction(t0)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t0 + c
-        return acc
+        """Evaluate at t0 = p/q by Horner's rule on q^deg * self(p/q)."""
+        if not isinstance(t0, (int, Fraction)):
+            raise DomainError(f"not an exact coefficient: {t0!r}")
+        if not self._nums:
+            return Fraction(0)
+        p, q = t0.numerator, t0.denominator
+        acc = 0
+        qk = 1
+        for c in reversed(self._nums):
+            acc = acc * p + c * qk
+            qk *= q
+        return Fraction(acc, self._den * (qk // q))
 
     # -- normal forms ------------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer and coprime; 0 for zero."""
-        if not self._coeffs:
+        if not self._nums:
             return Fraction(0)
-        num = 0
-        den = 1
-        for c in self._coeffs:
-            num = _int_gcd(num, c.numerator)
-            den = _int_lcm(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(_int_gcd(*self._nums), self._den)
 
     def primitive(self) -> Polynomial:
         """self divided by its content (integer coefficients, content 1)."""
-        if not self._coeffs:
+        if not self._nums:
             return self
-        c = self.content()
-        return Polynomial(tuple(x / c for x in self._coeffs))
+        return Polynomial(_primitive_ints(self._nums), den=1)
 
     def monic(self) -> Polynomial:
-        if not self._coeffs:
+        if not self._nums:
             return self
-        lead = self._coeffs[-1]
-        return Polynomial(tuple(x / lead for x in self._coeffs))
+        return _monic(self._nums)
 
     def gcd(self, other) -> Polynomial:
-        """Monic greatest common divisor by Euclidean remainders.
+        """Monic greatest common divisor by primitive pseudo-remainders.
 
-        Each remainder is rescaled to its primitive part, which keeps
-        coefficient growth tame without changing the gcd.
+        Works on the integer numerators, since scaling by a constant does
+        not change the gcd; each remainder is cut to its primitive part,
+        which keeps coefficient growth tame.
         """
         b = self._coerce(other)
         if b is None:
             raise DomainError(f"cannot take gcd with {other!r}")
-        a = self
-        if a.is_zero and b.is_zero:
-            return Polynomial()
-        a = a.primitive() if not a.is_zero else a
-        b = b.primitive() if not b.is_zero else b
-        while not b.is_zero:
-            _, r = divmod(a, b)
-            a, b = b, (r.primitive() if not r.is_zero else r)
-        return a.monic()
+        a, b = self._nums, b._nums
+        if not a or not b:
+            if not a and not b:
+                return Polynomial()
+            return _monic(a or b)
+        if len(a) == 1 or len(b) == 1:
+            return Polynomial((1,), den=1)
+        if len(a) < len(b):
+            a, b = b, a
+        a = _primitive_ints(a)
+        b = _primitive_ints(b)
+        while True:
+            _, rem, _ = _divrem(a, b, False)
+            while rem and not rem[-1]:
+                rem.pop()
+            if not rem:
+                return _monic(b)
+            if len(rem) == 1:
+                return Polynomial((1,), den=1)
+            a, b = b, _primitive_ints(rem)
 
     # -- value semantics ---------------------------------------------------
 
@@ -232,32 +337,36 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash(self._coeffs)
+        if len(self._nums) <= 1:  # a constant hashes as its Fraction value
+            return hash(Fraction(self._nums[0], self._den) if self._nums else 0)
+        return hash((self._nums, self._den))
 
     def __bool__(self):
-        return bool(self._coeffs)
+        return bool(self._nums)
 
     def __repr__(self):
         return f"Polynomial.parse({str(self)!r})"
 
     def __str__(self):
         """Sparse descending form, e.g. '9*t^2 - 4' or '3/2*t^3 + t - 1/2'."""
-        if not self._coeffs:
+        if not self._nums:
             return "0"
+        den = self._den
         parts: list[str] = []
-        for k in range(len(self._coeffs) - 1, -1, -1):
-            c = self._coeffs[k]
+        for k in range(len(self._nums) - 1, -1, -1):
+            c = self._nums[k]
             if not c:
                 continue
-            mag = abs(c)
+            g = _int_gcd(c, den)
+            n, d = abs(c) // g, den // g
             if k == 0:
-                body = str(mag)
+                body = format_ratio(n, d)
             else:
                 var = "t" if k == 1 else f"t^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if n == d == 1 else f"{format_ratio(n, d)}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -269,17 +378,28 @@ class Polynomial:
         return parse_polynomial(text)
 
 
+def _monic(nums) -> Polynomial:
+    """The monic polynomial proportional to the nonzero ints nums."""
+    lead = nums[-1]
+    if lead < 0:
+        return Polynomial([-c for c in nums], den=-lead)
+    return Polynomial(nums, den=lead)
+
+
 T = Polynomial((0, 1))
 
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"
-    r"(?:(?P<coeff>\d+(?:/\d+)?)\*?)?"
+    r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?\*?)?"
     r"(?:(?P<var>t)(?:\^(?P<power>\d+))?)?"
 )
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of ``str(Polynomial)``; accepts any order of sparse terms."""
+    """Inverse of ``str(Polynomial)``; accepts any order of sparse terms.
+
+    Every term after the first must start with an explicit sign.
+    """
     compact = re.sub(r"\s+", "", text)
     if not compact:
         raise DomainError("empty polynomial text")
@@ -287,15 +407,22 @@ def parse_polynomial(text: str) -> Polynomial:
     pos = 0
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
-        if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
+        if (not m or m.end() == pos or (m.group("num") is None and m.group("var") is None)
+                or (pos and not m.group("sign"))):
             raise DomainError(f"unparseable polynomial text: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = Fraction(1)
+        if m.group("num"):
+            den = parse_int(m.group("den")) if m.group("den") else 1
+            if den == 0:
+                raise DivisionByZero(f"zero denominator in polynomial text: {text!r}")
+            coeff = Fraction(parse_int(m.group("num")), den)
+        if m.group("sign") == "-":
+            coeff = -coeff
         if m.group("var"):
             power = int(m.group("power")) if m.group("power") else 1
         else:
             power = 0
-        coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
+        coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
         pos = m.end()
     size = max(coeffs) + 1
     out = [Fraction(0)] * size

@@ -173,6 +173,8 @@ class RationalFunction:
         return self._num == other._num and self._den == other._den
 
     def __hash__(self):
+        if self._den == 1:  # hash as the equal Polynomial (and so as a constant's value)
+            return hash(self._num)
         return hash((self._num, self._den))
 
     def __bool__(self):

@@ -7,6 +7,11 @@ class is introduced.  What this module adds is the strict text format used
 on every CLI/JSON surface: ``p/q`` in lowest terms, or ``p`` alone when the
 denominator is 1.  Decimal and exponent notation are rejected outright so
 nothing is ever rounded on the way in.
+
+Python refuses ``str(n)`` and ``int(text)`` beyond a digit limit (4300 by
+default, ``sys.set_int_max_str_digits``).  ``format_int`` and ``parse_int``
+try the builtin first and, only when it refuses, convert in chunks that stay
+under the limit, so exact values of any size print and parse back.
 """
 
 from __future__ import annotations
@@ -21,6 +26,33 @@ Rational = Fraction
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
 
 
+def format_int(n: int) -> str:
+    """``str(n)`` for an int of any size."""
+    try:
+        return str(n)
+    except ValueError:  # over the digit limit: print two halves
+        pass
+    if n < 0:
+        return "-" + format_int(-n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits
+    high, low = divmod(n, 10**half)
+    return format_int(high) + format_int(low).zfill(half)
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for a signed decimal string of any length."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not digits.isdigit():
+            raise
+    # Over the digit limit: parse two halves.
+    sign = -1 if text[0] == "-" else 1
+    half = len(digits) // 2
+    return sign * (parse_int(digits[:-half]) * 10**half + parse_int(digits[-half:]))
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` into an exact Fraction.
 
@@ -29,8 +61,8 @@ def parse_rational(text: str) -> Fraction:
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise DomainError(f"not an exact rational 'p' or 'p/q': {text!r}")
-    numerator = int(m.group(1))
-    denominator = int(m.group(2)) if m.group(2) else 1
+    numerator = parse_int(m.group(1))
+    denominator = parse_int(m.group(2)) if m.group(2) else 1
     if denominator == 0:
         raise DivisionByZero(f"zero denominator in {text!r}")
     return Fraction(numerator, denominator)
@@ -38,13 +70,12 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     """Lowest-terms text: ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+    value = Fraction(value)
+    return format_ratio(value.numerator, value.denominator)
 
 
-def as_exact(value) -> Fraction:
-    """Coerce an int or Fraction; refuse floats (no silent rounding)."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise DomainError(f"not an exact scalar: {value!r}")
+def format_ratio(numerator: int, denominator: int) -> str:
+    """Text of numerator/denominator, already in lowest terms, denominator > 0."""
+    if denominator == 1:
+        return format_int(numerator)
+    return f"{format_int(numerator)}/{format_int(denominator)}"

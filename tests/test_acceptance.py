@@ -9,6 +9,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from cauchylu import closed_form
 from cauchylu.closed_form import (
@@ -144,8 +145,10 @@ def test_criterion_7_verify_json_is_deterministic(capsys):
     first = capsys.readouterr().out
     code2 = main(["verify", "--seed", "42", "--json"])
     second = capsys.readouterr().out
-    ok = code1 == 0 and code2 == 0 and first == second and json.loads(first)["all_passed"]
-    _report(7, ok, "verify --seed 42 --json is byte-identical across two runs")
+    golden = (Path(__file__).parent / "data" / "verify_seed42.json").read_text()
+    ok = (code1 == 0 and code2 == 0 and first == second == golden
+          and json.loads(first)["all_passed"])
+    _report(7, ok, "verify --seed 42 --json is byte-identical across two runs and to the golden file")
 
 
 def test_criterion_8_bench_asserts_equality_before_timing(capsys):

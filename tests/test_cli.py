@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON shapes, golden lines."""
 
 import json
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,21 @@ def test_det_json(capsys):
         "oracle": "32/525",
         "match": True,
     }
+
+
+def test_det_value_beyond_int_digit_limit_round_trips(capsys):
+    # The s=40 determinant at t=37/11 has more digits than Python's default
+    # int/str conversion limit of 4300; run under exactly that limit.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "det", "--s", "40", "--t", "37/11")
+        assert code == 0, err
+        text = out.splitlines()[0]
+        assert len(text.split("/")[0]) > 4300
+        assert parse_value(text) == det_closed(40, Fraction(37, 11))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_det_rejects_size_zero(capsys):

@@ -1,6 +1,7 @@
 """Polynomial ring contracts: canonical form, divrem, gcd, text forms."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,12 @@ from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, p
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
 nonzero_polys = polys.filter(lambda p: not p.is_zero)
+
+# Coefficients of more than 1000 bits mixed with small ones.
+big_ints = st.integers(2**1000, 2**1100) | st.integers(-(2**1100), -(2**1000)) | st.integers(-20, 20)
+big_coefficients = st.builds(Fraction, big_ints, st.integers(1, 10) | st.integers(2**1000, 2**1100))
+big_lists = st.lists(big_coefficients, max_size=4)
+nonzero_big_lists = big_lists.filter(lambda cs: any(cs))
 
 
 def test_trailing_zeros_stripped():
@@ -93,15 +100,28 @@ def test_str(poly, text):
     assert str(poly) == text
 
 
-@given(polys)
+@given(polys | st.builds(Polynomial, big_lists))
 def test_str_parse_round_trip(p):
     assert parse_polynomial(str(p)) == p
 
 
-@pytest.mark.parametrize("text", ["", "t^", "2**t", "t^-1", "1.5*t"])
+@pytest.mark.parametrize("text", ["", "t^", "2**t", "t^-1", "1.5*t", "tt", "t^2t", "2t3", "t-t2"])
 def test_parse_rejects_garbage(text):
     with pytest.raises(DomainError):
         parse_polynomial(text)
+
+
+def test_parse_zero_denominator_raises_division_by_zero():
+    with pytest.raises(DivisionByZero):
+        parse_polynomial("3/0*t")
+    with pytest.raises(DivisionByZero):
+        parse_polynomial("t + 1/0")
+
+
+def test_constant_hashes_as_its_value():
+    assert hash(Polynomial((3,))) == hash(3)
+    assert hash(Polynomial((Fraction(1, 2),))) == hash(Fraction(1, 2))
+    assert hash(Polynomial()) == hash(0)
 
 
 def test_pow_matches_repeated_multiplication():
@@ -142,3 +162,75 @@ def test_gcd_divides_both_and_is_monic(a, b):
 def test_gcd_stable_under_multiple(a, b):
     # gcd(a + q*b, b) == gcd(a, b) for any multiplier q
     assert (a + (T + 3) * b).gcd(b) == a.gcd(b)
+
+
+# -- reference: the same operations on plain Fraction lists -----------------
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quot[k] = c
+        for m, y in enumerate(b):
+            rem[k + m] -= c * y
+    return _strip(quot), _strip(rem[: len(b) - 1])
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _ref_content(a):
+    if not a:
+        return Fraction(0)
+    return Fraction(gcd(*(c.numerator for c in a)), lcm(*(c.denominator for c in a)))
+
+
+@given(big_lists, big_lists)
+def test_mul_matches_fraction_reference(a, b):
+    assert list((Polynomial(a) * Polynomial(b)).coeffs) == _ref_mul(_strip(a), _strip(b))
+
+
+@given(big_lists, nonzero_big_lists)
+def test_divmod_matches_fraction_reference(a, b):
+    q, r = divmod(Polynomial(a), Polynomial(b))
+    ref_q, ref_r = _ref_divmod(_strip(a), _strip(b))
+    assert list(q.coeffs) == ref_q
+    assert list(r.coeffs) == ref_r
+
+
+@given(big_lists, big_lists, nonzero_big_lists)
+def test_gcd_matches_fraction_reference(f, h, g):
+    # Share the factor g so the gcd is usually nontrivial.
+    a, b = _ref_mul(_strip(f), _strip(g)), _ref_mul(_strip(h), _strip(g))
+    expected = _ref_gcd(a, b) if a or b else []
+    assert list(Polynomial(a).gcd(Polynomial(b)).coeffs) == expected
+
+
+@given(big_lists)
+def test_content_and_primitive_match_fraction_reference(a):
+    p = Polynomial(a)
+    content = _ref_content(_strip(a))
+    assert p.content() == content
+    expected = [c / content for c in _strip(a)] if content else []
+    assert list(p.primitive().coeffs) == expected

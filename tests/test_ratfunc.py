@@ -154,3 +154,44 @@ def test_canonical_invariants_hold(f):
         assert f.den.leading > 0
     else:
         assert f.den == 1
+
+
+def _equal_forms(f):
+    """f in every type that can hold its value: a == b for all pairs."""
+    forms = [f, RationalFunction(f.num * (T + 2), f.den * (T + 2))]
+    if f.den == 1:
+        forms.append(f.num)
+        if f.num.degree <= 0:
+            value = f.num.coefficient(0)
+            forms.append(value)
+            if value.denominator == 1:
+                forms.append(int(value))
+    return forms
+
+
+@given(ratfuncs | st.builds(RationalFunction, polys))
+def test_equal_forms_hash_equally(f):
+    forms = _equal_forms(f)
+    for a in forms:
+        for b in forms:
+            assert a == b
+            assert hash(a) == hash(b)
+
+
+small_fractions = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+small_values = st.one_of(
+    st.integers(-2, 2),
+    small_fractions,
+    st.builds(Polynomial, st.lists(small_fractions, max_size=2)),
+    st.builds(RationalFunction, st.builds(Polynomial, st.lists(small_fractions, max_size=2))),
+)
+
+
+@given(small_values, small_values)
+def test_equal_values_hash_equally(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constant_one_is_one_set_element():
+    assert len({Fraction(1), SYMBOLIC_T**0, T**0, 1}) == 1

@@ -1,12 +1,14 @@
 """Rational scalar contracts: exact arithmetic, strict parse/format."""
 
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cauchylu import DivisionByZero, DomainError, format_rational, parse_rational
+from cauchylu.rational import format_int, parse_int
 
 rationals = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 1000))
 nonzero_rationals = rationals.filter(lambda q: q != 0)
@@ -69,6 +71,32 @@ def test_format_rational(value, text):
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q
+
+
+@given(st.integers(-(2**8000), 2**8000), st.integers(1, 2**8000))
+@example(-(10**2000) - 7, 3**4000)
+def test_format_parse_beyond_int_digit_limit(p, q):
+    # Under the smallest digit limit Python allows, str(int) and int(str)
+    # refuse these values; the chunked fallback must round-trip them.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert parse_int(format_int(p)) == p
+        value = Fraction(p, q)
+        assert parse_rational(format_rational(value)) == value
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert format_int(p) == str(p)
+
+
+def test_parse_int_still_rejects_non_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError):
+            parse_int("1" * 700 + "x")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(rationals, rationals, rationals)
