@@ -34,24 +34,19 @@ BENCH_WARMUP = 3
 BENCH_REPS = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+    return parse
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -254,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     det = sub.add_parser("det", help="determinant of the s x s matrix")
-    det.add_argument("--s", type=_positive_int, required=True, help="matrix size")
+    det.add_argument("--s", type=_int_at_least(1), required=True, help="matrix size")
     mode = det.add_mutually_exclusive_group()
     mode.add_argument("--t", type=_rational_arg, help="exact t as p/q (default 1)")
     mode.add_argument("--symbolic", action="store_true", help="keep t symbolic")
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     det.set_defaults(handler=cmd_det)
 
     lu = sub.add_parser("lu", help="closed-form LU factors")
-    lu.add_argument("--s", type=_positive_int, required=True, help="matrix size")
+    lu.add_argument("--s", type=_int_at_least(1), required=True, help="matrix size")
     mode = lu.add_mutually_exclusive_group()
     mode.add_argument("--t", type=_rational_arg, help="exact t as p/q (default: symbolic)")
     mode.add_argument("--symbolic", action="store_true", help="keep t symbolic (default)")
@@ -271,27 +266,29 @@ def build_parser() -> argparse.ArgumentParser:
     lu.set_defaults(handler=cmd_lu)
 
     chain = sub.add_parser("chain", help="the six equivalent t=1 expressions per size")
-    chain.add_argument("--s", type=_positive_int, required=True, help="largest size")
+    chain.add_argument("--s", type=_int_at_least(1), required=True, help="largest size")
     chain.add_argument("--json", action="store_true")
     chain.set_defaults(handler=cmd_chain)
 
     defaults = VerifyConfig()
     verify = sub.add_parser("verify", help="run every identity suite")
-    verify.add_argument("--seed", type=_nonnegative_int, default=defaults.seed)
-    verify.add_argument("--s-max-symbolic", type=int, default=defaults.s_max_symbolic)
-    verify.add_argument("--s-max-numeric", type=int, default=defaults.s_max_numeric)
+    verify.add_argument("--seed", type=_int_at_least(0), default=defaults.seed)
+    # A negative cap is a usage error, never a silent skip.
+    cap = _int_at_least(0)
+    verify.add_argument("--s-max-symbolic", type=cap, default=defaults.s_max_symbolic)
+    verify.add_argument("--s-max-numeric", type=cap, default=defaults.s_max_numeric)
     verify.add_argument(
-        "--s-max-factors-numeric", type=int, default=defaults.s_max_factors_numeric
+        "--s-max-factors-numeric", type=cap, default=defaults.s_max_factors_numeric
     )
-    verify.add_argument("--samples", type=_positive_int, default=defaults.n_t_samples)
-    verify.add_argument("--gamma-max", type=int, default=defaults.gamma_max)
-    verify.add_argument("--chain-max", type=int, default=defaults.chain_max)
-    verify.add_argument("--chain-elim-cap", type=int, default=defaults.chain_elimination_cap)
+    verify.add_argument("--samples", type=_int_at_least(1), default=defaults.n_t_samples)
+    verify.add_argument("--gamma-max", type=cap, default=defaults.gamma_max)
+    verify.add_argument("--chain-max", type=cap, default=defaults.chain_max)
+    verify.add_argument("--chain-elim-cap", type=cap, default=defaults.chain_elimination_cap)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=cmd_verify)
 
     bench = sub.add_parser("bench", help="closed form vs elimination timings at t=1")
-    bench.add_argument("--s", type=_positive_int, required=True, help="largest size")
+    bench.add_argument("--s", type=_int_at_least(1), required=True, help="largest size")
     bench.add_argument("--json", action="store_true")
     bench.set_defaults(handler=cmd_bench)
 

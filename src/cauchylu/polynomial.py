@@ -124,10 +124,6 @@ class Polynomial:
         self._nums = tuple(nums)
         self._den = den
 
-    @classmethod
-    def constant(cls, value: Scalar) -> Polynomial:
-        return cls((value,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den

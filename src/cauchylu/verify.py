@@ -2,8 +2,16 @@
 
 Each suite compares two independently computed sides of one identity over a
 full index range and reports pass/fail with the first counterexample found.
+Every suite is a lazy sequence of checks, each giving a Counterexample or
+None, fed to one driver (``_run``) that marks skips, times the run and keeps
+the first counterexample.  The two sized suites share ``_verify_sizes``,
+which runs one check per size symbolically or at each numeric t sample.
+
 Suites are independent: run_all executes every one of them, never letting a
-failure in one abort another, and aggregates the reports.
+failure in one abort another, and aggregates the reports.  A suite that
+raises a CauchyLUError still raises to a direct caller; the driver attaches
+an error-only report for that suite as ``exc.report``, and run_all records
+that report in the suite's place.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -58,10 +66,10 @@ class VerificationReport:
     error: str | None = None
     elapsed_ms: float = 0.0
 
-    def to_dict(self, include_elapsed: bool = False) -> dict:
-        # Key order is the wire format; elapsed is opt-in because timings
-        # would break byte-for-byte reproducibility of seeded runs.
-        out = {
+    def to_dict(self) -> dict:
+        # Key order is the wire format; elapsed_ms is left out because
+        # timings would break byte-for-byte reproducibility of seeded runs.
+        return {
             "suite": self.suite,
             "range": dict(self.range),
             "mode": self.mode,
@@ -72,9 +80,6 @@ class VerificationReport:
             "counterexample": self.counterexample.to_dict() if self.counterexample else None,
             "error": self.error,
         }
-        if include_elapsed:
-            out["elapsed_ms"] = self.elapsed_ms
-        return out
 
 
 @dataclass
@@ -106,8 +111,44 @@ def _compare_matrices(computed, reference, base_indices: dict) -> Counterexample
     return None
 
 
+def _first(results) -> Counterexample | None:
+    return next((found for found in results if found is not None), None)
+
+
+def _differ(indices: dict, lhs, rhs) -> Counterexample | None:
+    if lhs == rhs:
+        return None
+    return Counterexample(indices, serialize_value(lhs), serialize_value(rhs))
+
+
+def _run(report: VerificationReport, skip: bool, results) -> VerificationReport:
+    """The one suite driver: skip, time, and keep the first counterexample.
+
+    ``results`` is a lazy iterable of Counterexample-or-None, one per check;
+    it is consumed only up to the first counterexample.  A CauchyLUError
+    raised while consuming it propagates with ``exc.report`` set to an
+    error-only report for the same suite, range and mode, which run_all
+    appends in place of the suite's own.
+    """
+    started = time.perf_counter()
+    try:
+        if skip:
+            report.skipped = True
+        else:
+            report.counterexample = _first(results)
+            report.passed = report.counterexample is None
+    except CauchyLUError as exc:
+        report = exc.report = VerificationReport(
+            report.suite, report.range, report.mode, error=str(exc)
+        )
+        raise
+    finally:
+        report.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return report
+
+
 def _run_numeric(report: VerificationReport, t_samples, n_samples, rng, check_one):
-    """Shared numeric-mode driver: rejection sampling plus per-sample checks.
+    """Rejection sampling: yield ``check_one(t)`` for each accepted sample t.
 
     ``check_one(t)`` returns a Counterexample or None and may raise
     SingularEntry/ZeroPivot, which discards the sample and draws a fresh one.
@@ -117,11 +158,10 @@ def _run_numeric(report: VerificationReport, t_samples, n_samples, rng, check_on
     if rng is None:
         rng = random.Random("resample")
     for _ in range(wanted):
-        counterexample = None
         for _ in range(MAX_SAMPLE_ATTEMPTS):
             t = provided.pop(0) if provided else _sample_rational(rng)
             try:
-                counterexample = check_one(t)
+                found = check_one(t)
             except (SingularEntry, ZeroPivot):
                 report.discarded_t_samples.append(str(t))
                 continue
@@ -129,15 +169,27 @@ def _run_numeric(report: VerificationReport, t_samples, n_samples, rng, check_on
             break
         else:
             raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
-        if counterexample is not None:
-            report.counterexample = counterexample
-            return
-    report.passed = True
+        yield found
 
 
-def _finish(report: VerificationReport, started: float) -> VerificationReport:
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return report
+def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, check_one_size):
+    """Run ``check_one_size(s, t, indices)`` for every s = 1..s_max.
+
+    Symbolic mode runs it once per s at the symbolic t; any other mode runs
+    all sizes at each accepted numeric sample, and the counterexample's
+    indices then name that t as well.
+    """
+    report = VerificationReport(suite, {"s_max": s_max}, mode)
+    sizes = range(1, s_max + 1)
+    if mode == "symbolic":
+        results = (check_one_size(s, SYMBOLIC_T, {"s": s}) for s in sizes)
+    else:
+
+        def check_one(t) -> Counterexample | None:
+            return _first(check_one_size(s, t, {"s": s, "t": str(t)}) for s in sizes)
+
+        results = _run_numeric(report, t_samples, n_samples, rng, check_one)
+    return _run(report, s_max < 1, results)
 
 
 def verify_lu_product(
@@ -153,35 +205,15 @@ def verify_lu_product(
     built matrix, for every s = 1..s_max, symbolically or at numeric t
     samples.
     """
-    started = time.perf_counter()
-    report = VerificationReport(SUITE_LU_PRODUCT, {"s_max": s_max}, mode)
-    if s_max < 1:
-        report.skipped = True
-        return _finish(report, started)
 
     def check_one_size(s: int, t, base: dict) -> Counterexample | None:
         product = closed_form.build_L(s, t) @ closed_form.build_U(s, t)
         target = build_matrix(s, t)
         return _compare_matrices(product, target, base)
 
-    if mode == "symbolic":
-        for s in range(1, s_max + 1):
-            found = check_one_size(s, SYMBOLIC_T, {"s": s})
-            if found is not None:
-                report.counterexample = found
-                return _finish(report, started)
-        report.passed = True
-        return _finish(report, started)
-
-    def check_one(t) -> Counterexample | None:
-        for s in range(1, s_max + 1):
-            found = check_one_size(s, t, {"s": s, "t": str(t)})
-            if found is not None:
-                return found
-        return None
-
-    _run_numeric(report, t_samples, n_samples, rng, check_one)
-    return _finish(report, started)
+    return _verify_sizes(
+        SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, check_one_size
+    )
 
 
 def verify_factors_match(
@@ -197,11 +229,6 @@ def verify_factors_match(
     entrywise with the directly assembled ones.  Numeric samples that hit a
     zero pivot are discarded and resampled, and show up in the report.
     """
-    started = time.perf_counter()
-    report = VerificationReport(SUITE_FACTORS_MATCH, {"s_max": s_max}, mode)
-    if s_max < 1:
-        report.skipped = True
-        return _finish(report, started)
 
     def check_one_size(s: int, t, base: dict) -> Counterexample | None:
         factors = lu_doolittle(build_matrix(s, t))
@@ -214,24 +241,9 @@ def verify_factors_match(
             closed_form.build_U(s, t), factors.U, {**base, "factor": "U"}
         )
 
-    if mode == "symbolic":
-        for s in range(1, s_max + 1):
-            found = check_one_size(s, SYMBOLIC_T, {"s": s})
-            if found is not None:
-                report.counterexample = found
-                return _finish(report, started)
-        report.passed = True
-        return _finish(report, started)
-
-    def check_one(t) -> Counterexample | None:
-        for s in range(1, s_max + 1):
-            found = check_one_size(s, t, {"s": s, "t": str(t)})
-            if found is not None:
-                return found
-        return None
-
-    _run_numeric(report, t_samples, n_samples, rng, check_one)
-    return _finish(report, started)
+    return _verify_sizes(
+        SUITE_FACTORS_MATCH, s_max, mode, t_samples, n_samples, rng, check_one_size
+    )
 
 
 def verify_gamma_identities(i_max: int = 8, j_max: int = 8, l_max: int = 8) -> VerificationReport:
@@ -241,34 +253,20 @@ def verify_gamma_identities(i_max: int = 8, j_max: int = 8, l_max: int = 8) -> V
     rising-factorial form, for the row identity on (i, j) and the column
     identity on (j, l).
     """
-    started = time.perf_counter()
+
+    def checks():
+        for i in range(1, i_max + 1):
+            for j in range(1, j_max + 1):
+                lhs, rhs = closed_form.gamma_identity_left(i, j)
+                yield _differ({"identity": "left", "i": i, "j": j}, lhs, rhs)
+        for j in range(1, j_max + 1):
+            for l in range(1, l_max + 1):
+                lhs, rhs = closed_form.gamma_identity_right(j, l)
+                yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
+
     bounds = {"i_max": i_max, "j_max": j_max, "l_max": l_max}
     report = VerificationReport(SUITE_GAMMA, bounds, "symbolic")
-    if min(i_max, j_max, l_max) < 1:
-        report.skipped = True
-        return _finish(report, started)
-    for i in range(1, i_max + 1):
-        for j in range(1, j_max + 1):
-            lhs, rhs = closed_form.gamma_identity_left(i, j)
-            if lhs != rhs:
-                report.counterexample = Counterexample(
-                    {"identity": "left", "i": i, "j": j},
-                    serialize_value(lhs),
-                    serialize_value(rhs),
-                )
-                return _finish(report, started)
-    for j in range(1, j_max + 1):
-        for l in range(1, l_max + 1):
-            lhs, rhs = closed_form.gamma_identity_right(j, l)
-            if lhs != rhs:
-                report.counterexample = Counterexample(
-                    {"identity": "right", "j": j, "l": l},
-                    serialize_value(lhs),
-                    serialize_value(rhs),
-                )
-                return _finish(report, started)
-    report.passed = True
-    return _finish(report, started)
+    return _run(report, min(i_max, j_max, l_max) < 1, checks())
 
 
 def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationReport:
@@ -278,48 +276,29 @@ def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationRepo
     and equal the diagonal-product determinant at t=1, and -- up to the
     elimination cap -- equal the Gaussian-elimination determinant as well.
     """
-    started = time.perf_counter()
+
+    def checks():
+        for s in range(1, s_max + 1):
+            chain = closed_form.chain_t1(s)
+            disagreement = chain.first_disagreement()
+            if disagreement is not None:
+                ref, offender = disagreement
+                indices = {"s": s, "expressions": [ref, offender]}
+                yield _differ(indices, chain.values[ref - 1], chain.values[offender - 1])
+            value = chain.values[5]
+            if not value > 0:
+                yield Counterexample(
+                    {"s": s, "check": "positivity"}, serialize_value(value), "> 0"
+                )
+            diagonal = closed_form.det_closed(s, 1)
+            yield _differ({"s": s, "check": "diagonal_product"}, diagonal, value)
+            if s <= elimination_cap:
+                eliminated = det_elimination(build_matrix(s, 1))
+                yield _differ({"s": s, "check": "elimination"}, eliminated, value)
+
     bounds = {"s_max": s_max, "elimination_cap": elimination_cap}
     report = VerificationReport(SUITE_CHAIN, bounds, "numeric", t_samples=["1"])
-    if s_max < 1:
-        report.skipped = True
-        return _finish(report, started)
-    for s in range(1, s_max + 1):
-        chain = closed_form.chain_t1(s)
-        disagreement = chain.first_disagreement()
-        if disagreement is not None:
-            ref, offender = disagreement
-            report.counterexample = Counterexample(
-                {"s": s, "expressions": [ref, offender]},
-                serialize_value(chain.values[ref - 1]),
-                serialize_value(chain.values[offender - 1]),
-            )
-            return _finish(report, started)
-        value = chain.values[5]
-        if not value > 0:
-            report.counterexample = Counterexample(
-                {"s": s, "check": "positivity"}, serialize_value(value), "> 0"
-            )
-            return _finish(report, started)
-        diagonal = closed_form.det_closed(s, 1)
-        if diagonal != value:
-            report.counterexample = Counterexample(
-                {"s": s, "check": "diagonal_product"},
-                serialize_value(diagonal),
-                serialize_value(value),
-            )
-            return _finish(report, started)
-        if s <= elimination_cap:
-            eliminated = det_elimination(build_matrix(s, 1))
-            if eliminated != value:
-                report.counterexample = Counterexample(
-                    {"s": s, "check": "elimination"},
-                    serialize_value(eliminated),
-                    serialize_value(value),
-                )
-                return _finish(report, started)
-    report.passed = True
-    return _finish(report, started)
+    return _run(report, s_max < 1, checks())
 
 
 def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
@@ -333,61 +312,29 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
     def suite_rng(name: str) -> random.Random:
         return random.Random(f"{cfg.seed}:{name}")
 
-    plan = [
-        (
-            SUITE_LU_PRODUCT,
-            {"s_max": cfg.s_max_symbolic},
-            "symbolic",
-            lambda: verify_lu_product(cfg.s_max_symbolic, "symbolic"),
-        ),
-        (
-            SUITE_LU_PRODUCT,
-            {"s_max": cfg.s_max_numeric},
-            "numeric",
-            lambda: verify_lu_product(
-                cfg.s_max_numeric,
-                "numeric",
-                n_samples=cfg.n_t_samples,
-                rng=suite_rng("lu_product"),
-            ),
-        ),
-        (
-            SUITE_FACTORS_MATCH,
-            {"s_max": cfg.s_max_symbolic},
-            "symbolic",
-            lambda: verify_factors_match(cfg.s_max_symbolic, "symbolic"),
-        ),
-        (
-            SUITE_FACTORS_MATCH,
-            {"s_max": cfg.s_max_factors_numeric},
-            "numeric",
-            lambda: verify_factors_match(
-                cfg.s_max_factors_numeric,
-                "numeric",
-                n_samples=cfg.n_t_samples,
-                rng=suite_rng("factors_match"),
-            ),
-        ),
-        (
-            SUITE_GAMMA,
-            {"i_max": cfg.gamma_max, "j_max": cfg.gamma_max, "l_max": cfg.gamma_max},
-            "symbolic",
-            lambda: verify_gamma_identities(cfg.gamma_max, cfg.gamma_max, cfg.gamma_max),
-        ),
-        (
-            SUITE_CHAIN,
-            {"s_max": cfg.chain_max, "elimination_cap": cfg.chain_elimination_cap},
-            "numeric",
-            lambda: verify_chain(cfg.chain_max, cfg.chain_elimination_cap),
-        ),
-    ]
-
-    reports = []
-    for name, bounds, mode, runner in plan:
-        started = time.perf_counter()
+    def attempt(suite, *args, **kwargs) -> VerificationReport:
         try:
-            reports.append(runner())
+            return suite(*args, **kwargs)
         except CauchyLUError as exc:
-            failed = VerificationReport(name, bounds, mode, error=str(exc))
-            reports.append(_finish(failed, started))
-    return reports
+            return exc.report
+
+    return [
+        attempt(verify_lu_product, cfg.s_max_symbolic, "symbolic"),
+        attempt(
+            verify_lu_product,
+            cfg.s_max_numeric,
+            "numeric",
+            n_samples=cfg.n_t_samples,
+            rng=suite_rng(SUITE_LU_PRODUCT),
+        ),
+        attempt(verify_factors_match, cfg.s_max_symbolic, "symbolic"),
+        attempt(
+            verify_factors_match,
+            cfg.s_max_factors_numeric,
+            "numeric",
+            n_samples=cfg.n_t_samples,
+            rng=suite_rng(SUITE_FACTORS_MATCH),
+        ),
+        attempt(verify_gamma_identities, cfg.gamma_max, cfg.gamma_max, cfg.gamma_max),
+        attempt(verify_chain, cfg.chain_max, cfg.chain_elimination_cap),
+    ]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cauchylu import SYMBOLIC_T, det_closed, parse_value
-from cauchylu.cli import main
+from cauchylu.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -217,6 +217,26 @@ def test_verify_skipped_suites_exit_zero(capsys):
     code, out, _ = run_cli(capsys, "verify", "--s-max-symbolic", "0", *FAST_VERIFY[2:])
     assert code == 0
     assert out.count("[SKIP]") == 2
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--s-max-symbolic",
+        "--s-max-numeric",
+        "--s-max-factors-numeric",
+        "--gamma-max",
+        "--chain-max",
+        "--chain-elim-cap",
+    ],
+)
+def test_verify_negative_cap_is_usage_error(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", flag, "-1"])
+    assert info.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    args = build_parser().parse_args(["verify", flag, "0"])
+    assert getattr(args, flag[2:].replace("-", "_")) == 0  # 0 is still accepted
 
 
 # -- bench -----------------------------------------------------------------

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cauchylu import closed_form
+from cauchylu.closed_form import ChainValues
 from cauchylu.combinatorics import factorial
-from cauchylu.errors import RetriesExhausted
+from cauchylu.errors import DomainError, RetriesExhausted
 from cauchylu.verify import (
     VerifyConfig,
     run_all,
@@ -138,7 +139,6 @@ def test_different_seeds_draw_different_samples():
 def test_report_json_excludes_elapsed_by_default():
     report = verify_chain(1)
     assert "elapsed_ms" not in report.to_dict()
-    assert "elapsed_ms" in report.to_dict(include_elapsed=True)
     assert report.elapsed_ms >= 0
 
 
@@ -219,17 +219,116 @@ def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
     assert report.counterexample.lhs != report.counterexample.rhs
 
 
+def test_fault_injected_gamma_right_identity_is_named(monkeypatch):
+    original = closed_form.gamma_identity_right
+
+    def off_by_one(j, l):
+        lhs, rhs = original(j, l)
+        return lhs, rhs + 1
+
+    monkeypatch.setattr(closed_form, "gamma_identity_right", off_by_one)
+    report = verify_gamma_identities(1, 1, 1)
+    assert not report.passed
+    assert report.counterexample.indices == {"identity": "right", "j": 1, "l": 1}
+    assert report.counterexample.lhs != report.counterexample.rhs
+
+
+def test_fault_injected_entry_L_names_factor_L(monkeypatch):
+    original = closed_form.entry_L
+    monkeypatch.setattr(closed_form, "entry_L", lambda i, j, t: original(i, j, t) * 2)
+    report = verify_factors_match(1, "symbolic")
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 1, "factor": "L", "i": 1, "l": 1},
+        "lhs": "2",
+        "rhs": "1",
+    }
+
+
+def test_numeric_counterexample_names_t_and_ends_sampling(monkeypatch):
+    original = closed_form.entry_U
+
+    def wrong_at_one_third(j, l, t):
+        value = original(j, l, t)
+        return value * 2 if t == Fraction(1, 3) else value
+
+    monkeypatch.setattr(closed_form, "entry_U", wrong_at_one_third)
+    samples = [Fraction(2), Fraction(1), Fraction(1, 3), Fraction(5)]
+    report = verify_lu_product(2, "numeric", t_samples=samples)
+    assert not report.passed
+    assert report.counterexample.indices == {"s": 1, "t": "1/3", "i": 1, "l": 1}
+    assert report.discarded_t_samples == ["2"]
+    assert report.t_samples == ["1", "1/3"]  # t = 5 is never drawn
+
+
+def test_fault_injected_diagonal_product_is_named(monkeypatch):
+    monkeypatch.setattr(closed_form, "det_closed", lambda s, t: Fraction(1, 7))
+    report = verify_chain(1)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 1, "check": "diagonal_product"},
+        "lhs": "1/7",
+        "rhs": "1/3",
+    }
+
+
+def test_fault_injected_elimination_is_named_within_cap(monkeypatch):
+    monkeypatch.setattr(verify_mod, "det_elimination", lambda m: Fraction(1, 7))
+    assert verify_chain(1, elimination_cap=0).passed
+    report = verify_chain(1, elimination_cap=1)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 1, "check": "elimination"},
+        "lhs": "1/7",
+        "rhs": "1/3",
+    }
+
+
+def test_equal_but_nonpositive_chain_fails_positivity(monkeypatch):
+    monkeypatch.setattr(closed_form, "chain_t1", lambda s: ChainValues(s, (Fraction(-1),) * 6))
+    report = verify_chain(1)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 1, "check": "positivity"},
+        "lhs": "-1",
+        "rhs": "> 0",
+    }
+
+
 def test_retries_exhausted_when_every_sample_is_bad(monkeypatch):
     monkeypatch.setattr(verify_mod, "_sample_rational", lambda rng: Fraction(2))
     with pytest.raises(RetriesExhausted):
         verify_lu_product(1, "numeric", n_samples=1, rng=random.Random(0))
 
 
+def _errored(suite, bounds, mode, error):
+    return {
+        "suite": suite,
+        "range": bounds,
+        "mode": mode,
+        "t_samples": [],
+        "discarded_t_samples": [],
+        "passed": False,
+        "skipped": False,
+        "counterexample": None,
+        "error": error,
+    }
+
+
 def test_run_all_survives_suite_errors(monkeypatch):
+    def broken_chain(s):
+        raise DomainError("chain unavailable")
+
     monkeypatch.setattr(verify_mod, "_sample_rational", lambda rng: Fraction(2))
+    monkeypatch.setattr(closed_form, "chain_t1", broken_chain)
     reports = run_all(_small_config(0))
-    errored = [r for r in reports if r.error is not None]
-    assert len(errored) == 2  # both numeric sampling suites
-    assert all("100" in r.error for r in errored)
+    exhausted = "no acceptable sample found in 100 attempts"
+    assert [r.to_dict() for r in reports if r.error is not None] == [
+        _errored("lu_product", {"s_max": 3}, "numeric", exhausted),
+        _errored("factors_match", {"s_max": 3}, "numeric", exhausted),
+        _errored(
+            "chain_t1", {"s_max": 3, "elimination_cap": 3}, "numeric", "chain unavailable"
+        ),
+    ]
     # the other suites still ran to completion
-    assert sum(1 for r in reports if r.passed) == len(reports) - 2
+    assert sum(1 for r in reports if r.passed) == len(reports) - 3
