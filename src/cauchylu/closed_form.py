@@ -22,16 +22,10 @@ from .combinatorics import (
     reciprocal_factorial,
     rising_factorial,
 )
-from .errors import DomainError, SingularEntry
+from .errors import SingularEntry, require_at_least
 from .matrix import ExactMatrix
 from .polynomial import Polynomial, T
 from .ratfunc import RationalFunction, coerce_scalar
-
-
-def _require_positive(**named: int) -> None:
-    for name, value in named.items():
-        if value < 1:
-            raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 def entry_L(i: int, j: int, t):
@@ -44,7 +38,7 @@ def entry_L(i: int, j: int, t):
     with 1/(i-j)! = 0 for j > i, hence zero above the diagonal; on the
     diagonal the two products cancel identically and the value is 1.
     """
-    _require_positive(i=i, j=j)
+    require_at_least(1, i=i, j=j)
     t = coerce_scalar(t)
     one = t ** 0
     if reciprocal_factorial(i - j) == 0:
@@ -74,7 +68,7 @@ def entry_U(j: int, l: int, t):
 
     with 1/(l-j)! = 0 for l < j, hence zero below the diagonal.
     """
-    _require_positive(j=j, l=l)
+    require_at_least(1, j=j, l=l)
     t = coerce_scalar(t)
     one = t ** 0
     recip = reciprocal_factorial(l - j)
@@ -99,7 +93,7 @@ def entry_U(j: int, l: int, t):
 
 def build_L(s: int, t) -> ExactMatrix:
     """The s-by-s lower factor, assembled entrywise from entry_L."""
-    _require_positive(s=s)
+    require_at_least(1, s=s)
     return ExactMatrix(
         [[entry_L(i, j, t) for j in range(1, s + 1)] for i in range(1, s + 1)]
     )
@@ -107,7 +101,7 @@ def build_L(s: int, t) -> ExactMatrix:
 
 def build_U(s: int, t) -> ExactMatrix:
     """The s-by-s upper factor, assembled entrywise from entry_U."""
-    _require_positive(s=s)
+    require_at_least(1, s=s)
     return ExactMatrix(
         [[entry_U(j, l, t) for l in range(1, s + 1)] for j in range(1, s + 1)]
     )
@@ -120,8 +114,7 @@ def det_closed(s: int, t):
     rational functions with no intermediate evaluation; numeric t stays in
     Fraction arithmetic throughout.
     """
-    if s < 0:
-        raise DomainError(f"s must be >= 0, got {s}")
+    require_at_least(0, s=s)
     t = coerce_scalar(t)
     result = t ** 0
     for j in range(1, s + 1):
@@ -141,7 +134,7 @@ def gamma_identity_left(i: int, j: int) -> tuple[RationalFunction, RationalFunct
     where (x)_j is the rising factorial -- the Gamma-ratio form of the same
     product.  The caller compares the two.
     """
-    _require_positive(i=i, j=j)
+    require_at_least(1, i=i, j=j)
     lhs_poly = Polynomial((1,))
     for k in range(1, j + 1):
         lhs_poly = lhs_poly * Polynomial((-((2 * k) ** 2), 0, (2 * i - 1) ** 2))
@@ -165,7 +158,7 @@ def gamma_identity_right(j: int, l: int) -> tuple[RationalFunction, RationalFunc
     The t^(2j) factor clears the poles of l/t, so the rhs normalizes back to
     a polynomial (denominator 1).
     """
-    _require_positive(j=j, l=l)
+    require_at_least(1, j=j, l=l)
     lhs_poly = Polynomial((1,))
     for k in range(1, j + 1):
         lhs_poly = lhs_poly * Polynomial((-((2 * l) ** 2), 0, (2 * k - 1) ** 2))
@@ -269,7 +262,7 @@ def chain_e6(s: int) -> Fraction:
 
 def chain_t1(s: int) -> ChainValues:
     """All six t=1 expressions, each evaluated from its own formula."""
-    _require_positive(s=s)
+    require_at_least(1, s=s)
     values = (
         chain_e1(s),
         chain_e2(s),
@@ -283,5 +276,5 @@ def chain_t1(s: int) -> ChainValues:
 
 def det_t1(s: int) -> Fraction:
     """Determinant at t=1 via the last (most compact) chain expression."""
-    _require_positive(s=s)
+    require_at_least(1, s=s)
     return chain_e6(s)

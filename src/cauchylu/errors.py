@@ -11,6 +11,13 @@ class DomainError(CauchyLUError, ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
+def require_at_least(minimum: int, **named: int) -> None:
+    """Raise DomainError naming the first argument below ``minimum``."""
+    for name, value in named.items():
+        if value < minimum:
+            raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
 class DivisionByZero(CauchyLUError, ZeroDivisionError):
     """Division by an exact zero (rational, polynomial, or rational function)."""
 

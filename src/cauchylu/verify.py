@@ -4,14 +4,21 @@ Each suite compares two independently computed sides of one identity over a
 full index range and reports pass/fail with the first counterexample found.
 Every suite is a lazy sequence of checks, each giving a Counterexample or
 None, fed to one driver (``_run``) that marks skips, times the run and keeps
-the first counterexample.  The two sized suites share ``_verify_sizes``,
-which runs one check per size symbolically or at each numeric t sample.
+the first counterexample.  The two sized suites build their matrices once
+per accepted t at s_max (once in symbolic mode): the size-s matrices and
+their Doolittle factors are leading blocks of those.  Entries are compared
+by size s = max(i, l), then L before U, then row-major, so a counterexample
+names the smallest failing size.  The product check also asserts that L is
+zero above the diagonal and U below it, which makes each size-s product a
+leading block too; a violation names its factor, with rhs 0.
 
 Suites are independent: run_all executes every one of them, never letting a
 failure in one abort another, and aggregates the reports.  A suite that
 raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
-that report in the suite's place.
+that report in the suite's place.  Bad arguments -- a negative bound, an
+unknown mode, no t samples -- raise DomainError before any check runs (a
+bound of 0 still means skip); VerifyConfig rejects them when it is built.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -24,11 +31,18 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import closed_form
-from .errors import CauchyLUError, RetriesExhausted, SingularEntry, ZeroPivot
+from .errors import (
+    CauchyLUError,
+    DomainError,
+    RetriesExhausted,
+    SingularEntry,
+    ZeroPivot,
+    require_at_least,
+)
 from .formats import serialize_value
 from .matrix import build_matrix, det_elimination, lu_doolittle
 from .ratfunc import SYMBOLIC_T
@@ -82,8 +96,9 @@ class VerificationReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerifyConfig:
+    # Frozen so every instance run_all sees has passed __post_init__.
     seed: int = 0
     s_max_symbolic: int = 6
     s_max_numeric: int = 12
@@ -93,22 +108,15 @@ class VerifyConfig:
     chain_max: int = 20
     chain_elimination_cap: int = 12
 
+    def __post_init__(self):
+        bounds = asdict(self)
+        del bounds["seed"]
+        require_at_least(1, n_t_samples=bounds.pop("n_t_samples"))
+        require_at_least(0, **bounds)
+
 
 def _sample_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 50), rng.randint(1, 50))
-
-
-def _compare_matrices(computed, reference, base_indices: dict) -> Counterexample | None:
-    n = computed.n_rows
-    for i in range(1, n + 1):
-        for l in range(1, n + 1):
-            a = computed.at(i, l)
-            b = reference.at(i, l)
-            if a != b:
-                indices = dict(base_indices)
-                indices.update(i=i, l=l)
-                return Counterexample(indices, serialize_value(a), serialize_value(b))
-    return None
 
 
 def _first(results) -> Counterexample | None:
@@ -147,21 +155,23 @@ def _run(report: VerificationReport, skip: bool, results) -> VerificationReport:
     return report
 
 
-def _run_numeric(report: VerificationReport, t_samples, n_samples, rng, check_one):
-    """Rejection sampling: yield ``check_one(t)`` for each accepted sample t.
+def _builds(report: VerificationReport, t_samples, n_samples, rng, build):
+    """Yield (t indices, build(t)) at the symbolic t or per accepted sample t.
 
-    ``check_one(t)`` returns a Counterexample or None and may raise
-    SingularEntry/ZeroPivot, which discards the sample and draws a fresh one.
+    In numeric mode ``build(t)`` may raise SingularEntry/ZeroPivot, which
+    discards the sample and draws a fresh one.
     """
-    provided = list(t_samples) if t_samples is not None else []
-    wanted = len(provided) if t_samples is not None else n_samples
+    if report.mode == "symbolic":
+        yield {}, build(SYMBOLIC_T)
+        return
+    provided = list(t_samples or ())
     if rng is None:
         rng = random.Random("resample")
-    for _ in range(wanted):
+    for _ in range(n_samples):
         for _ in range(MAX_SAMPLE_ATTEMPTS):
             t = provided.pop(0) if provided else _sample_rational(rng)
             try:
-                found = check_one(t)
+                built = build(t)
             except (SingularEntry, ZeroPivot):
                 report.discarded_t_samples.append(str(t))
                 continue
@@ -169,27 +179,33 @@ def _run_numeric(report: VerificationReport, t_samples, n_samples, rng, check_on
             break
         else:
             raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
-        yield found
+        yield {"t": str(t)}, built
 
 
-def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, check_one_size):
-    """Run ``check_one_size(s, t, indices)`` for every s = 1..s_max.
+def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
+    """Compare the sides ``build(t)`` assembles at s_max, entry by entry.
 
-    Symbolic mode runs it once per s at the symbolic t; any other mode runs
-    all sizes at each accepted numeric sample, and the counterexample's
-    indices then name that t as well.
+    ``build(t)`` lists (label, lhs, rhs), each side a function of (i, l).
+    Entries are visited by size s = max(i, l), then side, then row-major:
+    the first difference is the one a check of each leading s-by-s block in
+    turn would find first.  In numeric mode the indices also name the t.
     """
+    if t_samples is not None:
+        t_samples = list(t_samples)
+        n_samples = len(t_samples)
+    require_at_least(0, s_max=s_max)
+    require_at_least(1, samples=n_samples)
+    if mode not in ("symbolic", "numeric"):
+        raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     report = VerificationReport(suite, {"s_max": s_max}, mode)
-    sizes = range(1, s_max + 1)
-    if mode == "symbolic":
-        results = (check_one_size(s, SYMBOLIC_T, {"s": s}) for s in sizes)
-    else:
-
-        def check_one(t) -> Counterexample | None:
-            return _first(check_one_size(s, t, {"s": s, "t": str(t)}) for s in sizes)
-
-        results = _run_numeric(report, t_samples, n_samples, rng, check_one)
-    return _run(report, s_max < 1, results)
+    checks = (
+        _differ({"s": s, **base, **label, "i": i, "l": l}, lhs(i, l), rhs(i, l))
+        for base, sides in _builds(report, t_samples, n_samples, rng, build)
+        for s in range(1, s_max + 1)
+        for label, lhs, rhs in sides
+        for i, l in [(i, s) for i in range(1, s)] + [(s, l) for l in range(1, s + 1)]
+    )
+    return _run(report, s_max < 1, checks)
 
 
 def verify_lu_product(
@@ -203,17 +219,24 @@ def verify_lu_product(
 
     Entrywise exact equality of (lower factor) @ (upper factor) against the
     built matrix, for every s = 1..s_max, symbolically or at numeric t
-    samples.
+    samples, and that the factors are triangular.
     """
 
-    def check_one_size(s: int, t, base: dict) -> Counterexample | None:
-        product = closed_form.build_L(s, t) @ closed_form.build_U(s, t)
-        target = build_matrix(s, t)
-        return _compare_matrices(product, target, base)
+    def build(t):
+        lower = closed_form.build_L(s_max, t)
+        upper = closed_form.build_U(s_max, t)
+        target = build_matrix(s_max, t)
 
-    return _verify_sizes(
-        SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, check_one_size
-    )
+        def product(i, l):  # of the leading max(i, l) blocks
+            return sum(lower.at(i, k) * upper.at(k, l) for k in range(1, max(i, l) + 1))
+
+        return [
+            ({"factor": "L"}, lower.at, lambda i, l: lower.at(i, l) if i >= l else 0),
+            ({"factor": "U"}, upper.at, lambda i, l: upper.at(i, l) if i <= l else 0),
+            ({}, product, target.at),
+        ]
+
+    return _verify_sizes(SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, build)
 
 
 def verify_factors_match(
@@ -230,20 +253,14 @@ def verify_factors_match(
     zero pivot are discarded and resampled, and show up in the report.
     """
 
-    def check_one_size(s: int, t, base: dict) -> Counterexample | None:
-        factors = lu_doolittle(build_matrix(s, t))
-        found = _compare_matrices(
-            closed_form.build_L(s, t), factors.L, {**base, "factor": "L"}
-        )
-        if found is not None:
-            return found
-        return _compare_matrices(
-            closed_form.build_U(s, t), factors.U, {**base, "factor": "U"}
-        )
+    def build(t):
+        factors = lu_doolittle(build_matrix(s_max, t))
+        return [
+            ({"factor": "L"}, closed_form.build_L(s_max, t).at, factors.L.at),
+            ({"factor": "U"}, closed_form.build_U(s_max, t).at, factors.U.at),
+        ]
 
-    return _verify_sizes(
-        SUITE_FACTORS_MATCH, s_max, mode, t_samples, n_samples, rng, check_one_size
-    )
+    return _verify_sizes(SUITE_FACTORS_MATCH, s_max, mode, t_samples, n_samples, rng, build)
 
 
 def verify_gamma_identities(i_max: int = 8, j_max: int = 8, l_max: int = 8) -> VerificationReport:
@@ -265,6 +282,7 @@ def verify_gamma_identities(i_max: int = 8, j_max: int = 8, l_max: int = 8) -> V
                 yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
 
     bounds = {"i_max": i_max, "j_max": j_max, "l_max": l_max}
+    require_at_least(0, **bounds)
     report = VerificationReport(SUITE_GAMMA, bounds, "symbolic")
     return _run(report, min(i_max, j_max, l_max) < 1, checks())
 
@@ -297,6 +315,7 @@ def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationRepo
                 yield _differ({"s": s, "check": "elimination"}, eliminated, value)
 
     bounds = {"s_max": s_max, "elimination_cap": elimination_cap}
+    require_at_least(0, **bounds)
     report = VerificationReport(SUITE_CHAIN, bounds, "numeric", t_samples=["1"])
     return _run(report, s_max < 1, checks())
 

@@ -1,6 +1,7 @@
 """Verification-suite behavior: reports, sampling, determinism, and the
 fault-injection meta-tests (a checker that cannot fail is untrustworthy)."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,6 +12,9 @@ from cauchylu import closed_form
 from cauchylu.closed_form import ChainValues
 from cauchylu.combinatorics import factorial
 from cauchylu.errors import DomainError, RetriesExhausted
+from cauchylu.formats import serialize_value
+from cauchylu.matrix import ExactMatrix, build_matrix, lu_doolittle
+from cauchylu.ratfunc import SYMBOLIC_T
 from cauchylu.verify import (
     VerifyConfig,
     run_all,
@@ -332,3 +336,182 @@ def test_run_all_survives_suite_errors(monkeypatch):
     ]
     # the other suites still ran to completion
     assert sum(1 for r in reports if r.passed) == len(reports) - 3
+
+
+# -- bad arguments -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: verify_lu_product(-1), id="lu_product-negative-s_max"),
+        pytest.param(lambda: verify_factors_match(-1, "numeric"), id="factors-negative-s_max"),
+        pytest.param(lambda: verify_lu_product(2, "Symbolic"), id="lu_product-unknown-mode"),
+        pytest.param(lambda: verify_factors_match(2, "exact"), id="factors-unknown-mode"),
+        pytest.param(
+            lambda: verify_lu_product(2, "numeric", n_samples=0), id="lu_product-no-samples"
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, "numeric", t_samples=[]), id="factors-empty-t_samples"
+        ),
+        pytest.param(lambda: verify_gamma_identities(1, -1, 1), id="gamma-negative-j_max"),
+        pytest.param(lambda: verify_chain(-1), id="chain-negative-s_max"),
+        pytest.param(lambda: verify_chain(3, elimination_cap=-5), id="chain-negative-cap"),
+        pytest.param(lambda: VerifyConfig(s_max_symbolic=-2), id="config-negative-s_max"),
+        pytest.param(lambda: VerifyConfig(n_t_samples=0), id="config-no-samples"),
+        pytest.param(lambda: VerifyConfig(chain_elimination_cap=-1), id="config-negative-cap"),
+    ],
+)
+def test_bad_arguments_raise_domain_error_before_any_check(call, monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify_mod, "_run", no_checks)
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_zero_elimination_cap_and_negative_seed_are_accepted():
+    assert verify_chain(1, elimination_cap=0).passed
+    assert VerifyConfig(seed=-3, s_max_symbolic=0).s_max_symbolic == 0
+
+
+def test_verify_config_cannot_be_changed_past_its_checks():
+    cfg = VerifyConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.s_max_symbolic = -1
+
+
+# -- one build at s_max, compared in size order ----------------------------------
+
+
+def _reference(suite, s_max, t):
+    """The per-size loop: rebuild every matrix for each s = 1..s_max and
+    compare whole s-by-s blocks row-major, as the suites once did.  For the
+    product it first checks that the closed-form factors are triangular,
+    L before U, which the size-ordered suite reports by factor."""
+    base = {} if t is SYMBOLIC_T else {"t": str(t)}
+    for s in range(1, s_max + 1):
+        lower = closed_form.build_L(s, t)
+        upper = closed_form.build_U(s, t)
+        target = build_matrix(s, t)
+        if suite == "lu_product":
+            tri_lower = ExactMatrix(
+                [[lower.at(i, l) if i >= l else 0 for l in range(1, s + 1)] for i in range(1, s + 1)]
+            )
+            tri_upper = ExactMatrix(
+                [[upper.at(i, l) if i <= l else 0 for l in range(1, s + 1)] for i in range(1, s + 1)]
+            )
+            pairs = [({"factor": "L"}, lower, tri_lower), ({"factor": "U"}, upper, tri_upper),
+                     ({}, lower @ upper, target)]
+        else:
+            factors = lu_doolittle(target)
+            pairs = [({"factor": "L"}, lower, factors.L), ({"factor": "U"}, upper, factors.U)]
+        for label, lhs, rhs in pairs:
+            for i in range(1, s + 1):
+                for l in range(1, s + 1):
+                    a, b = lhs.at(i, l), rhs.at(i, l)
+                    if a != b:
+                        indices = {"s": s, **base, **label, "i": i, "l": l}
+                        return {"indices": indices, "lhs": serialize_value(a),
+                                "rhs": serialize_value(b)}
+    return None
+
+
+def _double(value):
+    return value * 2
+
+
+def _plus_one(value):
+    return value + 1
+
+
+def _inject(monkeypatch, *faults):
+    """Wrap closed_form.<name> so its entry at (i, l) is changed, per fault."""
+    for name, where, change in faults:
+        original = getattr(closed_form, name)
+
+        def faulty(i, l, t, original=original, where=where, change=change):
+            value = original(i, l, t)
+            return change(value) if (i, l) == where else value
+
+        monkeypatch.setattr(closed_form, name, faulty)
+
+
+FAULTS = {
+    # row-major over the 3x3 block meets U(1,3) first; size order meets U(2,2)
+    "U13-and-U22": [("entry_U", (1, 3), _double), ("entry_U", (2, 2), _double)],
+    "L31-and-U12": [("entry_L", (3, 1), _double), ("entry_U", (1, 2), _double)],
+    "L12-nonzero": [("entry_L", (1, 2), _plus_one)],
+    "U21-nonzero": [("entry_U", (2, 1), _plus_one)],
+    # each alone leaves the 2x2 product intact; together they change the
+    # (1, 2) entry of the 3x3 product, which the per-size loop meets at s = 3
+    "L13-and-U32-nonzero": [("entry_L", (1, 3), _plus_one), ("entry_U", (3, 2), _plus_one)],
+    "U33": [("entry_U", (3, 3), _double)],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("suite", ["lu_product", "factors_match"])
+@pytest.mark.parametrize("t", [SYMBOLIC_T, Fraction(1, 3)], ids=["symbolic", "t=1/3"])
+def test_counterexample_equals_per_size_reference(monkeypatch, fault, suite, t):
+    _inject(monkeypatch, *FAULTS[fault])
+    run = verify_lu_product if suite == "lu_product" else verify_factors_match
+    if t is SYMBOLIC_T:
+        report = run(3, "symbolic")
+    else:
+        report = run(3, "numeric", t_samples=[t])
+    expected = _reference(suite, 3, t)
+    assert expected is not None
+    assert report.counterexample.to_dict() == expected
+
+
+def test_size_order_beats_row_major_order(monkeypatch):
+    _inject(monkeypatch, *FAULTS["U13-and-U22"])
+    assert verify_lu_product(3, "symbolic").counterexample.indices == {"s": 2, "i": 2, "l": 2}
+    found = verify_factors_match(3, "symbolic").counterexample.indices
+    assert found == {"s": 2, "factor": "U", "i": 2, "l": 2}
+
+
+def test_smaller_U_fault_beats_larger_L_fault(monkeypatch):
+    _inject(monkeypatch, *FAULTS["L31-and-U12"])
+    found = verify_factors_match(3, "numeric", t_samples=[Fraction(1)]).counterexample.indices
+    assert found == {"s": 2, "t": "1", "factor": "U", "i": 1, "l": 2}
+
+
+def test_lu_product_names_a_triangularity_violation(monkeypatch):
+    _inject(monkeypatch, *FAULTS["L12-nonzero"])
+    report = verify_lu_product(3, "symbolic")
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 2, "factor": "L", "i": 1, "l": 2},
+        "lhs": "1",
+        "rhs": "0",
+    }
+
+
+def test_sized_suites_build_once_per_t(monkeypatch):
+    calls = []
+    original = closed_form.build_L
+
+    def counted(s, t):
+        calls.append((s, str(t)))
+        return original(s, t)
+
+    monkeypatch.setattr(closed_form, "build_L", counted)
+    assert verify_lu_product(6, "symbolic").passed
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_factors_match(3, "numeric", t_samples=[Fraction(1), Fraction(1, 3)]).passed
+    assert calls == [(3, "1"), (3, "1/3")]
+
+
+def test_t_singular_only_above_the_failing_size_is_discarded(monkeypatch):
+    # t = 6/5 zeroes the (3, 3) denominator only.  A per-size loop meets the
+    # size-1 fault before it builds size 3 and reports the fault at t = 6/5;
+    # one build at s_max discards 6/5 and reports the fault at the next t.
+    _inject(monkeypatch, ("entry_U", (1, 1), _double))
+    assert _reference("lu_product", 3, Fraction(6, 5))["indices"]["t"] == "6/5"
+    report = verify_lu_product(3, "numeric", t_samples=[Fraction(6, 5), Fraction(1)])
+    assert report.discarded_t_samples == ["6/5"]
+    assert report.t_samples == ["1"]
+    assert report.counterexample.indices == {"s": 1, "t": "1", "i": 1, "l": 1}
