@@ -5,10 +5,12 @@ triangular factors, optionally compared against elimination), ``chain`` (the
 six t=1 expressions per size), ``verify`` (all identity suites), ``bench``
 (closed form vs elimination timings).
 
-``--json`` switches any subcommand to machine-readable stdout; errors go to
-stderr.  Exit codes: 0 all verdicts pass, 1 any computational failure or
-mismatch, 2 usage errors.  t is accepted only as an exact fraction ``p/q``
-(or a bare integer) -- decimals are rejected, nothing is ever rounded.
+Each ``cmd_*`` returns a ``Result`` and prints nothing; ``main`` alone
+renders it: ``--json`` or text on stdout, one ``error:`` line on stderr, and
+exit 0 when every verdict passes, 1 on a mismatch or a ``CauchyLUError``
+(``SizeCapExceeded`` above a command's ``--s`` cap), 2 on usage errors.
+t is accepted only as an exact fraction ``p/q`` (or a bare integer) --
+decimals are rejected, nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import statistics
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple, Sequence
 
 from .closed_form import build_L, build_U, chain_t1, det_closed
-from .errors import CauchyLUError
+from .errors import CauchyLUError, SizeCapExceeded
 from .formats import serialize_value
 from .matrix import ExactMatrix, build_matrix, det_elimination, lu_doolittle
 from .ratfunc import SYMBOLIC_T
@@ -30,6 +33,13 @@ from .verify import VerifyConfig, run_all
 
 DET_ORACLE_CAP_NUMERIC = 12
 DET_ORACLE_CAP_SYMBOLIC = 6
+# The largest --s each command accepts.  Each finishes in seconds at its cap,
+# and run time grows fast past it: the symbolic determinant takes about seven
+# times as long at s=20 as at s=16.
+S_CAP_SYMBOLIC = 16
+S_CAP_NUMERIC = 80
+S_CAP_CHAIN = 100
+S_CAP_BENCH = 30
 BENCH_WARMUP = 3
 BENCH_REPS = 5
 
@@ -60,117 +70,85 @@ def _matrix_lists(m: ExactMatrix) -> list[list[str]]:
     return [[serialize_value(x) for x in row] for row in m.rows]
 
 
-def _format_matrix(m: ExactMatrix) -> str:
-    rows = ", ".join("[" + ", ".join(serialize_value(x) for x in row) + "]" for row in m.rows)
-    return f"[{rows}]"
+def _format_matrix(rows: list[list[str]]) -> str:
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _require_size(s: int, cap: int) -> None:
+    if s > cap:
+        raise SizeCapExceeded(s, cap)
 
 
-def cmd_det(args) -> int:
-    symbolic = args.symbolic
+def _case(args, symbolic: bool):
+    """t for ``det`` and ``lu``, and the JSON fields that name the case."""
+    _require_size(args.s, S_CAP_SYMBOLIC if symbolic else S_CAP_NUMERIC)
     t = SYMBOLIC_T if symbolic else (args.t if args.t is not None else Fraction(1))
+    mode, shown = ("symbolic", None) if symbolic else ("numeric", serialize_value(t))
+    return t, {"s": args.s, "mode": mode, "t": shown}
+
+
+class Result(NamedTuple):
+    """A subcommand's outcome; only ``main`` prints it.
+
+    ``payload`` is the ``--json`` document and ``lines`` the same result as
+    text; without a payload nothing goes to stdout.  A result that is not
+    ``ok`` exits 1, and prints its ``error``, if any, on stderr.
+    """
+
+    payload: dict | None = None
+    lines: Sequence[str] = ()
+    ok: bool = True
+    error: str | None = None
+
+
+def cmd_det(args) -> Result:
+    t, payload = _case(args, args.symbolic)
     value = det_closed(args.s, t)
-    cap = DET_ORACLE_CAP_SYMBOLIC if symbolic else DET_ORACLE_CAP_NUMERIC
-    oracle = None
-    match = None
-    if args.s <= cap:
-        oracle = det_elimination(build_matrix(args.s, t))
-        match = oracle == value
-    if args.json:
-        _emit_json(
-            {
-                "s": args.s,
-                "mode": "symbolic" if symbolic else "numeric",
-                "t": None if symbolic else serialize_value(t),
-                "determinant": serialize_value(value),
-                "oracle": serialize_value(oracle) if oracle is not None else None,
-                "match": match,
-            }
-        )
-    else:
-        print(serialize_value(value))
-        if oracle is not None:
-            verdict = "match" if match else "MISMATCH"
-            print(f"elimination oracle: {serialize_value(oracle)} ({verdict})")
-    if match is False:
-        print("error: closed form disagrees with elimination", file=sys.stderr)
-        return 1
-    return 0
+    payload.update(determinant=serialize_value(value), oracle=None, match=None)
+    lines = [payload["determinant"]]
+    if args.s > (DET_ORACLE_CAP_SYMBOLIC if args.symbolic else DET_ORACLE_CAP_NUMERIC):
+        return Result(payload, lines)
+    oracle = det_elimination(build_matrix(args.s, t))
+    match = oracle == value
+    payload.update(oracle=serialize_value(oracle), match=match)
+    lines.append(f"elimination oracle: {payload['oracle']} ({'match' if match else 'MISMATCH'})")
+    return Result(payload, lines, ok=match, error="closed form disagrees with elimination")
 
 
-def cmd_lu(args) -> int:
-    symbolic = args.symbolic or args.t is None
-    t = SYMBOLIC_T if symbolic else args.t
+def cmd_lu(args) -> Result:
+    t, payload = _case(args, args.symbolic or args.t is None)
     lower = build_L(args.s, t)
     upper = build_U(args.s, t)
-    compare = None
-    if args.compare:
-        factors = lu_doolittle(build_matrix(args.s, t))
-        compare = {
-            "L": factors.L,
-            "U": factors.U,
-            "match": lower == factors.L and upper == factors.U,
-        }
-    if args.json:
-        payload = {
-            "s": args.s,
-            "mode": "symbolic" if symbolic else "numeric",
-            "t": None if symbolic else serialize_value(t),
-            "L": _matrix_lists(lower),
-            "U": _matrix_lists(upper),
-        }
-        if compare is not None:
-            payload["compare"] = {
-                "L": _matrix_lists(compare["L"]),
-                "U": _matrix_lists(compare["U"]),
-                "match": compare["match"],
-            }
-        _emit_json(payload)
-    else:
-        print(f"L = {_format_matrix(lower)}")
-        print(f"U = {_format_matrix(upper)}")
-        if compare is not None:
-            print(f"elimination L = {_format_matrix(compare['L'])}")
-            print(f"elimination U = {_format_matrix(compare['U'])}")
-            print(f"compare: {'match' if compare['match'] else 'MISMATCH'}")
-    if compare is not None and not compare["match"]:
-        print("error: closed-form factors disagree with elimination", file=sys.stderr)
-        return 1
-    return 0
+    payload.update(L=_matrix_lists(lower), U=_matrix_lists(upper))
+    lines = [f"L = {_format_matrix(payload['L'])}", f"U = {_format_matrix(payload['U'])}"]
+    if not args.compare:
+        return Result(payload, lines)
+    factors = lu_doolittle(build_matrix(args.s, t))
+    match = lower == factors.L and upper == factors.U
+    compare = {"L": _matrix_lists(factors.L), "U": _matrix_lists(factors.U), "match": match}
+    payload["compare"] = compare
+    lines.append(f"elimination L = {_format_matrix(compare['L'])}")
+    lines.append(f"elimination U = {_format_matrix(compare['U'])}")
+    lines.append(f"compare: {'match' if match else 'MISMATCH'}")
+    return Result(payload, lines, ok=match, error="closed-form factors disagree with elimination")
 
 
-def cmd_chain(args) -> int:
-    rows = [chain_t1(s) for s in range(1, args.s + 1)]
-    all_equal = all(row.all_equal for row in rows)
-    if args.json:
-        _emit_json(
-            {
-                "rows": [
-                    {
-                        "s": row.s,
-                        "values": [serialize_value(v) for v in row.values],
-                        "equal": row.all_equal,
-                    }
-                    for row in rows
-                ],
-                "all_equal": all_equal,
-            }
-        )
-    else:
-        for row in rows:
-            verdict = "agree" if row.all_equal else "DISAGREE"
-            values = "  ".join(serialize_value(v) for v in row.values)
-            print(f"s={row.s}: {values}  [{verdict}]")
-    if not all_equal:
-        print("error: chain expressions disagree", file=sys.stderr)
-        return 1
-    return 0
+def cmd_chain(args) -> Result:
+    _require_size(args.s, S_CAP_CHAIN)
+    rows = [
+        {"s": row.s, "values": [serialize_value(v) for v in row.values], "equal": row.all_equal}
+        for row in map(chain_t1, range(1, args.s + 1))
+    ]
+    lines = [
+        f"s={row['s']}: {'  '.join(row['values'])}  [{'agree' if row['equal'] else 'DISAGREE'}]"
+        for row in rows
+    ]
+    all_equal = all(row["equal"] for row in rows)
+    payload = {"rows": rows, "all_equal": all_equal}
+    return Result(payload, lines, ok=all_equal, error="chain expressions disagree")
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     cfg = VerifyConfig(
         seed=args.seed,
         s_max_symbolic=args.s_max_symbolic,
@@ -183,26 +161,20 @@ def cmd_verify(args) -> int:
     )
     reports = run_all(cfg)
     failed = [r for r in reports if not r.passed and not r.skipped]
-    if args.json:
-        _emit_json(
-            {
-                "seed": cfg.seed,
-                "all_passed": not failed,
-                "reports": [r.to_dict() for r in reports],
-            }
-        )
-    else:
-        for r in reports:
-            status = "PASS" if r.passed else ("SKIP" if r.skipped else "FAIL")
-            bounds = ", ".join(f"{k}={v}" for k, v in r.range.items())
-            print(f"[{status}] {r.suite} ({r.mode}; {bounds}) {r.elapsed_ms:.1f} ms")
-            if r.counterexample is not None:
-                c = r.counterexample
-                print(f"        counterexample {c.indices}: {c.lhs} != {c.rhs}")
-            if r.error is not None:
-                print(f"        error: {r.error}")
-        print(f"{len(reports) - len(failed)}/{len(reports)} suites passed or skipped")
-    return 1 if failed else 0
+    lines = []
+    for r in reports:
+        status = "PASS" if r.passed else ("SKIP" if r.skipped else "FAIL")
+        bounds = ", ".join(f"{k}={v}" for k, v in r.range.items())
+        lines.append(f"[{status}] {r.suite} ({r.mode}; {bounds}) {r.elapsed_ms:.1f} ms")
+        if r.counterexample is not None:
+            c = r.counterexample
+            lines.append(f"        counterexample {c.indices}: {c.lhs} != {c.rhs}")
+        if r.error is not None:
+            lines.append(f"        error: {r.error}")
+    lines.append(f"{len(reports) - len(failed)}/{len(reports)} suites passed or skipped")
+    reports_json = [r.to_dict() for r in reports]
+    payload = {"seed": cfg.seed, "all_passed": not failed, "reports": reports_json}
+    return Result(payload, lines, ok=not failed)
 
 
 def _median_ms(fn) -> float:
@@ -216,28 +188,25 @@ def _median_ms(fn) -> float:
     return statistics.median(times)
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> Result:
+    _require_size(args.s, S_CAP_BENCH)
     # Equality is asserted for every size before any timing is printed:
     # a benchmark of wrong answers is meaningless.
     matrices = []
     for s in range(1, args.s + 1):
         m = build_matrix(s, 1)
         if det_closed(s, 1) != det_elimination(m):
-            print(f"error: value mismatch at s={s}", file=sys.stderr)
-            return 1
+            return Result(ok=False, error=f"value mismatch at s={s}")
         matrices.append(m)
     rows = []
     for s, m in enumerate(matrices, start=1):
         closed_ms = _median_ms(lambda s=s: det_closed(s, 1))
         elim_ms = _median_ms(lambda m=m: det_elimination(m))
         rows.append({"s": s, "closed_ms": closed_ms, "elimination_ms": elim_ms})
-    if args.json:
-        _emit_json({"rows": rows})
-    else:
-        print(f"{'s':>3}  {'closed (ms)':>12}  {'elimination (ms)':>17}")
-        for row in rows:
-            print(f"{row['s']:>3}  {row['closed_ms']:>12.3f}  {row['elimination_ms']:>17.3f}")
-    return 0
+    lines = [f"{'s':>3}  {'closed (ms)':>12}  {'elimination (ms)':>17}"] + [
+        f"{row['s']:>3}  {row['closed_ms']:>12.3f}  {row['elimination_ms']:>17.3f}" for row in rows
+    ]
+    return Result({"rows": rows}, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,10 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        result = args.handler(args)
     except CauchyLUError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        result = Result(ok=False, error=str(exc))
+    if result.payload is not None:
+        print(json.dumps(result.payload, indent=2) if args.json else "\n".join(result.lines))
+    if result.ok:
+        return 0
+    if result.error is not None:
+        print(f"error: {result.error}", file=sys.stderr)
+    return 1
 
 
 def entrypoint() -> None:

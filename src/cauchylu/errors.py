@@ -11,10 +11,15 @@ class DomainError(CauchyLUError, ValueError):
     """An argument lies outside an operation's mathematical domain."""
 
 
-def require_at_least(minimum: int, **named: int) -> None:
-    """Raise DomainError naming the first argument below ``minimum``."""
+def require_at_least(minimum: int | None, **named: int) -> None:
+    """Raise DomainError naming the first argument that is not an int >= ``minimum``.
+
+    ``minimum=None`` admits every int.
+    """
     for name, value in named.items():
-        if value < minimum:
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an int, got {value!r}")
+        if minimum is not None and value < minimum:
             raise DomainError(f"{name} must be >= {minimum}, got {value}")
 
 

@@ -2,9 +2,10 @@
 
 Matrices are immutable, with entries drawn from one exact field: Fraction
 when the scalar t is numeric, RationalFunction when t is symbolic (pass
-``SYMBOLIC_T``); plain ints coerce into either.  Logical indices are 1-based
-everywhere in this API; ``at(i, l) == rows[i-1][l-1]`` is the one place the
-0-based row-major storage mapping appears.
+``SYMBOLIC_T``); plain ints coerce into either.  Any other entry, such as a
+float, raises DomainError.  Logical indices are 1-based everywhere in this
+API; ``at(i, l) == rows[i-1][l-1]`` is the one place the 0-based row-major
+storage mapping appears.
 
 Two independent determinant oracles live here -- recursive cofactor
 expansion and Gaussian elimination with row swaps -- deliberately sharing no
@@ -13,6 +14,7 @@ code with ``lu_doolittle`` so each can check the others.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -21,8 +23,12 @@ from .errors import (
     SingularEntry,
     SizeCapExceeded,
     ZeroPivot,
+    require_at_least,
 )
-from .ratfunc import coerce_scalar
+from .polynomial import Polynomial
+from .ratfunc import RationalFunction, coerce_scalar
+
+_ENTRY_TYPES = (int, Fraction, Polynomial, RationalFunction)
 
 COFACTOR_CAP_DEFAULT = 7
 
@@ -37,6 +43,10 @@ class ExactMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DomainError("ragged rows")
+        for row in data:
+            for x in row:
+                if not isinstance(x, _ENTRY_TYPES):
+                    raise DomainError(f"matrix entry is not exact: {x!r}")
         self._rows = data
 
     @classmethod
@@ -114,8 +124,7 @@ def build_matrix(s: int, t) -> ExactMatrix:
     Numeric t values that zero any entry denominator raise SingularEntry
     listing every offending (i, l) pair.
     """
-    if s < 1:
-        raise DomainError(f"matrix size must be >= 1, got {s}")
+    require_at_least(1, s=s)
     t = coerce_scalar(t)
     tt = t * t
     rows = []

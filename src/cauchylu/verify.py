@@ -110,7 +110,7 @@ class VerifyConfig:
 
     def __post_init__(self):
         bounds = asdict(self)
-        del bounds["seed"]
+        require_at_least(None, seed=bounds.pop("seed"))
         require_at_least(1, n_t_samples=bounds.pop("n_t_samples"))
         require_at_least(0, **bounds)
 

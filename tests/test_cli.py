@@ -70,6 +70,35 @@ def test_det_value_beyond_int_digit_limit_round_trips(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_det_mismatch_text_exits_one(capsys, monkeypatch):
+    from cauchylu import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "det_elimination", lambda m: Fraction(1, 7))
+    code, out, err = run_cli(capsys, "det", "--s", "2", "--t", "1/1")
+    assert code == 1
+    assert out == "32/525\nelimination oracle: 1/7 (MISMATCH)\n"
+    assert err == "error: closed form disagrees with elimination\n"
+
+
+def test_det_mismatch_json_reports_match_false(capsys, monkeypatch):
+    from cauchylu import cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "det_elimination", lambda m: Fraction(1, 7))
+    code, out, err = run_cli(capsys, "det", "--s", "2", "--t", "1/1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["match"] is False
+    assert payload["oracle"] == "1/7"
+    assert err == "error: closed form disagrees with elimination\n"
+
+
+def test_det_singular_t_json_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "det", "--s", "1", "--t", "2", "--json")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: vanishing denominator at (1, 1)")
+
+
 def test_det_rejects_size_zero(capsys):
     with pytest.raises(SystemExit) as info:
         main(["det", "--s", "0"])
@@ -113,6 +142,22 @@ def test_lu_compare_match(capsys):
     code, out, _ = run_cli(capsys, "lu", "--s", "2", "--t", "1/1", "--compare")
     assert code == 0
     assert "compare: match" in out
+
+
+def test_lu_compare_mismatch_exits_one(capsys, monkeypatch):
+    from cauchylu import cli as cli_mod
+    from cauchylu.matrix import ExactMatrix, LUFactors
+
+    identity = ExactMatrix.identity(2)
+    monkeypatch.setattr(cli_mod, "lu_doolittle", lambda m: LUFactors(identity, identity))
+    code, out, err = run_cli(capsys, "lu", "--s", "2", "--t", "1/1", "--compare")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "elimination L = [[1, 0], [0, 1]]",
+        "elimination U = [[1, 0], [0, 1]]",
+        "compare: MISMATCH",
+    ]
+    assert err == "error: closed-form factors disagree with elimination\n"
 
 
 def test_lu_compare_singular_t(capsys):
@@ -219,6 +264,24 @@ def test_verify_skipped_suites_exit_zero(capsys):
     assert out.count("[SKIP]") == 2
 
 
+def test_verify_failure_exits_one_with_empty_stderr(capsys, monkeypatch):
+    from cauchylu import closed_form
+
+    entry_U = closed_form.entry_U
+
+    def entry_U_broken(j, l, t):
+        value = entry_U(j, l, t)
+        return value * 2 if (j, l) == (2, 2) else value
+
+    monkeypatch.setattr(closed_form, "entry_U", entry_U_broken)
+    code, out, err = run_cli(capsys, "verify", *FAST_VERIFY)
+    assert code == 1
+    assert err == ""
+    assert "[FAIL] lu_product (symbolic; s_max=2)" in out
+    assert "        counterexample {'s': 2, 'i': 2, 'l': 2}: " in out
+    assert out.endswith("\n1/6 suites passed or skipped\n")
+
+
 @pytest.mark.parametrize(
     "flag",
     [
@@ -266,6 +329,59 @@ def test_bench_mismatch_exits_before_any_timing(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "mismatch at s=1" in err
+
+
+# -- --s caps ----------------------------------------------------------------
+
+
+def _stub_arithmetic(monkeypatch):
+    """Replace every computation the CLI calls by a recording constant."""
+    from cauchylu import cli as cli_mod
+    from cauchylu.closed_form import ChainValues
+    from cauchylu.matrix import ExactMatrix, LUFactors
+
+    calls = []
+    one = ExactMatrix.identity(1)
+
+    def stub(name, make):
+        def call(*args):
+            calls.append(name)
+            return make(*args)
+
+        monkeypatch.setattr(cli_mod, name, call)
+
+    for name in ("build_matrix", "build_L", "build_U"):
+        stub(name, lambda *args: one)
+    for name in ("det_closed", "det_elimination"):
+        stub(name, lambda *args: Fraction(1))
+    stub("lu_doolittle", lambda m: LUFactors(one, one))
+    stub("chain_t1", lambda s: ChainValues(s, (Fraction(1),) * 6))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["det", "--symbolic"], 16),
+        (["det", "--t", "37/11"], 80),
+        (["det"], 80),
+        (["lu"], 16),
+        (["lu", "--symbolic", "--compare"], 16),
+        (["lu", "--t", "37/11", "--compare"], 80),
+        (["chain"], 100),
+        (["bench"], 30),
+    ],
+)
+def test_size_cap_is_accepted_and_cap_plus_one_rejected_before_arithmetic(
+    capsys, monkeypatch, argv, cap
+):
+    calls = _stub_arithmetic(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--s", str(cap + 1), "--json")
+    assert (code, out, err) == (1, "", f"error: size {cap + 1} exceeds cap {cap}\n")
+    assert calls == []
+    code, out, err = run_cli(capsys, *argv, "--s", str(cap))
+    assert (code, err) == (0, "")
+    assert out and calls
 
 
 def test_unknown_command_is_usage_error(capsys):

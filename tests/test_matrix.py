@@ -78,6 +78,14 @@ def test_build_matrix_rejects_bad_input():
         build_matrix(2, 0.5)
 
 
+@pytest.mark.parametrize("entry", [0.5, 2.0, complex(1, 0), "1/2", None])
+def test_inexact_entries_are_rejected(entry):
+    with pytest.raises(DomainError):
+        ExactMatrix([[entry, 1], [1, 2]])
+    with pytest.raises(DomainError):
+        ExactMatrix([[1, 2], [3, entry]])
+
+
 def test_at_is_one_based():
     m = build_matrix(2, 1)
     assert m.at(2, 1) == Fraction(-1, 5)

@@ -371,6 +371,26 @@ def test_bad_arguments_raise_domain_error_before_any_check(call, monkeypatch):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: build_matrix(2.0, 1), id="build_matrix"),
+        pytest.param(lambda: closed_form.build_L(2.0, 1), id="build_L"),
+        pytest.param(lambda: closed_form.build_U(2.0, 1), id="build_U"),
+        pytest.param(lambda: closed_form.det_closed(2.5, 1), id="det_closed"),
+        pytest.param(lambda: closed_form.chain_t1(2.0), id="chain_t1"),
+        pytest.param(lambda: verify_lu_product(2.0), id="verify_lu_product"),
+        pytest.param(lambda: verify_chain(3, elimination_cap="3"), id="verify_chain-cap"),
+        pytest.param(lambda: run_all(VerifyConfig(gamma_max=2.5)), id="run_all-gamma_max"),
+        pytest.param(lambda: VerifyConfig(seed=None), id="config-seed-none"),
+        pytest.param(lambda: VerifyConfig(seed=1.5), id="config-seed-float"),
+    ],
+)
+def test_sizes_that_are_not_ints_raise_domain_error(call):
+    with pytest.raises(DomainError, match="must be an int"):
+        call()
+
+
 def test_zero_elimination_cap_and_negative_seed_are_accepted():
     assert verify_chain(1, elimination_cap=0).passed
     assert VerifyConfig(seed=-3, s_max_symbolic=0).s_max_symbolic == 0
