@@ -2,9 +2,14 @@
 identities, the determinant as a diagonal product, and the six-way t=1
 product chain.
 
-Everything here is a direct transcription of a displayed formula into exact
-field arithmetic.  The factor entries work over numeric t (Fraction) and
-symbolic t (RationalFunction, pass ``SYMBOLIC_T``) alike.  The chain
+Every function transcribes one displayed formula.  The factor entries work
+over numeric t (Fraction) and symbolic t (RationalFunction, pass
+``SYMBOLIC_T``) alike, and each is computed in the ring beneath t's field:
+with t = p/q (ints, or Polynomials), every factor (2a-1)^2 t^2 - (2b)^2 is
+multiplied by q^2, the powers of q cancel, and the entry is one ratio of
+ring products, normalised once.  Each docstring shows the displayed formula
+and its cleared ring form side by side.  The Gamma identities, the
+determinant and the chain stay in exact field arithmetic.  The chain
 expressions are each coded independently, reading their own factors, so a
 transcription slip in any one of them shows up as disagreement with the
 other five rather than passing silently.
@@ -28,6 +33,15 @@ from .polynomial import Polynomial, T
 from .ratfunc import RationalFunction, coerce_scalar
 
 
+def _ring(t):
+    """(t, p, q): t coerced to its field, and t = p/q in the ring under it
+    (ints for a Fraction, Polynomials for a RationalFunction)."""
+    t = coerce_scalar(t)
+    if isinstance(t, Fraction):
+        return t, t.numerator, t.denominator
+    return t, t.num, t.den
+
+
 def entry_L(i: int, j: int, t):
     """Entry (i, j) of the unit lower-triangular factor.
 
@@ -37,25 +51,34 @@ def entry_L(i: int, j: int, t):
 
     with 1/(i-j)! = 0 for j > i, hence zero above the diagonal; on the
     diagonal the two products cancel identically and the value is 1.
+
+    Computed in the ring of t = p/q: multiplying every factor by q^2 turns
+    it into (2a-1)^2 p^2 - (2b)^2 q^2, and the j powers of q^2 above and
+    below cancel, so
+
+    L[i,j] = (i+j-2)! prod_{k=1..j} ((2j-1)^2 p^2 - (2k)^2 q^2)
+             / [(i-j)! (2j-2)! prod_{k=1..j} ((2i-1)^2 p^2 - (2k)^2 q^2)]
+
+    with a single division in the field at the end.  A factor vanishes
+    exactly when its field form does, since q != 0.
     """
     require_at_least(1, i=i, j=j)
-    t = coerce_scalar(t)
+    t, p, q = _ring(t)
     one = t ** 0
     if reciprocal_factorial(i - j) == 0:
         return one * 0
     if i == j:
         return one
-    tt = t * t
-    num = one
-    den = one
+    pp, qq = p * p, q * q
+    num = factorial(i + j - 2)
+    den = factorial(i - j) * factorial(2 * j - 2)
     for k in range(1, j + 1):
-        num = num * ((2 * j - 1) ** 2 * tt - (2 * k) ** 2)
-        factor = (2 * i - 1) ** 2 * tt - (2 * k) ** 2
+        num = num * ((2 * j - 1) ** 2 * pp - (2 * k) ** 2 * qq)
+        factor = (2 * i - 1) ** 2 * pp - (2 * k) ** 2 * qq
         if factor == 0:
             raise SingularEntry([(i, j)], t=t, note=f"denominator factor k={k}")
         den = den * factor
-    scale = Fraction(factorial(i + j - 2), factorial(i - j) * factorial(2 * j - 2))
-    return num / den * scale
+    return type(t)(num, den)
 
 
 def entry_U(j: int, l: int, t):
@@ -67,28 +90,33 @@ def entry_U(j: int, l: int, t):
              * (j+l-1)! / (l (l-j)!)
 
     with 1/(l-j)! = 0 for l < j, hence zero below the diagonal.
+
+    Computed in the ring of t = p/q, as entry_L is: the 2j-1 denominator
+    factors each take a q^2, and with t^(2j-2) = p^(2j-2) / q^(2j-2)
+
+    U[j,l] = (-1)^j 16^(j-1) (2j-2)! (j+l-1)! p^(2j-2) q^(2j)
+             / [l (l-j)! prod_{k=1..j} ((2k-1)^2 p^2 - (2l)^2 q^2)
+                * prod_{k=1..j-1} ((2j-1)^2 p^2 - (2k)^2 q^2)]
     """
     require_at_least(1, j=j, l=l)
-    t = coerce_scalar(t)
-    one = t ** 0
-    recip = reciprocal_factorial(l - j)
-    if recip == 0:
-        return one * 0
-    tt = t * t
-    den = one
+    t, p, q = _ring(t)
+    if reciprocal_factorial(l - j) == 0:
+        return t ** 0 * 0
+    pp, qq = p * p, q * q
+    den = l * factorial(l - j)
     for k in range(1, j + 1):
-        factor = (2 * k - 1) ** 2 * tt - (2 * l) ** 2
+        factor = (2 * k - 1) ** 2 * pp - (2 * l) ** 2 * qq
         if factor == 0:
             raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, first product")
         den = den * factor
     for k in range(1, j):
-        factor = (2 * j - 1) ** 2 * tt - (2 * k) ** 2
+        factor = (2 * j - 1) ** 2 * pp - (2 * k) ** 2 * qq
         if factor == 0:
             raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, second product")
         den = den * factor
-    num = t ** (2 * j - 2) * ((-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2))
-    scale = Fraction(factorial(j + l - 1), l) * recip
-    return num / den * scale
+    scale = (-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2) * factorial(j + l - 1)
+    num = p ** (2 * j - 2) * q ** (2 * j) * scale
+    return type(t)(num, den)
 
 
 def build_L(s: int, t) -> ExactMatrix:

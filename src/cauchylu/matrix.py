@@ -4,8 +4,8 @@ Matrices are immutable, with entries drawn from one exact field: Fraction
 when the scalar t is numeric, RationalFunction when t is symbolic (pass
 ``SYMBOLIC_T``); plain ints coerce into either.  Any other entry, such as a
 float, raises DomainError.  Logical indices are 1-based everywhere in this
-API; ``at(i, l) == rows[i-1][l-1]`` is the one place the 0-based row-major
-storage mapping appears.
+API; ``at(i, l) == rows[i-1][l-1]`` and ``dot_products`` are the only
+places the 0-based row-major storage mapping appears.
 
 Two independent determinant oracles live here -- recursive cofactor
 expansion and Gaussian elimination with row swaps -- deliberately sharing no
@@ -15,6 +15,8 @@ code with ``lu_doolittle`` so each can check the others.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -79,19 +81,53 @@ class ExactMatrix:
         return ExactMatrix(zip(*self._rows))
 
     def matmul(self, other: ExactMatrix) -> ExactMatrix:
+        """The matrix product, entry by entry from ``dot_products``.
+
+        When every entry is an int or Fraction, each entry is an integer dot
+        product and one Fraction; an all-int row times an all-int column
+        stays an int, as the term-by-term sum would.
+        """
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.n_cols != other.n_rows:
-            raise DimensionMismatch(self.shape, other.shape)
-        cols = other.transpose()._rows
+        entry = self.dot_products(other)
+        n = self.n_cols
         return ExactMatrix(
             tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self._rows
+                tuple(entry(i, l, n) for l in range(1, other.n_cols + 1))
+                for i in range(1, self.n_rows + 1)
             )
         )
 
     __matmul__ = matmul
+
+    def dot_products(self, other: ExactMatrix):
+        """The function (i, l, m) -> sum_{k=1..m} self[i,k] * other[k,l].
+
+        With m = n_cols this is entry (i, l) of the product; a smaller m
+        gives that entry of the product of leading blocks.  When every entry
+        of both matrices is an int or Fraction, each row of self and each
+        column of other is cleared to ints over the lcm of its denominators,
+        once, so an entry costs an integer dot product and one Fraction
+        (none when both lines are all ints).  Other entries are summed in the
+        field term by term.
+        """
+        if self.n_cols != other.n_rows:
+            raise DimensionMismatch(self.shape, other.shape)
+        rows, cols = self._rows, tuple(zip(*other._rows))
+        cleared_rows = _cleared(rows)
+        cleared_cols = _cleared(cols) if cleared_rows is not None else None
+        if cleared_cols is None:
+            def entry(i, l, m):
+                return sum(a * b for a, b in zip(rows[i - 1][:m], cols[l - 1][:m]))
+            return entry
+
+        def entry(i, l, m):
+            a, da = cleared_rows[i - 1]
+            b, db = cleared_cols[l - 1]
+            dot = sum(map(mul, a[:m], b[:m]))
+            return dot if da is None and db is None else Fraction(dot, (da or 1) * (db or 1))
+
+        return entry
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
@@ -105,6 +141,27 @@ class ExactMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self._rows)
         return f"ExactMatrix[{body}]"
+
+
+def _cleared(lines):
+    """Each line as (ints, den) with line[k] == ints[k] / den, where den is
+    the lcm of the line's Fraction denominators, or None for a line of ints.
+    None in place of the list when some entry is neither int nor Fraction.
+    """
+    out = []
+    for line in lines:
+        den = None
+        for x in line:
+            if isinstance(x, Fraction):
+                den = lcm(den or 1, x.denominator)
+            elif not isinstance(x, int):
+                return None
+        if den is None:
+            out.append((line, None))
+        else:
+            out.append(([x.numerator * (den // x.denominator) if isinstance(x, Fraction)
+                         else x * den for x in line], den))
+    return out
 
 
 class LUFactors(NamedTuple):

@@ -226,9 +226,10 @@ def verify_lu_product(
         lower = closed_form.build_L(s_max, t)
         upper = closed_form.build_U(s_max, t)
         target = build_matrix(s_max, t)
+        dot = lower.dot_products(upper)
 
         def product(i, l):  # of the leading max(i, l) blocks
-            return sum(lower.at(i, k) * upper.at(k, l) for k in range(1, max(i, l) + 1))
+            return dot(i, l, max(i, l))
 
         return [
             ({"factor": "L"}, lower.at, lambda i, l: lower.at(i, l) if i >= l else 0),

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cauchylu import (
     DomainError,
@@ -26,6 +28,8 @@ from cauchylu import (
     lu_doolittle,
 )
 from cauchylu.closed_form import ChainValues
+from cauchylu.combinatorics import factorial, reciprocal_factorial
+from cauchylu.ratfunc import coerce_scalar
 
 # Frozen against the elimination oracle (test_det_t1_matches_live_oracle
 # recomputes it here).
@@ -118,6 +122,120 @@ def test_entry_U_singular_second_product():
     with pytest.raises(SingularEntry) as info:
         entry_U(2, 2, Fraction(2, 3))
     assert "second product" in str(info.value)
+
+
+# -- ring form against the field form -------------------------------------------
+
+
+def field_entry_L(i, j, t):
+    """entry_L transcribed factor by factor into field arithmetic."""
+    t = coerce_scalar(t)
+    one = t ** 0
+    if reciprocal_factorial(i - j) == 0:
+        return one * 0
+    if i == j:
+        return one
+    tt = t * t
+    num = one
+    den = one
+    for k in range(1, j + 1):
+        num = num * ((2 * j - 1) ** 2 * tt - (2 * k) ** 2)
+        factor = (2 * i - 1) ** 2 * tt - (2 * k) ** 2
+        if factor == 0:
+            raise SingularEntry([(i, j)], t=t, note=f"denominator factor k={k}")
+        den = den * factor
+    scale = Fraction(factorial(i + j - 2), factorial(i - j) * factorial(2 * j - 2))
+    return num / den * scale
+
+
+def field_entry_U(j, l, t):
+    """entry_U transcribed factor by factor into field arithmetic."""
+    t = coerce_scalar(t)
+    one = t ** 0
+    recip = reciprocal_factorial(l - j)
+    if recip == 0:
+        return one * 0
+    tt = t * t
+    den = one
+    for k in range(1, j + 1):
+        factor = (2 * k - 1) ** 2 * tt - (2 * l) ** 2
+        if factor == 0:
+            raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, first product")
+        den = den * factor
+    for k in range(1, j):
+        factor = (2 * j - 1) ** 2 * tt - (2 * k) ** 2
+        if factor == 0:
+            raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, second product")
+        den = den * factor
+    num = t ** (2 * j - 2) * ((-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2))
+    scale = Fraction(factorial(j + l - 1), l) * recip
+    return num / den * scale
+
+
+def _outcome(entry, a, b, t):
+    """(type, value) of an entry, or the full identity of its SingularEntry."""
+    try:
+        value = entry(a, b, t)
+    except SingularEntry as exc:
+        return SingularEntry, exc.positions, exc.note, str(exc)
+    return type(value), value
+
+
+# t = +-2b/(2a-1) zeroes a factor (2a-1)^2 t^2 - (2b)^2 of some entry below.
+factor_roots = st.builds(
+    lambda a, b, sign: Fraction(sign * 2 * b, 2 * a - 1),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.sampled_from([1, -1]),
+)
+fraction_t = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+    factor_roots,
+)
+index = st.integers(1, 7)
+
+
+@given(index, index, fraction_t)
+def test_entries_equal_field_form_numeric(a, b, t):
+    assert _outcome(entry_L, a, b, t) == _outcome(field_entry_L, a, b, t)
+    assert _outcome(entry_U, a, b, t) == _outcome(field_entry_U, a, b, t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        RationalFunction(T + 1, T - 1),
+        RationalFunction(1, T),
+        RationalFunction(2 * T, 3),
+        RationalFunction(Fraction(2, 3)),  # a constant root: singular entries
+    ],
+    ids=str,
+)
+def test_entries_equal_field_form_symbolic(t):
+    for a in range(1, 6):
+        for b in range(1, 6):
+            assert _outcome(entry_L, a, b, t) == _outcome(field_entry_L, a, b, t)
+            assert _outcome(entry_U, a, b, t) == _outcome(field_entry_U, a, b, t)
+
+
+def test_symbolic_factors_normalise_once_per_entry(monkeypatch):
+    # Building an entry factor by factor in the field normalises at every
+    # step (1188 RationalFunction constructions here); the ring form
+    # normalises each entry once.
+    calls = 0
+    init = RationalFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    s = 8
+    build_L(s, SYMBOLIC_T)
+    build_U(s, SYMBOLIC_T)
+    assert calls <= 2 * s * s
 
 
 # -- assembled factors ---------------------------------------------------------

@@ -151,6 +151,87 @@ def test_matmul_dimension_mismatch():
         ExactMatrix([[1, 2]]) @ ExactMatrix([[1, 2]])
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[Fraction(1, 2), 1]], [[1, 2]]),
+        ([[SYMBOLIC_T, 1]], [[1, 2]]),
+    ],
+)
+def test_matmul_dimension_mismatch_on_every_entry_kind(a, b):
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix(a) @ ExactMatrix(b)
+    with pytest.raises(DimensionMismatch):
+        ExactMatrix(a).dot_products(ExactMatrix(b))
+
+
+def test_matmul_of_ints_stays_int():
+    product = ExactMatrix.identity(2) @ ExactMatrix.identity(2)
+    assert [[type(x) for x in row] for row in product.rows] == [[int, int], [int, int]]
+    assert product == ExactMatrix.identity(2)
+
+
+def _naive_product(a, b, m=None):
+    """Term-by-term field sums: the reference for matmul and dot_products."""
+    return [[sum(x * y for x, y in zip(row[:m], col[:m])) for col in zip(*b)] for row in a]
+
+
+def _typed(rows):
+    return [[(type(x), x) for x in row] for row in rows]
+
+
+huge = st.integers(-(2**1100), 2**1100)
+exact_ints = st.one_of(st.integers(-9, 9), huge)
+exact_fractions = st.builds(
+    Fraction, exact_ints, st.one_of(st.integers(1, 9), st.integers(1, 2**1100))
+)
+
+
+@st.composite
+def matmul_operands(draw):
+    """(a, b, m): n-by-k and k-by-p entry lists of one kind, 1 <= m <= k.
+
+    Shapes include 1-by-n and n-by-1, entries are negative, huge or zero, and
+    a whole row of a or column of b may be zero.
+    """
+    n, k, p = (draw(st.integers(1, 4)) for _ in range(3))
+    kind = draw(st.sampled_from([exact_ints, exact_fractions, st.one_of(exact_ints, exact_fractions)]))
+    a = draw(st.lists(st.lists(kind, min_size=k, max_size=k), min_size=n, max_size=n))
+    b = draw(st.lists(st.lists(kind, min_size=p, max_size=p), min_size=k, max_size=k))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, n - 1))] = [0] * k
+    if draw(st.booleans()):
+        col = draw(st.integers(0, p - 1))
+        for row in b:
+            row[col] = 0
+    return a, b, draw(st.integers(1, k))
+
+
+@given(matmul_operands())
+def test_matmul_equals_naive_sums(operands):
+    a, b, m = operands
+    product = ExactMatrix(a) @ ExactMatrix(b)
+    assert _typed(product.rows) == _typed(_naive_product(a, b))
+    # A leading-block sum is a Fraction when either whole line holds one,
+    # even past m, so compare its values only.
+    dot = ExactMatrix(a).dot_products(ExactMatrix(b))
+    leading = [[dot(i, l, m) for l in range(1, len(b[0]) + 1)] for i in range(1, len(a) + 1)]
+    assert leading == _naive_product(a, b, m)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (lu_doolittle(build_matrix(3, SYMBOLIC_T)).L.rows, lu_doolittle(build_matrix(3, SYMBOLIC_T)).U.rows),
+        (ExactMatrix.identity(2).rows, build_matrix(2, SYMBOLIC_T).rows),
+        ([[T + 1, Fraction(1, 2)]], [[T], [3]]),
+    ],
+)
+def test_matmul_of_field_elements_equals_naive_sums(a, b):
+    product = ExactMatrix(a) @ ExactMatrix(b)
+    assert _typed(product.rows) == _typed(_naive_product(a, b))
+
+
 # -- Doolittle LU ------------------------------------------------------------
 
 
