@@ -7,9 +7,15 @@ float, raises DomainError.  Logical indices are 1-based everywhere in this
 API; ``at(i, l) == rows[i-1][l-1]`` and ``dot_products`` are the only
 places the 0-based row-major storage mapping appears.
 
-Two independent determinant oracles live here -- recursive cofactor
-expansion and Gaussian elimination with row swaps -- deliberately sharing no
-code with ``lu_doolittle`` so each can check the others.
+``lu_doolittle`` is the compact Doolittle scheme: each entry of L and U is
+one inner product over the factors found so far, and over int/Fraction
+entries that inner product is an integer dot product.  Two independent
+determinant oracles live here -- recursive cofactor expansion and
+right-looking Gaussian elimination with row swaps.  They share none of that
+arithmetic with ``lu_doolittle``, so each can check the others: an error in
+the compact kernel cannot repeat itself in the determinant it is checked
+against.  ``lu_doolittle`` and ``det_elimination`` divide in the entries'
+field (``_field_rows``), so int entries give Fractions, never floats.
 """
 
 from __future__ import annotations
@@ -201,30 +207,129 @@ def build_matrix(s: int, t) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def lu_doolittle(m: ExactMatrix) -> LUFactors:
-    """LU factorization by forward elimination: unit-diagonal L, no pivoting.
+def _field_rows(m: ExactMatrix) -> list[list]:
+    """The rows of m, each entry lifted into the one field the entries share.
 
-    A vanishing pivot at step k (equivalently, a vanishing k-th leading
-    principal minor) raises ZeroPivot; there is deliberately no row
+    Ints become Fractions, as ``coerce_scalar`` makes them; when any entry is
+    a Polynomial or RationalFunction, every entry becomes a RationalFunction.
+    Values do not change, but division stays in the field: int / int would
+    give a float, and a Polynomial has no division.
+    """
+    rows = m.rows
+    symbolic = any(isinstance(x, (Polynomial, RationalFunction)) for row in rows for x in row)
+    field = RationalFunction if symbolic else Fraction
+    return [[x if type(x) is field else field(x) for x in row] for row in rows]
+
+
+# A cleared line falls back to field sums once the bit length of its common
+# denominator exceeds this many times that of its longest entry denominator.
+# In this family the denominators along a line nest, so the lcm stays near
+# the longest one; in matrices whose denominators do not nest it grows with
+# every entry, and the integer sums would cost more than the field sums.
+_LCM_BITS_PER_ENTRY_BITS = 6
+
+
+class _Line:
+    """A growing row of L or column of U, as used by ``lu_doolittle``.
+
+    ``entries`` holds the field elements.  While the line is cleared,
+    ``ints`` holds the same entries as ints over the common denominator
+    ``den`` (the ``_cleared`` form); it is None for a line of
+    RationalFunctions, or once ``den`` outgrows the guard above.
+    """
+
+    __slots__ = ("entries", "ints", "den", "bits")
+
+    def __init__(self, cleared: bool):
+        self.entries = []
+        self.ints = [] if cleared else None
+        self.den = 1
+        self.bits = 1  # bit length of the longest entry denominator
+
+    def append(self, x) -> None:
+        self.entries.append(x)
+        if self.ints is None:
+            return
+        d = x.denominator
+        den = lcm(self.den, d)
+        self.bits = max(self.bits, d.bit_length())
+        if den.bit_length() > _LCM_BITS_PER_ENTRY_BITS * self.bits:
+            self.ints = None
+            return
+        if den != self.den:
+            scale = den // self.den
+            self.ints = [v * scale for v in self.ints]
+            self.den = den
+        self.ints.append(x.numerator * (den // d))
+
+
+def _reduced(x, row: _Line, col: _Line, pivot=None):
+    """(x - sum_q row[q] * col[q]) / pivot, where pivot None stands for 1.
+
+    When both lines are cleared the sum is one integer dot product, and the
+    result is one Fraction; otherwise the sum is taken in the field.
+    """
+    if row.ints is None or col.ints is None:
+        x = _field_sum(x, row.entries, col.entries)
+        return x if pivot is None else x / pivot
+    den = row.den * col.den
+    num = x.numerator * den - sum(map(mul, row.ints, col.ints)) * x.denominator
+    den *= x.denominator
+    if pivot is not None:
+        num *= pivot.denominator
+        den *= pivot.numerator
+    return Fraction(num, den)
+
+
+def _field_sum(x, row, col):
+    """x - sum_q row[q] * col[q], one field operation at a time."""
+    for a, b in zip(row, col):
+        if a:
+            x = x - a * b
+    return x
+
+
+def lu_doolittle(m: ExactMatrix) -> LUFactors:
+    """LU factorization by the compact Doolittle scheme: unit-diagonal L, no pivoting.
+
+    Step k computes row k of U and then column k of L, each entry as one
+    inner product over the rows of L and columns of U found so far:
+
+        U[k][c] = M[k][c] - sum_{q<k} L[k][q] U[q][c]
+        L[r][k] = (M[r][k] - sum_{q<k} L[r][q] U[q][k]) / U[k][k]
+
+    So each entry is normalised once, where elimination updates it O(s)
+    times.  Over int/Fraction entries each row of L and column of U is kept
+    as ints over one common denominator, so an inner product is an integer
+    dot product and one Fraction; ``_LCM_BITS_PER_ENTRY_BITS`` sends a line
+    back to field sums when that denominator grows too large.  Entries are
+    computed in their field (``_field_rows``), so ints give Fractions, never
+    floats.
+
+    A vanishing pivot U[k][k] (equivalently, a vanishing k-th leading
+    principal minor) raises ZeroPivot(k); there is deliberately no row
     exchange, so the factor ordering is the one the closed forms predict.
     """
     n = _require_square(m)
-    zero = m.at(1, 1) * 0
+    a = _field_rows(m)
+    zero = a[0][0] * 0
     one = zero + 1
-    a = [list(row) for row in m.rows]
+    cleared = isinstance(zero, Fraction)
+    rows_of_l = [_Line(cleared) for _ in range(n)]
+    cols_of_u = [_Line(cleared) for _ in range(n)]
     low = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    upper = [[zero] * n for _ in range(n)]
     for k in range(n):
-        pivot = a[k][k]
-        if pivot == 0:
+        pivot = _reduced(a[k][k], rows_of_l[k], cols_of_u[k])
+        if not pivot:
             raise ZeroPivot(k + 1)
+        upper[k][k] = pivot
+        for c in range(k + 1, n):
+            upper[k][c] = u = _reduced(a[k][c], rows_of_l[k], cols_of_u[c])
+            cols_of_u[c].append(u)
         for r in range(k + 1, n):
-            f = a[r][k] / pivot
-            low[r][k] = f
-            if f == 0:
-                continue
-            for c in range(k, n):
-                a[r][c] = a[r][c] - f * a[k][c]
-    upper = [[a[i][j] if j >= i else zero for j in range(n)] for i in range(n)]
+            low[r][k] = f = _reduced(a[r][k], rows_of_l[r], cols_of_u[k], pivot)
+            rows_of_l[r].append(f)
     return LUFactors(ExactMatrix(low), ExactMatrix(upper))
 
 
@@ -256,15 +361,16 @@ def _cofactor(rows):
 
 
 def det_elimination(m: ExactMatrix):
-    """Determinant by Gaussian elimination with row swaps and sign tracking.
+    """Determinant by right-looking Gaussian elimination with row swaps and sign tracking.
 
-    Independent of lu_doolittle by construction (swaps are allowed here), so
-    the two can serve as mutual oracles; a singular matrix returns the
-    field's exact zero rather than raising.
+    Independent of lu_doolittle by construction: it updates the trailing rows
+    at each step, in the field, and swaps rows where the compact scheme would
+    stop, so the two can serve as mutual oracles.  A singular matrix returns
+    the field's exact zero rather than raising.
     """
     n = _require_square(m)
-    zero = m.at(1, 1) * 0
-    a = [list(row) for row in m.rows]
+    a = _field_rows(m)
+    zero = a[0][0] * 0
     sign = 1
     for k in range(n):
         if a[k][k] == 0:

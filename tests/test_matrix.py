@@ -10,6 +10,8 @@ from cauchylu import (
     DimensionMismatch,
     DomainError,
     ExactMatrix,
+    LUFactors,
+    Polynomial,
     SYMBOLIC_T,
     SingularEntry,
     SizeCapExceeded,
@@ -21,6 +23,7 @@ from cauchylu import (
     lu_doolittle,
     RationalFunction,
 )
+from cauchylu import matrix as matrix_mod
 
 M2_T1 = ExactMatrix(
     [
@@ -29,14 +32,17 @@ M2_T1 = ExactMatrix(
     ]
 )
 
-entries = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+small_ints = st.integers(-9, 9)
+entries = st.builds(Fraction, small_ints, st.integers(1, 9))
 
 
 @st.composite
 def square_matrices(draw, max_size=4):
+    """Square matrices of ints, of Fractions, or of both mixed."""
     n = draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from([small_ints, entries, st.one_of(small_ints, entries)]))
     rows = draw(
-        st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+        st.lists(st.lists(kind, min_size=n, max_size=n), min_size=n, max_size=n)
     )
     return ExactMatrix(rows)
 
@@ -281,6 +287,150 @@ def test_doolittle_reconstructs_input(m):
     except ZeroPivot:
         return
     assert factors.L @ factors.U == m
+
+
+def test_int_matrices_factor_over_the_rationals():
+    eye = ExactMatrix.identity(3)
+    factors = lu_doolittle(eye)
+    assert factors.L == eye and factors.U == eye
+    assert {type(x) for f in factors for row in f.rows for x in row} == {Fraction}
+    det = det_elimination(ExactMatrix([[1, 2], [3, 4]]))
+    assert det == -2 and type(det) is Fraction
+
+
+def test_polynomial_entries_are_lifted_to_rational_functions():
+    m = ExactMatrix([[T, 1], [1, T]])
+    factors = lu_doolittle(m)
+    assert factors.L.at(2, 1) == RationalFunction(1, T)
+    assert factors.U.at(2, 2) == RationalFunction(T**2 - 1, T)
+    assert {type(x) for f in factors for row in f.rows for x in row} == {RationalFunction}
+    assert factors.L @ factors.U == m
+    assert det_elimination(m) == det_cofactor(m) == T**2 - 1
+
+
+@given(square_matrices(max_size=5))
+def test_factors_and_determinants_are_exact(m):
+    # L @ U == m on the same matrices is test_doolittle_reconstructs_input.
+    for det in (det_cofactor(m), det_elimination(m)):
+        assert type(det) in (int, Fraction)
+    try:
+        factors = lu_doolittle(m)
+    except ZeroPivot:
+        return
+    assert {type(x) for f in factors for row in f.rows for x in row} == {Fraction}
+
+
+# -- compact Doolittle against right-looking elimination ---------------------
+
+
+def right_looking_doolittle(m):
+    """Reference: forward elimination, updating every trailing row at each step.
+
+    This is the elimination ``lu_doolittle`` used before the compact scheme,
+    with the entries first lifted into their field (ints to Fraction, all to
+    RationalFunction when any entry is a polynomial or rational function).
+    """
+    symbolic = any(isinstance(x, (Polynomial, RationalFunction)) for row in m.rows for x in row)
+    field = RationalFunction if symbolic else Fraction
+    a = [[x if type(x) is field else field(x) for x in row] for row in m.rows]
+    n = len(a)
+    zero = a[0][0] * 0
+    one = zero + 1
+    low = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    for k in range(n):
+        pivot = a[k][k]
+        if pivot == 0:
+            raise ZeroPivot(k + 1)
+        for r in range(k + 1, n):
+            f = a[r][k] / pivot
+            low[r][k] = f
+            if f == 0:
+                continue
+            for c in range(k, n):
+                a[r][c] = a[r][c] - f * a[k][c]
+    upper = [[a[i][j] if j >= i else zero for j in range(n)] for i in range(n)]
+    return LUFactors(ExactMatrix(low), ExactMatrix(upper))
+
+
+def _lu_outcome(lu, m):
+    """The factors, entry types included, or the ZeroPivot step."""
+    try:
+        factors = lu(m)
+    except ZeroPivot as e:
+        return ("ZeroPivot", e.step)
+    return tuple(_typed(f.rows) for f in factors)
+
+
+def _assert_equals_reference(m):
+    assert _lu_outcome(lu_doolittle, m) == _lu_outcome(right_looking_doolittle, m)
+
+
+@given(square_matrices(max_size=6))
+def test_compact_equals_right_looking(m):
+    _assert_equals_reference(m)
+
+
+@pytest.mark.parametrize(
+    "t", [0, 1, -1, Fraction(1, 2), Fraction(37, 11), Fraction(49, 3), Fraction(3, 49), Fraction(-5, 7)]
+)
+def test_compact_equals_right_looking_on_family(t):
+    _assert_equals_reference(build_matrix(12, t))
+
+
+def test_compact_equals_right_looking_symbolic():
+    for s in range(1, 7):
+        _assert_equals_reference(build_matrix(s, SYMBOLIC_T))
+
+
+def _field_sum_lengths(monkeypatch):
+    """Record the length of every sum taken in the field, not as integers."""
+    lengths = []
+    field_sum = matrix_mod._field_sum
+
+    def spy(x, row, col):
+        lengths.append(len(row))
+        return field_sum(x, row, col)
+
+    monkeypatch.setattr(matrix_mod, "_field_sum", spy)
+    return lengths
+
+
+def test_family_sums_are_integer_dot_products(monkeypatch):
+    m = build_matrix(12, Fraction(37, 11))
+    lengths = _field_sum_lengths(monkeypatch)
+    _assert_equals_reference(m)
+    # The reference's own field operations do not go through _field_sum.
+    assert lengths == []
+
+
+# Distinct 11-bit primes: the lcm of j of them has between 10j + 1 and 11j bits.
+PRIMES_11_BITS = [p for p in range(1024, 1200) if all(p % q for q in range(2, 35))][:9]
+
+
+def test_lines_with_coprime_denominators_fall_back_to_field_sums(monkeypatch):
+    # Unit lower triangular, so L = m and U = I: row r of L holds r entries
+    # 1/p for distinct primes p.  Six of them stay within 6 * 11 bits of
+    # common denominator, seven exceed it, and the row falls back.
+    n = len(PRIMES_11_BITS) + 1
+    primes = iter(PRIMES_11_BITS * n)
+    m = ExactMatrix(
+        [[Fraction(1, next(primes)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    )
+    lengths = _field_sum_lengths(monkeypatch)
+    _assert_equals_reference(m)
+    assert lu_doolittle(m) == (m, ExactMatrix.identity(n))
+    assert min(lengths) == 7
+
+
+def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):
+    def unavailable(*args):
+        raise AssertionError("compact Doolittle kernel called")
+
+    for name in ("_Line", "_reduced", "_field_sum"):
+        monkeypatch.setattr(matrix_mod, name, unavailable)
+    assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_cofactor(build_matrix(5, Fraction(37, 11)))
+    with pytest.raises(AssertionError):
+        lu_doolittle(build_matrix(2, 1))
 
 
 # -- determinant oracles ----------------------------------------------------
