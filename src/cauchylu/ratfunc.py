@@ -167,10 +167,14 @@ class RationalFunction:
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._num == other._num and self._den == other._den
+        # Canonical form decides equality; an int, Fraction or Polynomial
+        # operand equals self iff self is a polynomial with its coefficients,
+        # which needs no RationalFunction (and no gcd) built from it.
+        if isinstance(other, RationalFunction):
+            return self._num == other._num and self._den == other._den
+        if isinstance(other, (int, Fraction, Polynomial)):
+            return self._den == 1 and self._num == _as_polynomial(other)
+        return NotImplemented
 
     def __hash__(self):
         if self._den == 1:  # hash as the equal Polynomial (and so as a constant's value)

@@ -426,7 +426,7 @@ def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("compact Doolittle kernel called")
 
-    for name in ("_Line", "_reduced", "_field_sum"):
+    for name in ("_Line", "_reduced", "_field_sum", "_cleared"):
         monkeypatch.setattr(matrix_mod, name, unavailable)
     assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_cofactor(build_matrix(5, Fraction(37, 11)))
     with pytest.raises(AssertionError):
@@ -463,13 +463,24 @@ def test_det_elimination_triangular_is_diagonal_product():
 
 
 def test_det_elimination_singular_returns_zero():
-    m = ExactMatrix([[1, 2], [2, 4]])
-    assert det_elimination(m) == 0
+    for m in (
+        ExactMatrix([[1, 2], [2, 4]]),
+        ExactMatrix([[0, 1, 2], [0, Fraction(1, 3), 4], [0, 7, Fraction(5, 9)]]),
+    ):
+        det = det_elimination(m)
+        assert det == 0 and type(det) is Fraction
 
 
 def test_det_elimination_uses_row_swaps():
-    m = ExactMatrix([[0, 1], [1, 0]])
-    assert det_elimination(m) == -1
+    for rows, det in (
+        ([[0, 1], [1, 0]], -1),
+        # One swap at step 1: -(1/2 * 3 * 2 * 5).
+        ([[0, 0, 2, 1], [0, 3, 1, 0], [Fraction(1, 2), 1, 0, 0], [0, 0, 0, 5]], -15),
+        # Swaps at steps 1 and 2, so the sign flips twice: 1/2 * 4 * 2 * 5/2.
+        ([[0, 0, 2, 1], [0, 0, 1, 3], [Fraction(1, 2), 1, 0, 0], [0, 4, 0, 5]], 10),
+    ):
+        m = ExactMatrix(rows)
+        assert det_elimination(m) == det_cofactor(m) == det
 
 
 def test_det_requires_square():
@@ -492,3 +503,89 @@ def test_oracles_agree_symbolic():
 def test_determinant_is_multilinear_in_rows(m, c):
     scaled = ExactMatrix([tuple(c * x for x in row) if i == 0 else row for i, row in enumerate(m.rows)])
     assert det_cofactor(scaled) == c * det_cofactor(m)
+
+
+# -- det_elimination on reduced int pairs against the field loop -------------
+
+
+def right_looking_det(m):
+    """Reference: det_elimination's loop over Fractions, one Fraction operation
+    per update, as it ran before numeric entries became reduced int pairs."""
+    a = [[Fraction(x) for x in row] for row in m.rows]
+    n = len(a)
+    sign = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for r in range(k + 1, n):
+            if a[r][k] == 0:
+                continue
+            f = a[r][k] / pivot
+            for c in range(k, n):
+                a[r][c] = a[r][c] - f * a[k][c]
+    det = a[0][0] if sign == 1 else -a[0][0]
+    for k in range(1, n):
+        det = det * a[k][k]
+    return det
+
+
+@st.composite
+def det_matrices(draw, max_size=6):
+    """Square matrices of ints, Fractions or both, some with many zero
+    entries (zero pivots that force row swaps) and some with one row a
+    multiple of another (singular)."""
+    n = draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from([small_ints, entries, st.one_of(small_ints, entries)]))
+    if draw(st.booleans()):
+        kind = st.one_of(st.just(0), kind)
+    rows = draw(st.lists(st.lists(kind, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(kind)
+        rows[i] = [c * x for x in rows[j]]
+    return ExactMatrix(rows)
+
+
+def _assert_det_equals_reference(m):
+    det = det_elimination(m)
+    assert type(det) is Fraction
+    assert det == right_looking_det(m)
+
+
+@given(det_matrices())
+def test_det_elimination_equals_field_loop(m):
+    _assert_det_equals_reference(m)
+
+
+@pytest.mark.parametrize("t", [1, Fraction(37, 11), Fraction(49, 3), Fraction(3, 49)])
+def test_det_elimination_equals_field_loop_on_family(t):
+    _assert_det_equals_reference(build_matrix(12, t))
+
+
+def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
+    m = build_matrix(12, Fraction(37, 11))
+    expected = right_looking_det(m)
+    calls = []
+
+    def counting(name):
+        op = getattr(Fraction, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return op(*args)
+
+        return wrapper
+
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, counting(name))
+    det = det_elimination(m)
+    assert calls == []
+    monkeypatch.undo()
+    assert det == expected

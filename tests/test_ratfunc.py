@@ -113,6 +113,50 @@ def test_cross_type_equality():
     assert SYMBOLIC_T != 1
 
 
+@pytest.mark.parametrize(
+    "f, other, equal",
+    [
+        (RationalFunction(0), 0, True),
+        (RationalFunction(0), Fraction(0), True),
+        (RationalFunction(0), Polynomial(), True),
+        (RationalFunction(3), 3, True),
+        (RationalFunction(3, 2), Fraction(3, 2), True),
+        (RationalFunction(3, 2), 1, False),
+        (RationalFunction(T, 2), Fraction(1, 2) * T, True),
+        (RationalFunction(T**2 - 1, T - 1), T + 1, True),
+        (RationalFunction(T**2 - 1, T - 1), RationalFunction(2 * T + 2, 2), True),
+        (SYMBOLIC_T, T, True),
+        (SYMBOLIC_T, 0, False),
+        (SYMBOLIC_T, 1, False),
+        (SYMBOLIC_T, T + 1, False),
+        (RationalFunction(1, T), 1, False),
+        (RationalFunction(1, T), T, False),
+        (RationalFunction(T, T + 1), 0, False),
+        (RationalFunction(T, T + 1), T, False),
+        (RationalFunction(T, T + 1), RationalFunction(T, T + 2), False),
+        (RationalFunction(T, T + 1), RationalFunction(2 * T, 2 * T + 2), True),
+    ],
+)
+def test_equality_table(f, other, equal):
+    assert (f == other) is equal and (other == f) is equal
+    assert (f != other) is not equal and (other != f) is not equal
+    if equal:
+        assert hash(f) == hash(other)
+
+
+def test_comparison_with_a_constant_runs_no_gcd(monkeypatch):
+    values = [RationalFunction(0), RationalFunction(3, 2), SYMBOLIC_T, RationalFunction(T, T + 1)]
+
+    def no_gcd(self, other):
+        raise AssertionError("Polynomial.gcd called")
+
+    monkeypatch.setattr(Polynomial, "gcd", no_gcd)
+    assert [f == 0 for f in values] == [True, False, False, False]
+    assert [f != 0 for f in values] == [False, True, True, True]
+    assert [f == Fraction(3, 2) for f in values] == [False, True, False, False]
+    assert [f == T for f in values] == [False, False, True, False]
+
+
 @given(ratfuncs)
 def test_str_parse_round_trip(f):
     assert parse_ratfunc(str(f)) == f
@@ -179,11 +223,13 @@ def test_equal_forms_hash_equally(f):
 
 
 small_fractions = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+small_polys = st.builds(Polynomial, st.lists(small_fractions, max_size=2))
 small_values = st.one_of(
     st.integers(-2, 2),
     small_fractions,
-    st.builds(Polynomial, st.lists(small_fractions, max_size=2)),
-    st.builds(RationalFunction, st.builds(Polynomial, st.lists(small_fractions, max_size=2))),
+    small_polys,
+    st.builds(RationalFunction, small_polys),
+    st.builds(RationalFunction, small_polys, small_polys.filter(lambda p: not p.is_zero)),
 )
 
 
