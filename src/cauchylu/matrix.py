@@ -1,36 +1,30 @@
 """Dense exact matrices and the Cauchy-like family 1/((2l)^2 - t^2(2i-1)^2).
 
-Matrices are immutable, with entries drawn from one exact field: Fraction
-when the scalar t is numeric, RationalFunction when t is symbolic (pass
-``SYMBOLIC_T``); plain ints coerce into either.  Any other entry, such as a
-float, raises DomainError.  Logical indices are 1-based everywhere in this
-API; ``at(i, l) == rows[i-1][l-1]`` and ``dot_products`` are the only
-places the 0-based row-major storage mapping appears.
+Matrices are immutable, and every matrix holds entries of one exact field:
+Fraction when the scalar t is numeric, RationalFunction when t is symbolic
+(pass ``SYMBOLIC_T``).  The constructor decides the field once.  Ints
+(bools too) become Fractions, and when any entry is a Polynomial or
+RationalFunction every entry becomes a RationalFunction; any other entry,
+such as a float, raises DomainError.  So every kernel below reads its field
+from the type of one entry, and division never leaves the field.  Logical
+indices are 1-based everywhere in this API; ``at(i, l) == rows[i-1][l-1]``
+and ``dot_products`` are the only places the 0-based row-major storage
+mapping appears.
 
 ``lu_doolittle`` is the compact Doolittle scheme: each entry of L and U is
-one inner product over the factors found so far, and over int/Fraction
-entries that inner product is an integer dot product.  Two independent
-determinant oracles live here -- recursive cofactor expansion and
-right-looking Gaussian elimination with row swaps.  They share none of that
-arithmetic with ``lu_doolittle``, so each can check the others: an error in
-the compact kernel cannot repeat itself in the determinant it is checked
-against.  ``lu_doolittle`` and ``det_elimination`` divide in the entries'
-field (``_field_rows``), so int entries give Fractions, never floats.
-
-Over int/Fraction entries ``det_elimination`` keeps each entry as a reduced
-pair of ints and updates it by Fraction's own steps (cross-cancelled
-product, Henrici subtraction), so every pair has the value, and the pivots
-and swaps are the ones, of the same loop run on Fractions.  It does not
-clear a row to ints over one lcm, as ``lu_doolittle`` does: a Schur
-complement row of this family collects the factors of the whole trailing
-block in that lcm, and clearing ran 3 to 9 times slower than the pairs at
-s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at s = 80.
+one inner product over the factors found so far, and over Fractions that
+inner product is an integer dot product.  Two independent determinant
+oracles live here -- recursive cofactor expansion and right-looking
+Gaussian elimination with row swaps.  They share none of that arithmetic
+with ``lu_doolittle``, so each can check the others: an error in the
+compact kernel cannot repeat itself in the determinant it is checked
+against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -45,9 +39,7 @@ from .errors import (
 from .polynomial import Polynomial
 from .ratfunc import RationalFunction, coerce_scalar
 
-_ENTRY_TYPES = (int, Fraction, Polynomial, RationalFunction)
-
-COFACTOR_CAP_DEFAULT = 7
+COFACTOR_CAP = 7
 
 
 class ExactMatrix:
@@ -60,10 +52,9 @@ class ExactMatrix:
         width = len(data[0])
         if any(len(row) != width for row in data):
             raise DomainError("ragged rows")
-        for row in data:
-            for x in row:
-                if not isinstance(x, _ENTRY_TYPES):
-                    raise DomainError(f"matrix entry is not exact: {x!r}")
+        types = {type(x) for row in data for x in row}
+        if types not in ({Fraction}, {RationalFunction}):
+            data = _lifted(data)
         self._rows = data
 
     @classmethod
@@ -96,12 +87,7 @@ class ExactMatrix:
         return ExactMatrix(zip(*self._rows))
 
     def matmul(self, other: ExactMatrix) -> ExactMatrix:
-        """The matrix product, entry by entry from ``dot_products``.
-
-        When every entry is an int or Fraction, each entry is an integer dot
-        product and one Fraction; an all-int row times an all-int column
-        stays an int, as the term-by-term sum would.
-        """
+        """The matrix product, entry by entry from ``dot_products``."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         entry = self.dot_products(other)
@@ -119,28 +105,28 @@ class ExactMatrix:
         """The function (i, l, m) -> sum_{k=1..m} self[i,k] * other[k,l].
 
         With m = n_cols this is entry (i, l) of the product; a smaller m
-        gives that entry of the product of leading blocks.  When every entry
-        of both matrices is an int or Fraction, each row of self and each
-        column of other is cleared to ints over the lcm of its denominators,
-        once, so an entry costs an integer dot product and one Fraction
-        (none when both lines are all ints).  Other entries are summed in the
-        field term by term.
+        gives that entry of the product of leading blocks.  When both
+        matrices hold Fractions, each row of self and each column of other is
+        cleared to ints over the lcm of its denominators, once, so an entry
+        costs an integer dot product and one Fraction.  Otherwise the entry
+        is a RationalFunction, summed by ``_field_sum``.
         """
         if self.n_cols != other.n_rows:
             raise DimensionMismatch(self.shape, other.shape)
         rows, cols = self._rows, tuple(zip(*other._rows))
-        cleared_rows = _cleared(rows)
-        cleared_cols = _cleared(cols) if cleared_rows is not None else None
-        if cleared_cols is None:
+        if type(rows[0][0]) is not Fraction or type(cols[0][0]) is not Fraction:
+            zero = RationalFunction()
+
             def entry(i, l, m):
-                return sum(a * b for a, b in zip(rows[i - 1][:m], cols[l - 1][:m]))
+                return _field_sum(zero, rows[i - 1][:m], cols[l - 1][:m])
+
             return entry
+        rows, cols = _cleared(rows), _cleared(cols)
 
         def entry(i, l, m):
-            a, da = cleared_rows[i - 1]
-            b, db = cleared_cols[l - 1]
-            dot = sum(map(mul, a[:m], b[:m]))
-            return dot if da is None and db is None else Fraction(dot, (da or 1) * (db or 1))
+            a, da = rows[i - 1]
+            b, db = cols[l - 1]
+            return Fraction(sum(map(mul, a[:m], b[:m])), da * db)
 
         return entry
 
@@ -158,24 +144,31 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def _cleared(lines):
-    """Each line as (ints, den) with line[k] == ints[k] / den, where den is
-    the lcm of the line's Fraction denominators, or None for a line of ints.
-    None in place of the list when some entry is neither int nor Fraction.
+def _lifted(rows):
+    """rows with every entry lifted into the one field the entries share.
+
+    Ints become Fractions, as ``coerce_scalar`` makes them; when any entry is
+    a Polynomial or RationalFunction, every entry becomes a RationalFunction.
+    Values do not change, but division stays in the field: int / int would
+    give a float, and a Polynomial has no division.
     """
+    field = Fraction
+    for row in rows:
+        for x in row:
+            if isinstance(x, (Polynomial, RationalFunction)):
+                field = RationalFunction
+            elif not isinstance(x, (int, Fraction)):
+                raise DomainError(f"matrix entry is not exact: {x!r}")
+    return tuple(tuple(x if type(x) is field else field(x) for x in row) for row in rows)
+
+
+def _cleared(lines):
+    """Each line of Fractions as (ints, den) with line[k] == ints[k] / den,
+    where den is the lcm of the line's denominators."""
     out = []
     for line in lines:
-        den = None
-        for x in line:
-            if isinstance(x, Fraction):
-                den = lcm(den or 1, x.denominator)
-            elif not isinstance(x, int):
-                return None
-        if den is None:
-            out.append((line, None))
-        else:
-            out.append(([x.numerator * (den // x.denominator) if isinstance(x, Fraction)
-                         else x * den for x in line], den))
+        den = lcm(*(x.denominator for x in line))
+        out.append(([x.numerator * (den // x.denominator) for x in line], den))
     return out
 
 
@@ -214,20 +207,6 @@ def build_matrix(s: int, t) -> ExactMatrix:
     if singular:
         raise SingularEntry(singular, t=t)
     return ExactMatrix(rows)
-
-
-def _field_rows(m: ExactMatrix) -> list[list]:
-    """The rows of m, each entry lifted into the one field the entries share.
-
-    Ints become Fractions, as ``coerce_scalar`` makes them; when any entry is
-    a Polynomial or RationalFunction, every entry becomes a RationalFunction.
-    Values do not change, but division stays in the field: int / int would
-    give a float, and a Polynomial has no division.
-    """
-    rows = m.rows
-    symbolic = any(isinstance(x, (Polynomial, RationalFunction)) for row in rows for x in row)
-    field = RationalFunction if symbolic else Fraction
-    return [[x if type(x) is field else field(x) for x in row] for row in rows]
 
 
 # A cleared line falls back to field sums once the bit length of its common
@@ -279,7 +258,9 @@ def _reduced(x, row: _Line, col: _Line, pivot=None):
     result is one Fraction; otherwise the sum is taken in the field.
     """
     if row.ints is None or col.ints is None:
-        x = _field_sum(x, row.entries, col.entries)
+        dot = _field_sum(0, row.entries, col.entries)
+        if dot:
+            x = x - dot
         return x if pivot is None else x / pivot
     den = row.den * col.den
     num = x.numerator * den - sum(map(mul, row.ints, col.ints)) * x.denominator
@@ -290,12 +271,19 @@ def _reduced(x, row: _Line, col: _Line, pivot=None):
     return Fraction(num, den)
 
 
-def _field_sum(x, row, col):
-    """x - sum_q row[q] * col[q], one field operation at a time."""
-    for a, b in zip(row, col):
-        if a:
-            x = x - a * b
-    return x
+def _field_sum(zero, row, col):
+    """sum_q row[q] * col[q], one field operation at a time.
+
+    A term with an exact zero factor is skipped, and the sum starts from the
+    first term that is not, since a RationalFunction product or sum with
+    zero still runs its gcds.  ``zero`` is returned when every term is
+    skipped.
+    """
+    terms = (a * b for a, b in zip(row, col) if a and b)
+    total = next(terms, zero)
+    for term in terms:
+        total = total + term
+    return total
 
 
 def lu_doolittle(m: ExactMatrix) -> LUFactors:
@@ -308,22 +296,21 @@ def lu_doolittle(m: ExactMatrix) -> LUFactors:
         L[r][k] = (M[r][k] - sum_{q<k} L[r][q] U[q][k]) / U[k][k]
 
     So each entry is normalised once, where elimination updates it O(s)
-    times.  Over int/Fraction entries each row of L and column of U is kept
-    as ints over one common denominator, so an inner product is an integer
-    dot product and one Fraction; ``_LCM_BITS_PER_ENTRY_BITS`` sends a line
-    back to field sums when that denominator grows too large.  Entries are
-    computed in their field (``_field_rows``), so ints give Fractions, never
-    floats.
+    times.  Over Fractions each row of L and column of U is kept as ints
+    over one common denominator, so an inner product is an integer dot
+    product and one Fraction; ``_LCM_BITS_PER_ENTRY_BITS`` sends a line back
+    to field sums when that denominator grows too large.  Over
+    RationalFunctions every inner product is a field sum (``_field_sum``).
 
     A vanishing pivot U[k][k] (equivalently, a vanishing k-th leading
     principal minor) raises ZeroPivot(k); there is deliberately no row
     exchange, so the factor ordering is the one the closed forms predict.
     """
     n = _require_square(m)
-    a = _field_rows(m)
-    zero = a[0][0] * 0
-    one = zero + 1
-    cleared = isinstance(zero, Fraction)
+    a = m.rows
+    field = type(a[0][0])
+    zero, one = field(0), field(1)
+    cleared = field is Fraction
     rows_of_l = [_Line(cleared) for _ in range(n)]
     cols_of_u = [_Line(cleared) for _ in range(n)]
     low = [[one if i == j else zero for j in range(n)] for i in range(n)]
@@ -342,15 +329,15 @@ def lu_doolittle(m: ExactMatrix) -> LUFactors:
     return LUFactors(ExactMatrix(low), ExactMatrix(upper))
 
 
-def det_cofactor(m: ExactMatrix, cap: int = COFACTOR_CAP_DEFAULT):
+def det_cofactor(m: ExactMatrix):
     """Determinant by recursive first-row cofactor expansion.
 
-    Factorial cost, so refuses sizes above ``cap``; this is the slow,
-    obviously-correct oracle.
+    Factorial cost, so refuses sizes above ``COFACTOR_CAP``; this is the
+    slow, obviously-correct oracle.
     """
     n = _require_square(m)
-    if n > cap:
-        raise SizeCapExceeded(n, cap)
+    if n > COFACTOR_CAP:
+        raise SizeCapExceeded(n, COFACTOR_CAP)
     return _cofactor(m.rows)
 
 
@@ -377,94 +364,85 @@ def det_elimination(m: ExactMatrix):
     two can serve as mutual oracles.  A singular matrix returns the field's
     exact zero rather than raising.
 
-    Over int/Fraction entries (``_det_pairs``) each entry is a reduced
-    (numerator, denominator) pair of ints, and each update takes the steps
-    of Fraction's own arithmetic on them, so every pair equals the Fraction
-    the field loop below would hold and the pivots and swaps are the same.
-    Rows are not cleared to ints over one lcm: a Schur complement row of
-    this family collects the factors (x_l - y_m) of the whole trailing block
-    in that lcm.  RationalFunction entries take the field loop.
+    One loop finds the pivots, swaps rows, tracks the sign and multiplies
+    the diagonal; the field picks only the row update.  A row is a pair.
+    Over Fractions it is the numerators and the positive denominators of
+    its entries in lowest terms, updated by Fraction's own steps
+    (``_pair_update``), so every pair equals the Fraction a loop over
+    Fractions would hold and the pivots and swaps are the same.  Rows are
+    not cleared to ints over one lcm, as ``lu_doolittle`` does: a Schur
+    complement row of this family collects the factors (x_l - y_m) of the
+    whole trailing block in that lcm, and clearing ran 3 to 9 times slower
+    than the pairs at s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at
+    s = 80.  A RationalFunction row is its entries and None, updated in the
+    field (``_field_update``).
     """
     n = _require_square(m)
-    a = _field_rows(m)
-    if isinstance(a[0][0], Fraction):
-        return _det_pairs(a)
-    zero = a[0][0] * 0
+    field = type(m.rows[0][0])
+    if field is Fraction:
+        a = [([x.numerator for x in row], [x.denominator for x in row]) for row in m.rows]
+        update = _pair_update
+    else:
+        a = [(list(row), None) for row in m.rows]
+        update = _field_update
     sign = 1
     for k in range(n):
-        if a[k][k] == 0:
+        if not a[k][0][k]:
             for r in range(k + 1, n):
-                if a[r][k] != 0:
+                if a[r][0][k]:
                     a[k], a[r] = a[r], a[k]
                     sign = -sign
                     break
             else:
-                return zero
-        pivot = a[k][k]
+                return field(0)
         for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            f = a[r][k] / pivot
-            for c in range(k, n):
-                a[r][c] = a[r][c] - f * a[k][c]
-    det = a[0][0] if sign == 1 else -a[0][0]
+            if a[r][0][k]:
+                update(a[k], a[r], k)
+    det = a[0][0][0] if sign == 1 else -a[0][0][0]
     for k in range(1, n):
-        det = det * a[k][k]
+        det = det * a[k][0][k]
+    if field is Fraction:
+        return Fraction(det, prod(dens[k] for k, (_, dens) in enumerate(a)))
     return det
 
 
-def _det_pairs(a: list[list[Fraction]]) -> Fraction:
-    """det_elimination's loop on rows of Fractions, kept as reduced int pairs.
+def _pair_update(pivot_row, row, k):
+    """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], on
+    reduced int pairs (numerators, positive denominators in lowest terms).
 
-    Row r is two int lists, numerators and positive denominators in lowest
-    terms.  The multiplier f = a[r][k] / pivot is reduced once per row; each
-    update a[r][c] - f * a[k][c] cross-cancels the product and then
-    subtracts by Henrici's scheme, which keeps the gcds on the small common
-    parts (Henrici, JACM 3 (1956) 6-9).
+    The multiplier is reduced once; each update cross-cancels the product
+    and then subtracts by Henrici's scheme, which keeps the gcds on the
+    small common parts (Henrici, JACM 3 (1956) 6-9).
     """
-    nums = [[x.numerator for x in row] for row in a]
-    dens = [[x.denominator for x in row] for row in a]
-    n = len(a)
-    sign = 1
-    for k in range(n):
-        if not nums[k][k]:
-            for r in range(k + 1, n):
-                if nums[r][k]:
-                    nums[k], nums[r] = nums[r], nums[k]
-                    dens[k], dens[r] = dens[r], dens[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        kn, kd = nums[k], dens[k]
-        pn, pd = kn[k], kd[k]
-        for r in range(k + 1, n):
-            rn, rd = nums[r], dens[r]
-            fn, fd = rn[k], rd[k]
-            if not fn:
-                continue
-            g1, g2 = gcd(fn, pn), gcd(pd, fd)
-            fn, fd = fn // g1 * (pd // g2), fd // g2 * (pn // g1)
-            if fd < 0:
-                fn, fd = -fn, -fd
-            for c in range(k + 1, n):
-                bn = kn[c]
-                if not bn:
-                    continue
-                bd = kd[c]
-                g1, g2 = gcd(fn, bd), gcd(bn, fd)
-                qn, qd = fn // g1 * (bn // g2), fd // g2 * (bd // g1)
-                xn, xd = rn[c], rd[c]
-                g = gcd(xd, qd)
-                if g == 1:
-                    rn[c], rd[c] = xn * qd - qn * xd, xd * qd
-                else:
-                    s = xd // g
-                    t = xn * (qd // g) - qn * s
-                    g2 = gcd(t, g)
-                    rn[c], rd[c] = t // g2, s * (qd // g2)
-    num, den = sign, 1
-    for k in range(n):
-        num *= nums[k][k]
-        den *= dens[k][k]
-    return Fraction(num, den)
+    (kn, kd), (rn, rd) = pivot_row, row
+    pn, pd = kn[k], kd[k]
+    fn, fd = rn[k], rd[k]
+    g1, g2 = gcd(fn, pn), gcd(pd, fd)
+    fn, fd = fn // g1 * (pd // g2), fd // g2 * (pn // g1)
+    if fd < 0:
+        fn, fd = -fn, -fd
+    for c in range(k + 1, len(kn)):
+        bn = kn[c]
+        if not bn:
+            continue
+        bd = kd[c]
+        g1, g2 = gcd(fn, bd), gcd(bn, fd)
+        qn, qd = fn // g1 * (bn // g2), fd // g2 * (bd // g1)
+        xn, xd = rn[c], rd[c]
+        g = gcd(xd, qd)
+        if g == 1:
+            rn[c], rd[c] = xn * qd - qn * xd, xd * qd
+        else:
+            s = xd // g
+            t = xn * (qd // g) - qn * s
+            g2 = gcd(t, g)
+            rn[c], rd[c] = t // g2, s * (qd // g2)
+
+
+def _field_update(pivot_row, row, k):
+    """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], in the field."""
+    pivots, values = pivot_row[0], row[0]
+    f = values[k] / pivots[k]
+    for c in range(k + 1, len(values)):
+        if pivots[c]:
+            values[c] = values[c] - f * pivots[c]

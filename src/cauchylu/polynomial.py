@@ -291,11 +291,6 @@ class Polynomial:
             return self
         return Polynomial(_primitive_ints(self._nums), den=1)
 
-    def monic(self) -> Polynomial:
-        if not self._nums:
-            return self
-        return _monic(self._nums)
-
     def gcd(self, other) -> Polynomial:
         """Monic greatest common divisor by primitive pseudo-remainders.
 

@@ -264,28 +264,29 @@ def verify_factors_match(
     return _verify_sizes(SUITE_FACTORS_MATCH, s_max, mode, t_samples, n_samples, rng, build)
 
 
-def verify_gamma_identities(i_max: int = 8, j_max: int = 8, l_max: int = 8) -> VerificationReport:
+def verify_gamma_identities(index_max: int = 8) -> VerificationReport:
     """Check both Gamma-product identities over the full index grid.
 
     Exact rational-function equality of the literal product against its
     rising-factorial form, for the row identity on (i, j) and the column
-    identity on (j, l).
+    identity on (j, l), every index running over 1..index_max.
     """
+    require_at_least(0, index_max=index_max)
+    indices = range(1, index_max + 1)
 
     def checks():
-        for i in range(1, i_max + 1):
-            for j in range(1, j_max + 1):
+        for i in indices:
+            for j in indices:
                 lhs, rhs = closed_form.gamma_identity_left(i, j)
                 yield _differ({"identity": "left", "i": i, "j": j}, lhs, rhs)
-        for j in range(1, j_max + 1):
-            for l in range(1, l_max + 1):
+        for j in indices:
+            for l in indices:
                 lhs, rhs = closed_form.gamma_identity_right(j, l)
                 yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
 
-    bounds = {"i_max": i_max, "j_max": j_max, "l_max": l_max}
-    require_at_least(0, **bounds)
+    bounds = {"i_max": index_max, "j_max": index_max, "l_max": index_max}
     report = VerificationReport(SUITE_GAMMA, bounds, "symbolic")
-    return _run(report, min(i_max, j_max, l_max) < 1, checks())
+    return _run(report, index_max < 1, checks())
 
 
 def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationReport:
@@ -355,6 +356,6 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
             n_samples=cfg.n_t_samples,
             rng=suite_rng(SUITE_FACTORS_MATCH),
         ),
-        attempt(verify_gamma_identities, cfg.gamma_max, cfg.gamma_max, cfg.gamma_max),
+        attempt(verify_gamma_identities, cfg.gamma_max),
         attempt(verify_chain, cfg.chain_max, cfg.chain_elimination_cap),
     ]

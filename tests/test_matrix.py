@@ -17,7 +17,10 @@ from cauchylu import (
     SizeCapExceeded,
     T,
     ZeroPivot,
+    build_L,
+    build_U,
     build_matrix,
+    det_closed,
     det_cofactor,
     det_elimination,
     lu_doolittle,
@@ -90,6 +93,27 @@ def test_inexact_entries_are_rejected(entry):
         ExactMatrix([[entry, 1], [1, 2]])
     with pytest.raises(DomainError):
         ExactMatrix([[1, 2], [3, entry]])
+
+
+small_polys = st.builds(Polynomial, st.lists(entries, max_size=3))
+mixed_entries = st.one_of(
+    small_ints,
+    st.booleans(),
+    entries,
+    small_polys,
+    st.builds(RationalFunction, small_polys, small_polys.filter(lambda p: not p.is_zero)),
+)
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(mixed_entries, min_size=n, max_size=n), min_size=1, max_size=3)
+))
+def test_entries_are_lifted_into_one_field(rows):
+    m = ExactMatrix(rows)
+    symbolic = any(isinstance(x, (Polynomial, RationalFunction)) for row in rows for x in row)
+    field = RationalFunction if symbolic else Fraction
+    assert all(type(x) is field for row in m.rows for x in row)
+    assert m.rows == tuple(map(tuple, rows))
 
 
 def test_at_is_one_based():
@@ -171,14 +195,10 @@ def test_matmul_dimension_mismatch_on_every_entry_kind(a, b):
         ExactMatrix(a).dot_products(ExactMatrix(b))
 
 
-def test_matmul_of_ints_stays_int():
-    product = ExactMatrix.identity(2) @ ExactMatrix.identity(2)
-    assert [[type(x) for x in row] for row in product.rows] == [[int, int], [int, int]]
-    assert product == ExactMatrix.identity(2)
-
-
 def _naive_product(a, b, m=None):
-    """Term-by-term field sums: the reference for matmul and dot_products."""
+    """Term-by-term field sums of the lifted entries: the reference for
+    matmul and dot_products."""
+    a, b = ExactMatrix(a).rows, ExactMatrix(b).rows
     return [[sum(x * y for x, y in zip(row[:m], col[:m])) for col in zip(*b)] for row in a]
 
 
@@ -218,11 +238,9 @@ def test_matmul_equals_naive_sums(operands):
     a, b, m = operands
     product = ExactMatrix(a) @ ExactMatrix(b)
     assert _typed(product.rows) == _typed(_naive_product(a, b))
-    # A leading-block sum is a Fraction when either whole line holds one,
-    # even past m, so compare its values only.
     dot = ExactMatrix(a).dot_products(ExactMatrix(b))
     leading = [[dot(i, l, m) for l in range(1, len(b[0]) + 1)] for i in range(1, len(a) + 1)]
-    assert leading == _naive_product(a, b, m)
+    assert _typed(leading) == _typed(_naive_product(a, b, m))
 
 
 @pytest.mark.parametrize(
@@ -236,6 +254,24 @@ def test_matmul_equals_naive_sums(operands):
 def test_matmul_of_field_elements_equals_naive_sums(a, b):
     product = ExactMatrix(a) @ ExactMatrix(b)
     assert _typed(product.rows) == _typed(_naive_product(a, b))
+
+
+def test_field_products_skip_zero_factors(monkeypatch):
+    lower, upper = build_L(6, SYMBOLIC_T), build_U(6, SYMBOLIC_T)
+    with_zero = []
+    field_mul = RationalFunction.__mul__
+
+    def spy(a, b):
+        if not a or not b:
+            with_zero.append((a, b))
+        return field_mul(a, b)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", spy)
+    monkeypatch.setattr(RationalFunction, "__rmul__", spy)
+    product = lower @ upper
+    monkeypatch.undo()
+    assert with_zero == []
+    assert product == build_matrix(6, SYMBOLIC_T)
 
 
 # -- Doolittle LU ------------------------------------------------------------
@@ -449,7 +485,7 @@ def test_det_cofactor_equal_rows_vanish():
 def test_det_cofactor_cap():
     with pytest.raises(SizeCapExceeded):
         det_cofactor(build_matrix(8, 1))
-    assert det_cofactor(build_matrix(8, 1), cap=8) == det_elimination(build_matrix(8, 1))
+    assert det_cofactor(build_matrix(7, 1)) == det_elimination(build_matrix(7, 1))
 
 
 def test_det_elimination_values():
@@ -497,6 +533,11 @@ def test_oracles_agree_symbolic():
     for s in (1, 2, 3):
         m = build_matrix(s, SYMBOLIC_T)
         assert det_cofactor(m) == det_elimination(m)
+
+
+@pytest.mark.parametrize("s", [7, 8])
+def test_symbolic_det_elimination_equals_closed_form(s):
+    assert det_elimination(build_matrix(s, SYMBOLIC_T)) == det_closed(s, SYMBOLIC_T)
 
 
 @given(square_matrices(), entries)

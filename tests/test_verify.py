@@ -74,7 +74,7 @@ def test_factors_match_numeric_resamples_zero_pivot():
 
 
 def test_gamma_identities_small():
-    report = verify_gamma_identities(1, 1, 1)
+    report = verify_gamma_identities(1)
     assert report.passed
     assert report.range == {"i_max": 1, "j_max": 1, "l_max": 1}
 
@@ -92,7 +92,7 @@ def test_zero_bounds_mean_skipped_not_passed():
     for report in (
         verify_lu_product(0, "symbolic"),
         verify_factors_match(0, "numeric"),
-        verify_gamma_identities(0, 1, 1),
+        verify_gamma_identities(0),
         verify_chain(0),
     ):
         assert report.skipped
@@ -216,7 +216,7 @@ def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
         return lhs, rhs * (-1) ** j
 
     monkeypatch.setattr(closed_form, "gamma_identity_left", missing_sign)
-    report = verify_gamma_identities(1, 1, 1)
+    report = verify_gamma_identities(1)
     assert not report.passed
     assert report.counterexample is not None
     assert report.counterexample.indices == {"identity": "left", "i": 1, "j": 1}
@@ -231,7 +231,7 @@ def test_fault_injected_gamma_right_identity_is_named(monkeypatch):
         return lhs, rhs + 1
 
     monkeypatch.setattr(closed_form, "gamma_identity_right", off_by_one)
-    report = verify_gamma_identities(1, 1, 1)
+    report = verify_gamma_identities(1)
     assert not report.passed
     assert report.counterexample.indices == {"identity": "right", "j": 1, "l": 1}
     assert report.counterexample.lhs != report.counterexample.rhs
@@ -354,7 +354,7 @@ def test_run_all_survives_suite_errors(monkeypatch):
         pytest.param(
             lambda: verify_factors_match(2, "numeric", t_samples=[]), id="factors-empty-t_samples"
         ),
-        pytest.param(lambda: verify_gamma_identities(1, -1, 1), id="gamma-negative-j_max"),
+        pytest.param(lambda: verify_gamma_identities(-1), id="gamma-negative-bound"),
         pytest.param(lambda: verify_chain(-1), id="chain-negative-s_max"),
         pytest.param(lambda: verify_chain(3, elimination_cap=-5), id="chain-negative-cap"),
         pytest.param(lambda: VerifyConfig(s_max_symbolic=-2), id="config-negative-s_max"),
@@ -381,6 +381,7 @@ def test_bad_arguments_raise_domain_error_before_any_check(call, monkeypatch):
         pytest.param(lambda: closed_form.chain_t1(2.0), id="chain_t1"),
         pytest.param(lambda: verify_lu_product(2.0), id="verify_lu_product"),
         pytest.param(lambda: verify_chain(3, elimination_cap="3"), id="verify_chain-cap"),
+        pytest.param(lambda: verify_gamma_identities(2.5), id="verify_gamma_identities"),
         pytest.param(lambda: run_all(VerifyConfig(gamma_max=2.5)), id="run_all-gamma_max"),
         pytest.param(lambda: VerifyConfig(seed=None), id="config-seed-none"),
         pytest.param(lambda: VerifyConfig(seed=1.5), id="config-seed-float"),
