@@ -10,7 +10,8 @@ renders it: ``--json`` or text on stdout, one ``error:`` line on stderr, and
 exit 0 when every verdict passes, 1 on a mismatch or a ``CauchyLUError``
 (``SizeCapExceeded`` above a command's ``--s`` cap), 2 on usage errors.
 t is accepted only as an exact fraction ``p/q`` (or a bare integer) --
-decimals are rejected, nothing is ever rounded.
+decimals are rejected, nothing is ever rounded.  A negative t may follow
+``--t`` as its own argument (``--t -1/3``) or be attached (``--t=-1/3``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ def _int_at_least(minimum: int):
         return value
 
     return parse
+
+
+def _negative_t_attached(argv: Sequence[str]) -> list[str]:
+    """argv with ``--t -p/q`` written ``--t=-p/q``.
+
+    argparse takes a separate ``-1/3`` for an option, not for the value of
+    ``--t`` (only plain negative numbers pass), so a value that starts with
+    ``-`` and a digit is attached to its ``--t``.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--t" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--t={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _rational_arg(text: str) -> Fraction:
@@ -265,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_negative_t_attached(argv))
     try:
         result = args.handler(args)
     except CauchyLUError as exc:

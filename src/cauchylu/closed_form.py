@@ -2,21 +2,29 @@
 identities, the determinant as a diagonal product, and the six-way t=1
 product chain.
 
-Every function transcribes one displayed formula.  The factor entries work
-over numeric t (Fraction) and symbolic t (RationalFunction, pass
-``SYMBOLIC_T``) alike, and each is computed in the ring beneath t's field:
-with t = p/q (ints, or Polynomials), every factor (2a-1)^2 t^2 - (2b)^2 is
-multiplied by q^2, the powers of q cancel, and the entry is one ratio of
-ring products, normalised once.  Each docstring shows the displayed formula
-and its cleared ring form side by side.  The Gamma identities, the
-determinant and the chain stay in exact field arithmetic.  The chain
-expressions are each coded independently, reading their own factors, so a
-transcription slip in any one of them shows up as disagreement with the
-other five rather than passing silently.
+Every function transcribes one displayed formula.  The paper's closed forms
+are ratios of two products over k = 1..j,
+
+    row product     P(a, j) = prod_{k=1..j} ((2a-1)^2 t^2 - (2k)^2)
+    column product  Q(l, j) = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2)
+
+and each is written once, in ``_left_product`` and ``_right_product``.  The
+factor entries multiply them, and the two Gamma identities state their
+rising-factorial forms, so the Gamma suite checks the very products the
+entries use.  Both products are computed in the ring beneath t's field:
+with t = p/q (ints, or Polynomials), every factor is multiplied by q^2, the
+powers of q cancel, and an entry is one ratio of ring products, normalised
+once.  Each docstring shows the displayed formula and its cleared ring form
+side by side.  The right Gamma identity, the determinant and the chain stay
+in exact field arithmetic.  The chain expressions are each coded
+independently, reading their own factors, so a transcription slip in any
+one of them shows up as disagreement with the other five rather than
+passing silently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,12 +50,38 @@ def _ring(t):
     return t, t.num, t.den
 
 
+def _left_product(a: int, j: int, pp, qq):
+    """prod_{k=1..j} ((2a-1)^2 pp - (2k)^2 qq), the row product P(a, j)
+    cleared by q^(2j), with pp = p^2 and qq = q^2; the empty product is 1."""
+    head = (2 * a - 1) ** 2 * pp
+    return math.prod(head - (2 * k) ** 2 * qq for k in range(1, j + 1))
+
+
+def _right_product(l: int, j: int, pp, qq):
+    """prod_{k=1..j} ((2k-1)^2 pp - (2l)^2 qq), the column product Q(l, j)
+    cleared by q^(2j), with pp = p^2 and qq = q^2; the empty product is 1."""
+    tail = (2 * l) ** 2 * qq
+    return math.prod((2 * k - 1) ** 2 * pp - tail for k in range(1, j + 1))
+
+
+def _nonsingular(product, j: int, t, where: tuple[int, int], note: str = ""):
+    """product(j), a denominator product of j factors.  If it vanishes,
+    SingularEntry names its first vanishing factor: the first k with
+    product(k) == 0 (the ring has no zero divisors)."""
+    value = product(j)
+    if not value:
+        k = next(k for k in range(1, j + 1) if not product(k))
+        raise SingularEntry([where], t=t, note=f"denominator factor k={k}{note}")
+    return value
+
+
 def entry_L(i: int, j: int, t):
     """Entry (i, j) of the unit lower-triangular factor.
 
     L[i,j] = [prod_{k=1..j} ((2j-1)^2 t^2 - (2k)^2)
               / prod_{k=1..j} ((2i-1)^2 t^2 - (2k)^2)]
              * (i+j-2)! / ((i-j)! (2j-2)!)
+           = P(j, j) / P(i, j) * (i+j-2)! / ((i-j)! (2j-2)!)
 
     with 1/(i-j)! = 0 for j > i, hence zero above the diagonal; on the
     diagonal the two products cancel identically and the value is 1.
@@ -64,21 +98,14 @@ def entry_L(i: int, j: int, t):
     """
     require_at_least(1, i=i, j=j)
     t, p, q = _ring(t)
-    one = t ** 0
     if reciprocal_factorial(i - j) == 0:
-        return one * 0
+        return type(t)(0)
     if i == j:
-        return one
+        return type(t)(1)
     pp, qq = p * p, q * q
-    num = factorial(i + j - 2)
-    den = factorial(i - j) * factorial(2 * j - 2)
-    for k in range(1, j + 1):
-        num = num * ((2 * j - 1) ** 2 * pp - (2 * k) ** 2 * qq)
-        factor = (2 * i - 1) ** 2 * pp - (2 * k) ** 2 * qq
-        if factor == 0:
-            raise SingularEntry([(i, j)], t=t, note=f"denominator factor k={k}")
-        den = den * factor
-    return type(t)(num, den)
+    num = factorial(i + j - 2) * _left_product(j, j, pp, qq)
+    den = _nonsingular(lambda k: _left_product(i, k, pp, qq), j, t, (i, j))
+    return type(t)(num, factorial(i - j) * factorial(2 * j - 2) * den)
 
 
 def entry_U(j: int, l: int, t):
@@ -88,6 +115,8 @@ def entry_U(j: int, l: int, t):
              / [prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2)
                 * prod_{k=1..j-1} ((2j-1)^2 t^2 - (2k)^2)]
              * (j+l-1)! / (l (l-j)!)
+           = t^(2j-2) (-1)^j 16^(j-1) (2j-2)! (j+l-1)!
+             / [Q(l, j) P(j, j-1) l (l-j)!]
 
     with 1/(l-j)! = 0 for l < j, hence zero below the diagonal.
 
@@ -101,22 +130,17 @@ def entry_U(j: int, l: int, t):
     require_at_least(1, j=j, l=l)
     t, p, q = _ring(t)
     if reciprocal_factorial(l - j) == 0:
-        return t ** 0 * 0
+        return type(t)(0)
     pp, qq = p * p, q * q
-    den = l * factorial(l - j)
-    for k in range(1, j + 1):
-        factor = (2 * k - 1) ** 2 * pp - (2 * l) ** 2 * qq
-        if factor == 0:
-            raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, first product")
-        den = den * factor
-    for k in range(1, j):
-        factor = (2 * j - 1) ** 2 * pp - (2 * k) ** 2 * qq
-        if factor == 0:
-            raise SingularEntry([(j, l)], t=t, note=f"denominator factor k={k}, second product")
-        den = den * factor
+    first = _nonsingular(
+        lambda k: _right_product(l, k, pp, qq), j, t, (j, l), ", first product"
+    )
+    second = _nonsingular(
+        lambda k: _left_product(j, k, pp, qq), j - 1, t, (j, l), ", second product"
+    )
     scale = (-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2) * factorial(j + l - 1)
     num = p ** (2 * j - 2) * q ** (2 * j) * scale
-    return type(t)(num, den)
+    return type(t)(num, l * factorial(l - j) * first * second)
 
 
 def build_L(s: int, t) -> ExactMatrix:
@@ -156,40 +180,36 @@ def det_closed(s: int, t):
 def gamma_identity_left(i: int, j: int) -> tuple[RationalFunction, RationalFunction]:
     """Both sides of the row-product identity, as exact rational functions.
 
-    lhs = prod_{k=1..j} ((2i-1)^2 t^2 - (2k)^2)
+    lhs = prod_{k=1..j} ((2i-1)^2 t^2 - (2k)^2) = P(i, j)
     rhs = (-1)^j 4^j (1 - t(i - 1/2))_j (1 + t(i - 1/2))_j
 
     where (x)_j is the rising factorial -- the Gamma-ratio form of the same
-    product.  The caller compares the two.
+    product.  Both sides are polynomials in t, built in Q[t] (the lhs by the
+    same helper the factor entries use, at p = t, q = 1).  The caller
+    compares the two.
     """
     require_at_least(1, i=i, j=j)
-    lhs_poly = Polynomial((1,))
-    for k in range(1, j + 1):
-        lhs_poly = lhs_poly * Polynomial((-((2 * k) ** 2), 0, (2 * i - 1) ** 2))
+    lhs = _left_product(i, j, T * T, 1)
     half_odd = Fraction(2 * i - 1, 2)
-    down = RationalFunction(Polynomial((1, -half_odd)))
-    up = RationalFunction(Polynomial((1, half_odd)))
     rhs = (
-        Fraction((-1) ** j * 4 ** j)
-        * rising_factorial(down, j)
-        * rising_factorial(up, j)
+        (-1) ** j * 4 ** j
+        * rising_factorial(Polynomial((1, -half_odd)), j)
+        * rising_factorial(Polynomial((1, half_odd)), j)
     )
-    return RationalFunction(lhs_poly), rhs
+    return RationalFunction(lhs), RationalFunction(rhs)
 
 
 def gamma_identity_right(j: int, l: int) -> tuple[RationalFunction, RationalFunction]:
     """Both sides of the column-product identity, as exact rational functions.
 
-    lhs = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2)
+    lhs = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2) = Q(l, j)
     rhs = 4^j t^(2j) (1/2 + l/t)_j (1/2 - l/t)_j
 
     The t^(2j) factor clears the poles of l/t, so the rhs normalizes back to
     a polynomial (denominator 1).
     """
     require_at_least(1, j=j, l=l)
-    lhs_poly = Polynomial((1,))
-    for k in range(1, j + 1):
-        lhs_poly = lhs_poly * Polynomial((-((2 * l) ** 2), 0, (2 * k - 1) ** 2))
+    lhs = _right_product(l, j, T * T, 1)
     half = Fraction(1, 2)
     l_over_t = RationalFunction(Polynomial((l,)), T)
     rhs = (
@@ -198,7 +218,7 @@ def gamma_identity_right(j: int, l: int) -> tuple[RationalFunction, RationalFunc
         * rising_factorial(half + l_over_t, j)
         * rising_factorial(half - l_over_t, j)
     )
-    return RationalFunction(lhs_poly), rhs
+    return RationalFunction(lhs), rhs
 
 
 # -- the t = 1 simplification chain -------------------------------------------

@@ -49,11 +49,11 @@ def binomial(n: int, k: int) -> int:
 
 
 def rising_factorial(a, n: int):
-    """The product a(a+1)...(a+n-1) over a's field; the empty product is 1.
+    """The product a(a+1)...(a+n-1) in a's ring; the empty product is 1.
 
-    Works for any exact field element (Fraction or RationalFunction); this is
-    how every Gamma-function ratio with integer offset is computed here --
-    as a finite product, never through floating point.
+    Works for any exact element (Fraction, Polynomial or RationalFunction);
+    this is how every Gamma-function ratio with integer offset is computed
+    here -- as a finite product, never through floating point.
     """
     if n < 0:
         raise DomainError(f"rising factorial needs n >= 0, got {n}")

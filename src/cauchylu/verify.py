@@ -81,19 +81,11 @@ class VerificationReport:
     elapsed_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        # Key order is the wire format; elapsed_ms is left out because
+        # Field order is the wire format; elapsed_ms is left out because
         # timings would break byte-for-byte reproducibility of seeded runs.
-        return {
-            "suite": self.suite,
-            "range": dict(self.range),
-            "mode": self.mode,
-            "t_samples": list(self.t_samples),
-            "discarded_t_samples": list(self.discarded_t_samples),
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "counterexample": self.counterexample.to_dict() if self.counterexample else None,
-            "error": self.error,
-        }
+        fields = asdict(self)
+        del fields["elapsed_ms"]
+        return fields
 
 
 @dataclass(frozen=True)

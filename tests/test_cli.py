@@ -111,6 +111,23 @@ def test_det_rejects_decimal_t(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["det", "lu"])
+def test_negative_t_may_follow_its_option(capsys, command):
+    # argparse alone reads a separate -1/3 as an option and exits 2.
+    separate = run_cli(capsys, command, "--s", "3", "--t", "-1/3")
+    attached = run_cli(capsys, command, "--s", "3", "--t=-1/3")
+    assert separate == attached
+    assert separate[0] == 0 and separate[1]
+
+
+@pytest.mark.parametrize("command", ["det", "lu"])
+def test_negative_t_that_is_not_rational_is_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--s", "3", "--t", "-1/x"])
+    assert info.value.code == 2
+    assert "-1/x" in capsys.readouterr().err
+
+
 def test_det_t_and_symbolic_are_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["det", "--s", "2", "--t", "1/1", "--symbolic"])

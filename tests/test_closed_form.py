@@ -238,6 +238,30 @@ def test_symbolic_factors_normalise_once_per_entry(monkeypatch):
     assert calls <= 2 * s * s
 
 
+def test_zero_and_unit_entries_need_no_field_products(monkeypatch):
+    # The zeros off the triangles and L's unit diagonal are the field's own
+    # 0 and 1, not products such as 1 * 0 (each of which ran gcds).
+    with_zero = []
+    field_mul = RationalFunction.__mul__
+
+    def spy(a, b):
+        if not a or not b:
+            with_zero.append((a, b))
+        return field_mul(a, b)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", spy)
+    monkeypatch.setattr(RationalFunction, "__rmul__", spy)
+    lower, upper = build_L(6, SYMBOLIC_T), build_U(6, SYMBOLIC_T)
+    monkeypatch.undo()
+    assert with_zero == []
+    for i in range(1, 7):
+        for l in range(1, 7):
+            if l != i:
+                zero = lower.at(i, l) if l > i else upper.at(i, l)
+                assert isinstance(zero, RationalFunction) and zero == 0
+        assert isinstance(lower.at(i, i), RationalFunction) and lower.at(i, i) == 1
+
+
 # -- assembled factors ---------------------------------------------------------
 
 

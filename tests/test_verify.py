@@ -237,6 +237,21 @@ def test_fault_injected_gamma_right_identity_is_named(monkeypatch):
     assert report.counterexample.lhs != report.counterexample.rhs
 
 
+def test_fault_in_shared_left_product_fails_gamma_and_lu_product(monkeypatch):
+    # The entries and the left Gamma identity multiply the same row product,
+    # so one slip in it (here the row index a read as a + 1) fails both.
+    original = closed_form._left_product
+    monkeypatch.setattr(
+        closed_form, "_left_product", lambda a, j, pp, qq: original(a + 1, j, pp, qq)
+    )
+    gamma = verify_gamma_identities(2)
+    assert not gamma.passed
+    assert gamma.counterexample.indices == {"identity": "left", "i": 1, "j": 1}
+    product = verify_lu_product(2, "symbolic")
+    assert not product.passed
+    assert product.counterexample.indices["s"] == 2
+
+
 def test_fault_injected_entry_L_names_factor_L(monkeypatch):
     original = closed_form.entry_L
     monkeypatch.setattr(closed_form, "entry_L", lambda i, j, t: original(i, j, t) * 2)
