@@ -15,11 +15,12 @@ entries use.  Both products are computed in the ring beneath t's field:
 with t = p/q (ints, or Polynomials), every factor is multiplied by q^2, the
 powers of q cancel, and an entry is one ratio of ring products, normalised
 once.  Each docstring shows the displayed formula and its cleared ring form
-side by side.  The right Gamma identity, the determinant and the chain stay
-in exact field arithmetic.  The chain expressions are each coded
-independently, reading their own factors, so a transcription slip in any
-one of them shows up as disagreement with the other five rather than
-passing silently.
+side by side.  Both Gamma identities are equalities of polynomials, so both
+sides are built in Q[t] and compared there, with no field operation.  The
+determinant and the chain stay in exact field arithmetic.  The chain
+expressions are each coded independently, reading their own factors, so a
+transcription slip in any one of them shows up as disagreement with the
+other five rather than passing silently.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .combinatorics import (
 from .errors import SingularEntry, require_at_least
 from .matrix import ExactMatrix
 from .polynomial import Polynomial, T
-from .ratfunc import RationalFunction, coerce_scalar
+from .ratfunc import coerce_scalar
 
 
 def _ring(t):
@@ -168,7 +169,7 @@ def det_closed(s: int, t):
     """
     require_at_least(0, s=s)
     t = coerce_scalar(t)
-    result = t ** 0
+    result = type(t)(1)
     for j in range(1, s + 1):
         result = result * entry_U(j, j, t)
     return result
@@ -177,16 +178,15 @@ def det_closed(s: int, t):
 # -- Gamma-product identities -------------------------------------------------
 
 
-def gamma_identity_left(i: int, j: int) -> tuple[RationalFunction, RationalFunction]:
-    """Both sides of the row-product identity, as exact rational functions.
+def gamma_identity_left(i: int, j: int) -> tuple[Polynomial, Polynomial]:
+    """Both sides of the row-product identity, as polynomials in Q[t].
 
     lhs = prod_{k=1..j} ((2i-1)^2 t^2 - (2k)^2) = P(i, j)
     rhs = (-1)^j 4^j (1 - t(i - 1/2))_j (1 + t(i - 1/2))_j
 
     where (x)_j is the rising factorial -- the Gamma-ratio form of the same
-    product.  Both sides are polynomials in t, built in Q[t] (the lhs by the
-    same helper the factor entries use, at p = t, q = 1).  The caller
-    compares the two.
+    product.  Both sides are built in Q[t] (the lhs by the same helper the
+    factor entries use, at p = t, q = 1).  The caller compares the two.
     """
     require_at_least(1, i=i, j=j)
     lhs = _left_product(i, j, T * T, 1)
@@ -196,29 +196,30 @@ def gamma_identity_left(i: int, j: int) -> tuple[RationalFunction, RationalFunct
         * rising_factorial(Polynomial((1, -half_odd)), j)
         * rising_factorial(Polynomial((1, half_odd)), j)
     )
-    return RationalFunction(lhs), RationalFunction(rhs)
+    return lhs, rhs
 
 
-def gamma_identity_right(j: int, l: int) -> tuple[RationalFunction, RationalFunction]:
-    """Both sides of the column-product identity, as exact rational functions.
+def gamma_identity_right(j: int, l: int) -> tuple[Polynomial, Polynomial]:
+    """Both sides of the column-product identity, as polynomials in Q[t].
 
     lhs = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2) = Q(l, j)
     rhs = 4^j t^(2j) (1/2 + l/t)_j (1/2 - l/t)_j
 
-    The t^(2j) factor clears the poles of l/t, so the rhs normalizes back to
-    a polynomial (denominator 1).
+    The t^(2j) factor clears the poles of l/t.  With u = 1/t the rhs is
+    t^(2j) f(1/t) for the polynomial f(u) = 4^j (1/2 + l u)_j (1/2 - l u)_j,
+    which is built in Q[u] and read backwards.
     """
     require_at_least(1, j=j, l=l)
     lhs = _right_product(l, j, T * T, 1)
     half = Fraction(1, 2)
-    l_over_t = RationalFunction(Polynomial((l,)), T)
-    rhs = (
-        Fraction(4 ** j)
-        * RationalFunction(T ** (2 * j))
-        * rising_factorial(half + l_over_t, j)
-        * rising_factorial(half - l_over_t, j)
+    f = (
+        4 ** j
+        * rising_factorial(Polynomial((half, l)), j)
+        * rising_factorial(Polynomial((half, -l)), j)
     )
-    return RationalFunction(lhs), rhs
+    # f has degree exactly 2j (leading coefficient (-4 l^2)^j, nonzero as
+    # l >= 1), so t^(2j) f(1/t) is f's coefficient list reversed.
+    return lhs, Polynomial(f.coeffs[::-1])
 
 
 # -- the t = 1 simplification chain -------------------------------------------

@@ -188,21 +188,28 @@ def build_matrix(s: int, t) -> ExactMatrix:
 
     Numeric t values that zero any entry denominator raise SingularEntry
     listing every offending (i, l) pair.
+
+    Each entry is one ratio in the ring under t's field: with t = p/q it is
+    q^2 / ((2l)^2 q^2 - (2i-1)^2 p^2), normalised once.  A denominator
+    vanishes exactly when its field form does, since q != 0.
     """
     require_at_least(1, s=s)
     t = coerce_scalar(t)
-    tt = t * t
+    # t = p/q is split here rather than by closed_form's ``_ring``: the closed
+    # form factors are checked against this matrix, so it shares no code with them.
+    p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t.num, t.den)
+    pp, qq = p * p, q * q
     rows = []
     singular = []
     for i in range(1, s + 1):
         row = []
         for l in range(1, s + 1):
-            den = (2 * l) ** 2 - tt * (2 * i - 1) ** 2
-            if den == 0:
+            den = (2 * l) ** 2 * qq - (2 * i - 1) ** 2 * pp
+            if not den:
                 singular.append((i, l))
                 row.append(None)
             else:
-                row.append(1 / den)
+                row.append(type(t)(qq, den))
         rows.append(row)
     if singular:
         raise SingularEntry(singular, t=t)

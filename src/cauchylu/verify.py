@@ -259,7 +259,7 @@ def verify_factors_match(
 def verify_gamma_identities(index_max: int = 8) -> VerificationReport:
     """Check both Gamma-product identities over the full index grid.
 
-    Exact rational-function equality of the literal product against its
+    Exact polynomial equality in Q[t] of the literal product against its
     rising-factorial form, for the row identity on (i, j) and the column
     identity on (j, l), every index running over 1..index_max.
     """

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cauchylu import (
     DomainError,
     ExactMatrix,
+    Polynomial,
     RationalFunction,
     SYMBOLIC_T,
     SingularEntry,
@@ -26,9 +27,10 @@ from cauchylu import (
     gamma_identity_left,
     gamma_identity_right,
     lu_doolittle,
+    verify_gamma_identities,
 )
 from cauchylu.closed_form import ChainValues
-from cauchylu.combinatorics import factorial, reciprocal_factorial
+from cauchylu.combinatorics import factorial, reciprocal_factorial, rising_factorial
 from cauchylu.ratfunc import coerce_scalar
 
 # Frozen against the elimination oracle (test_det_t1_matches_live_oracle
@@ -316,9 +318,9 @@ def test_gamma_left_degree_count():
     for i in range(1, 5):
         for j in range(1, 5):
             lhs, rhs = gamma_identity_left(i, j)
-            assert lhs.den == 1 and rhs.den == 1
-            assert lhs.num.degree == 2 * j
-            assert rhs.num.degree == 2 * j
+            assert isinstance(lhs, Polynomial) and isinstance(rhs, Polynomial)
+            assert lhs.degree == 2 * j
+            assert rhs.degree == 2 * j
 
 
 def test_gamma_right_base_cases():
@@ -332,7 +334,48 @@ def test_gamma_right_rhs_normalizes_to_polynomial():
     for j in range(1, 5):
         for l in range(1, 5):
             _, rhs = gamma_identity_right(j, l)
-            assert rhs.den == 1
+            assert isinstance(rhs, Polynomial)
+            assert rhs.degree == 2 * j
+
+
+def field_gamma_right_rhs(j, l):
+    """gamma_identity_right's rhs as a product in Q(t), l/t and all."""
+    half = Fraction(1, 2)
+    l_over_t = RationalFunction(Polynomial((l,)), T)
+    return (
+        Fraction(4**j)
+        * RationalFunction(T ** (2 * j))
+        * rising_factorial(half + l_over_t, j)
+        * rising_factorial(half - l_over_t, j)
+    )
+
+
+def test_gamma_right_rhs_equals_field_form():
+    for j in range(1, 11):
+        for l in range(1, 11):
+            _, rhs = gamma_identity_right(j, l)
+            field = field_gamma_right_rhs(j, l)
+            assert field.den == 1 and rhs == field.num
+
+
+def test_gamma_grid_runs_in_q_of_t_without_gcd(monkeypatch):
+    # Both identities are built in Q[t]: no Polynomial.gcd (the field's
+    # normalisation) runs and no RationalFunction is made.
+    calls = []
+    gcd, init = Polynomial.gcd, RationalFunction.__init__
+
+    def spy_gcd(a, b):
+        calls.append("gcd")
+        return gcd(a, b)
+
+    def spy_init(self, *args, **kwargs):
+        calls.append("RationalFunction")
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "gcd", spy_gcd)
+    monkeypatch.setattr(RationalFunction, "__init__", spy_init)
+    assert verify_gamma_identities(8).passed
+    assert calls == []
 
 
 # -- determinant and chain --------------------------------------------------------

@@ -27,6 +27,7 @@ from cauchylu import (
     RationalFunction,
 )
 from cauchylu import matrix as matrix_mod
+from cauchylu.ratfunc import coerce_scalar
 
 M2_T1 = ExactMatrix(
     [
@@ -85,6 +86,83 @@ def test_build_matrix_rejects_bad_input():
         build_matrix(0, 1)
     with pytest.raises(DomainError):
         build_matrix(2, 0.5)
+
+
+def field_build_matrix(s, t):
+    """build_matrix transcribed into field arithmetic: 1 / ((2l)^2 - t^2 (2i-1)^2)."""
+    t = coerce_scalar(t)
+    rows, singular = [], []
+    for i in range(1, s + 1):
+        row = []
+        for l in range(1, s + 1):
+            den = (2 * l) ** 2 - t * t * (2 * i - 1) ** 2
+            if den == 0:
+                singular.append((i, l))
+                row.append(None)
+            else:
+                row.append(1 / den)
+        rows.append(row)
+    if singular:
+        raise SingularEntry(singular, t=t)
+    return ExactMatrix(rows)
+
+
+def _outcome(build, s, t):
+    """(entry types, matrix), or the full identity of its SingularEntry."""
+    try:
+        m = build(s, t)
+    except SingularEntry as exc:
+        return SingularEntry, exc.positions, exc.note, str(exc)
+    return [type(x) for row in m.rows for x in row], m
+
+
+# t = +-2l/(2i-1) zeroes the denominator of entry (i, l).
+entry_roots = st.builds(
+    lambda i, l, sign: Fraction(sign * 2 * l, 2 * i - 1),
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.sampled_from([1, -1]),
+)
+family_t = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40)),
+    entry_roots,
+)
+
+
+@given(st.integers(1, 10), family_t)
+def test_build_matrix_equals_field_form_numeric(s, t):
+    assert _outcome(build_matrix, s, t) == _outcome(field_build_matrix, s, t)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [SYMBOLIC_T, RationalFunction(T + 1, T - 1), RationalFunction(2 * T, 3)],
+    ids=str,
+)
+def test_build_matrix_equals_field_form_symbolic(t):
+    assert _outcome(build_matrix, 10, t) == _outcome(field_build_matrix, 10, t)
+
+
+def test_symbolic_matrix_is_one_ratio_per_entry(monkeypatch):
+    # Each entry is normalised once, from ring products, with no field
+    # operation before it.
+    inits, field_ops = [], []
+    init = RationalFunction.__init__
+
+    def counting_init(self, *args, **kwargs):
+        inits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(
+            RationalFunction, name, lambda a, b, name=name: field_ops.append(name)
+        )
+    build_matrix(10, SYMBOLIC_T)
+    assert len(inits) == 100
+    assert field_ops == []
 
 
 @pytest.mark.parametrize("entry", [0.5, 2.0, complex(1, 0), "1/2", None])
