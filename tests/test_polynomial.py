@@ -1,13 +1,17 @@
 """Polynomial ring contracts: canonical form, divrem, gcd, text forms."""
 
+import contextlib
 from fractions import Fraction
 from math import gcd, lcm
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, parse_polynomial
+from cauchylu import polynomial as polynomial_module
+from cauchylu.polynomial import MODULAR_GATE, MODULUS, _coprime_mod_p, _prs_gcd
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
@@ -234,3 +238,139 @@ def test_content_and_primitive_match_fraction_reference(a):
     assert p.content() == content
     expected = [c / content for c in _strip(a)] if content else []
     assert list(p.primitive().coeffs) == expected
+
+
+def test_is_positive_primitive():
+    assert (3 * T**2 - 2).is_positive_primitive
+    assert Polynomial((1,)).is_positive_primitive
+    assert not (4 * T - 2).is_positive_primitive
+    assert not (2 - 3 * T).is_positive_primitive
+    assert not (Fraction(1, 2) * T + 1).is_positive_primitive
+    assert not Polynomial().is_positive_primitive
+
+
+# -- the modular coprimality test, against the pseudo-remainder reference ----
+
+
+def int_polys(degrees, coefficients):
+    """Polynomials with int coefficients, a degree drawn from ``degrees``."""
+    return degrees.flatmap(lambda d: st.builds(
+        lambda low, lead: Polynomial(low + [lead]),
+        st.lists(coefficients, min_size=d, max_size=d),
+        coefficients.filter(bool),
+    ))
+
+
+small_ints = st.integers(-(2**20), 2**20)
+huge_ints = st.integers(2**1000, 2**1100) | st.integers(-(2**1100), -(2**1000))
+around_gate = st.integers(MODULAR_GATE - 4, MODULAR_GATE + 2)
+
+
+def _ints(p):
+    return [int(c) for c in p.coeffs]
+
+
+def _reference_gcd(a, b):
+    """The pseudo-remainder sequence alone, on operands of degree >= 1."""
+    a, b = sorted((_ints(a), _ints(b)), key=len, reverse=True)
+    return _prs_gcd(a, b)
+
+
+def _leads_are_units_mod_p(*polys):
+    return all(p.leading % MODULUS for p in polys)
+
+
+@contextlib.contextmanager
+def _modular_tests_recorded():
+    """Record (smaller degree, verdict) of every modular test gcd runs."""
+    calls = []
+
+    def record(a, b):
+        calls.append((len(b) - 1, _coprime_mod_p(a, b)))
+        return calls[-1][1]
+
+    with mock.patch.object(polynomial_module, "_coprime_mod_p", record):
+        yield calls
+
+
+@settings(deadline=None, max_examples=50)
+@given(int_polys(around_gate, small_ints), int_polys(around_gate, small_ints),
+       int_polys(st.integers(0, 3), small_ints))
+def test_gcd_matches_prs_reference_across_the_gate(f, h, g):
+    # The smaller degree runs from MODULAR_GATE - 4 to MODULAR_GATE + 5, so
+    # both the gated and the ungated path are taken; deg g = 0 gives pairs
+    # that are almost always coprime.
+    a, b = f * g, h * g
+    assert a.gcd(b) == _reference_gcd(a, b)
+
+
+@settings(max_examples=30)
+@given(int_polys(st.integers(0, MODULAR_GATE + 2), small_ints | huge_ints),
+       int_polys(st.integers(0, MODULAR_GATE + 2), small_ints | huge_ints),
+       int_polys(st.integers(1, 3), small_ints | huge_ints))
+def test_shared_factor_is_never_reported_coprime(f, h, g):
+    a, b = f * g, h * g
+    assume(_leads_are_units_mod_p(a, b))
+    long, short = sorted((_ints(a), _ints(b)), key=len, reverse=True)
+    assert _coprime_mod_p(long, short) is False
+
+
+@settings(deadline=None, max_examples=30)
+@given(int_polys(st.integers(MODULAR_GATE - 3, MODULAR_GATE + 1), huge_ints),
+       int_polys(st.integers(0, 2), small_ints | huge_ints),
+       int_polys(st.integers(0, 2), small_ints | huge_ints))
+def test_gcd_with_huge_coefficients_matches_prs_reference(g, f, h):
+    # A shared factor of high degree keeps the reference sequence short.
+    a, b = f * g, h * g
+    result = a.gcd(b)
+    assert result == _reference_gcd(a, b)
+    assert (result % g).is_zero
+
+
+@settings(deadline=None, max_examples=30)
+@given(int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 4), small_ints | huge_ints),
+       int_polys(st.integers(0, 2), small_ints | huge_ints),
+       small_ints.filter(bool) | huge_ints)
+def test_modular_test_proves_coprime_pairs_with_huge_coefficients(f, h, c):
+    # gcd(f, f h + c) = gcd(f, c) = 1 for a nonzero constant c.  The
+    # reference sequence would take seconds on these coefficients.
+    b = f * h + c
+    assume(_leads_are_units_mod_p(f, b))
+    with _modular_tests_recorded() as calls:
+        assert f.gcd(b) == 1
+    assert calls == [(f.degree, True)]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 2**70), st.integers(1, 2**70),
+       int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 2), small_ints),
+       int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 2), small_ints))
+def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, f, h):
+    # g = k p t + c vanishes to the constant c mod p, so the residues of
+    # f g and h g could be coprime although g divides both.
+    g = Polynomial((c, k * MODULUS))
+    a, b = f * g, h * g
+    with _modular_tests_recorded() as calls:
+        result = a.gcd(b)
+    assert calls == []
+    assert result == _reference_gcd(a, b)
+    assert (result % g).is_zero
+
+
+def test_shared_factor_vanishing_mod_p_is_found():
+    # t^n + 2 and t^n + 3 are coprime over every field, so only the lead
+    # guard keeps the modular test from reporting these two coprime.
+    n = MODULAR_GATE
+    g = MODULUS * T + 1
+    assert ((T**n + 2) * g).gcd((T**n + 3) * g) == T + Fraction(1, MODULUS)
+
+
+def test_modular_test_runs_from_the_gate():
+    n = MODULAR_GATE
+    with _modular_tests_recorded() as calls:
+        assert (T**(n + 3) + 2).gcd(T**(n - 1) + 3) == 1
+        assert calls == []
+        assert (T**(n + 3) + 2).gcd(T**n + 3) == 1
+        assert calls == [(n, True)]
+        assert ((T + 1) * (T**n + 2)).gcd((T + 1) * (T**n + 3)) == T + 1
+        assert calls == [(n, True), (n + 1, False)]

@@ -13,6 +13,9 @@ from cauchylu import (
     RationalFunction,
     SYMBOLIC_T,
     T,
+    build_L,
+    build_U,
+    build_matrix,
     parse_ratfunc,
 )
 
@@ -198,6 +201,52 @@ def test_canonical_invariants_hold(f):
         assert f.den.leading > 0
     else:
         assert f.den == 1
+
+
+def _assert_canonical(f):
+    den = f.den
+    assert all(c.denominator == 1 for c in den.coeffs)
+    assert den.content() == 1
+    assert den.leading > 0
+    assert f.num.gcd(den).degree <= 0
+    if f.is_zero:
+        assert den == 1
+
+
+@given(ratfuncs, ratfuncs, nonzero_ratfuncs)
+def test_arithmetic_keeps_denominators_canonical(f, g, h):
+    # Dividing by h gives a and b a common denominator factor, so the
+    # cancelling branches of + and * run as well as the coprime ones.
+    a, b = f / h, g / h
+    results = [a + b, a - b, a * b, a * h, f + g, f * g, -a, a**2, h**-1]
+    results += [a / b] if b else []
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_factor_product_needs_no_denominator_rescaling(monkeypatch):
+    # Canonical denominators multiply and cancel to canonical denominators
+    # (Gauss's lemma), so L @ U takes no content and scales by no Fraction.
+    lower, upper = build_L(10, SYMBOLIC_T), build_U(10, SYMBOLIC_T)
+    seen = []
+    content, mul = Polynomial.content, Polynomial.__mul__
+
+    def spy_content(self):
+        seen.append(("content", self))
+        return content(self)
+
+    def spy_mul(self, other):
+        if isinstance(other, Fraction):
+            seen.append(("rescale", self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "content", spy_content)
+    monkeypatch.setattr(Polynomial, "__mul__", spy_mul)
+    monkeypatch.setattr(Polynomial, "__rmul__", spy_mul)
+    product = lower @ upper
+    monkeypatch.undo()
+    assert seen == []
+    assert product == build_matrix(10, SYMBOLIC_T)
 
 
 def _equal_forms(f):
