@@ -35,10 +35,11 @@ from .verify import VerifyConfig, run_all
 DET_ORACLE_CAP_NUMERIC = 12
 DET_ORACLE_CAP_SYMBOLIC = 6
 # The largest --s each command accepts.  Each finishes in seconds at its cap.
-# Symbolic, through ``main`` with the cap lifted (Python 3.11, 2-vCPU Xeon):
-# ``det --symbolic`` takes 0.06 s at s=16 and 0.23 s at s=20, and
-# ``lu --symbolic --compare`` 0.6 s and 1.8 s, most of it in Doolittle, so
-# ``lu`` rather than the determinant bounds any higher symbolic cap.
+# Symbolic, through ``main`` with the cap lifted (Python 3.11, 2-vCPU Xeon,
+# best of 3 in each of two rounds): ``det --symbolic`` takes 0.05 s at s=16
+# and 0.17 s at s=20, and ``lu --symbolic --compare`` 0.4 s and 1.0 s, most
+# of it in Doolittle, so ``lu`` rather than the determinant bounds any higher
+# symbolic cap.
 S_CAP_SYMBOLIC = 16
 S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100

@@ -10,17 +10,29 @@ which compares below every integer, so ``deg(remainder) < deg(divisor)``
 holds uniformly.
 
 All arithmetic runs on ints: sums scale by the lcm of the denominators,
-products are integer convolutions, division scales its remainder by the
-least factor that keeps it integral, and the gcd is a primitive
-pseudo-remainder sequence (Collins 1967; Brown 1971).  Ahead of that
-sequence, a pair whose smaller degree is ``MODULAR_GATE`` or more first
-takes a deterministic coprimality test modulo the prime ``MODULUS`` =
-2^61 - 1 (``_coprime_mod_p``): when p divides neither leading coefficient,
-the integer gcd reduces mod p to a divisor of the same degree, so a constant
-gcd mod p proves the pair coprime.  Any other outcome falls through to the
-sequence, which stays the reference.  The public accessors
-(``coeffs``, ``leading``, ``coefficient``, ``content``) hand out
-``Fraction``s.
+products are integer convolutions, and division scales its remainder by the
+least factor that keeps it integral.  ``cofactors`` returns the primitive
+gcd g with positive lead together with both operands divided by it, which is
+how ``RationalFunction`` cancels; ``gcd`` is g made monic.  g is found by the
+first of three steps that settles the pair:
+
+1. a deterministic coprimality test modulo the prime ``MODULUS`` = 2^61 - 1
+   (``_coprime_mod_p``) when the smaller degree is ``MODULAR_GATE`` or more:
+   when p divides neither leading coefficient, the integer gcd reduces mod p
+   to a divisor of the same degree, so a constant gcd mod p proves the pair
+   coprime;
+2. GCDHEU (``_heu_cofactors``, Char, Geddes and Gonnet 1989): the integer
+   gcd of both operands' values at a power of two 2^k, read back as a
+   polynomial in base 2^k, while those values stay under ``HEU_MAX_BITS``;
+   its cofactors come from the same values and are accepted only when a
+   size bound proves them exact, and a constant candidate proves the pair
+   coprime;
+3. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
+   Brown 1971) and exact division, which stays the reference.
+
+Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
+The public accessors (``coeffs``, ``leading``, ``coefficient``,
+``content``) hand out ``Fraction``s.
 
 Instances are immutable and hashable; a constant hashes as its value.
 Arithmetic coerces ``int`` and ``Fraction`` scalars to constant
@@ -45,13 +57,30 @@ from .rational import format_ratio, parse_int
 NEG_INFINITY = float("-inf")
 
 MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
-# Smaller operand degree from which ``gcd`` tries the modular coprimality
-# test before the pseudo-remainder sequence.  Below it the sequence is cheap
-# and about half the pairs share a factor, so the test mostly adds its own
-# cost to the sequence's.  Timing both on every gcd of the s=10 symbolic pipeline (Python 3.11,
+# Smaller operand degree from which ``cofactors`` tries the modular
+# coprimality test first.  Below it about half the pairs share a factor, so
+# the test mostly adds its own cost.  Timed against the pseudo-remainder
+# sequence alone on every gcd of the s=10 symbolic pipeline (Python 3.11,
 # 2-vCPU Xeon), the gcds sum to 168 ms without the test, 153 ms with the gate
-# at 8, 119 ms at 16, 108 ms at 24, 107 ms at 28 and 109 ms at 32.
+# at 8, 119 ms at 16, 108 ms at 24, 107 ms at 28 and 109 ms at 32.  With
+# GCDHEU after it, a gate of 36 or 48 makes det_closed(16 and 20, T) 1.2-3.5
+# times slower, as their large coprime pairs then reach the heuristic.
 MODULAR_GATE = 24
+# Largest size in bits, k times (degree + 1), of a value at 2^k that GCDHEU
+# computes; a pair that needs more goes to the pseudo-remainder sequence.
+# CPython's int gcd is quadratic in the size.  Each pair timed alone by both
+# methods, summed per size band (Python 3.11, 2-vCPU Xeon, ms, heu / prs):
+#                                 <10k       10-20k      20-40k      40-80k
+#   symbolic s=10 pipeline, det_closed(20), lu s=16 (4991 / 3 / 1 / 2 pairs)
+#                                 80 / 202   0.4 / 0.4   0.4 / 0.4   2.4 / 1.4
+#   random, shared factor of degree 1-60, 20-1100 bit coefficients
+#                                 7 / 11     10 / 11     30 / 26     33 / 28
+#   random coprime, degree < MODULAR_GATE (coprime pairs from the gate up are
+#   settled by the modular test first)
+#                                 6 / 974    5 / 1414    20 / 13097
+# Past 20k bits the heuristic loses on shared factors.
+HEU_MAX_BITS = 20000
+HEU_TRIES = 3  # points 2^k tried, each k about 1.5 times the last
 
 Scalar = Union[int, Fraction]
 
@@ -340,34 +369,53 @@ class Polynomial:
             return self
         return Polynomial(_primitive_ints(self._nums), den=1)
 
-    def gcd(self, other) -> Polynomial:
-        """Monic greatest common divisor.
+    def cofactors(self, other) -> tuple[Polynomial, Polynomial, Polynomial]:
+        """(g, self / g, other / g) for g the gcd with integer coefficients,
+        content 1 and positive lead.
 
-        Works on the integer numerators, since scaling by a constant does
-        not change the gcd, and returns the primitive pseudo-remainder
-        sequence's result (``_prs_gcd``), but for one shortcut.  When the
-        smaller degree reaches MODULAR_GATE and p = MODULUS divides neither
-        leading coefficient, a constant gcd mod p returns 1 at once.  Proof:
-        the primitive integer gcd g divides both operands in Z[t] (Gauss's
-        lemma), so p does not divide lead(g) and g mod p, of degree deg g,
-        divides both residues; so deg g <= deg gcd_p = 0.
+        g is 1 for a coprime pair, which returns both operands as they are,
+        and 0 when both are zero.  Works on the integer numerators, since
+        scaling by a constant does not change the gcd, in three steps:
+
+        1. When the smaller degree reaches MODULAR_GATE and p = MODULUS
+           divides neither leading coefficient, a constant gcd mod p proves
+           the pair coprime.  Proof: the primitive integer gcd G divides both
+           operands in Z[t] (Gauss's lemma), so p does not divide lead(G) and
+           G mod p, of degree deg G, divides both residues; so deg G <= 0.
+        2. GCDHEU (``_heu_cofactors``), while the evaluations stay under
+           HEU_MAX_BITS.
+        3. ``_prs_gcd``, the reference, when the heuristic gives up.
+
+        Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are
+        even: gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for the cofactors.
         """
-        b = self._coerce(other)
-        if b is None:
+        o = self._coerce(other)
+        if o is None:
             raise DomainError(f"cannot take gcd with {other!r}")
-        a, b = self._nums, b._nums
+        a, b = self._nums, o._nums
         if not a or not b:
             if not a and not b:
-                return Polynomial()
-            return _monic(a or b)
+                return self, self, o
+            # gcd(p, 0) is p's primitive form, and p divided by it a constant.
+            nums, den = (a, self._den) if a else (b, o._den)
+            g = _primitive_ints(nums)
+            if g[-1] < 0:
+                g = [-c for c in g]
+            unit = Polynomial((nums[-1] // g[-1],), den=den)
+            zero = Polynomial()
+            return Polynomial(g, den=1), (unit if a else zero), (zero if a else unit)
         if len(a) == 1 or len(b) == 1:
-            return Polynomial((1,), den=1)
-        if len(a) < len(b):
-            a, b = b, a
-        if (len(b) > MODULAR_GATE and a[-1] % MODULUS and b[-1] % MODULUS
-                and _coprime_mod_p(a, b)):
-            return Polynomial((1,), den=1)
-        return _prs_gcd(a, b)
+            return _ONE, self, o
+        g, ca, cb = _int_cofactors(a, b)
+        if len(g) == 1:
+            return _ONE, self, o
+        return Polynomial(g, den=1), Polynomial(ca, den=self._den), Polynomial(cb, den=o._den)
+
+    def gcd(self, other) -> Polynomial:
+        """Monic greatest common divisor: the monic form of
+        ``cofactors(other)[0]``; 0 when both operands are zero."""
+        g = self.cofactors(other)[0]
+        return _monic(g._nums) if g._nums else g
 
     # -- value semantics ---------------------------------------------------
 
@@ -420,7 +468,8 @@ def _prs_gcd(a, b) -> Polynomial:
     """Monic gcd of the int polynomials a and b, deg a >= deg b >= 1, by the
     primitive pseudo-remainder sequence: each remainder is cut to its
     primitive part, which keeps coefficient growth tame.  It decides every
-    gcd that the modular test does not, and is the reference for that test.
+    gcd that neither the modular test nor GCDHEU does, and is the reference
+    for both.
     """
     a = _primitive_ints(a)
     b = _primitive_ints(b)
@@ -435,6 +484,125 @@ def _prs_gcd(a, b) -> Polynomial:
         a, b = b, _primitive_ints(rem)
 
 
+def _int_cofactors(a, b):
+    """(g, a / g, b / g) for the int polynomials a and b, both of degree at
+    least 1, with g primitive and of positive lead; g == [1] and the operands
+    themselves for a coprime pair.  The steps are those of
+    ``Polynomial.cofactors``."""
+    long, short = (a, b) if len(a) >= len(b) else (b, a)
+    if (len(short) > MODULAR_GATE and long[-1] % MODULUS and short[-1] % MODULUS
+            and _coprime_mod_p(long, short)):
+        return [1], a, b
+    even = not any(a[1::2]) and not any(b[1::2])
+    fa, fb = (a[::2], b[::2]) if even else (a, b)
+    g, ca, cb = _heu_cofactors(fa, fb) or _prs_cofactors(fa, fb)
+    if len(g) == 1:
+        return [1], a, b
+    if even:
+        return _spread(g), _spread(ca), _spread(cb)
+    return g, ca, cb
+
+
+def _heu_cofactors(a, b):
+    """GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989) 31-48):
+    (g, a / g, b / g) as ``_int_cofactors`` gives them, or None when
+    ``_heu_at`` refuses HEU_TRIES growing points 2^k or a value of a or b
+    at the next one would pass HEU_MAX_BITS.
+
+    The first k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
+    coefficient size) by 16 bits.  With that margin 3348 of the 3351 calls
+    of the s=10 symbolic pipeline that try a point pass at the first one.
+    """
+    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
+    width = max(len(a), len(b))
+    for _ in range(HEU_TRIES):
+        if k * width > HEU_MAX_BITS:
+            return None
+        found = _heu_at(a, b, k)
+        if found:
+            return found
+        k += k // 2 + 2
+    return None
+
+
+def _heu_at(a, b, k):
+    """One GCDHEU point xi = 2^k > 2 max(|a|, |b|) + 2: (g, a / g, b / g)
+    as ``_int_cofactors`` gives them, or None when the candidate is refused.
+
+    h is the symmetric xi-adic image of gcd(a(xi), b(xi)), H its primitive
+    part with positive lead, and the cofactor candidates ca, cb are the
+    images of the exact integer quotients a(xi) / H(xi), b(xi) / H(xi).
+
+    Exact division in Z[t]: (H ca)(xi) = a(xi), and when
+    sum|H| * max|ca| < xi/2 every coefficient of H ca, like every one of a,
+    is below xi/2 in size.  Two such polynomials that agree at xi are equal,
+    so H ca == a; so for b.  A candidate failing that bound is refused.
+
+    H is then the primitive gcd G.  Proof: H divides G, say G = H K, and
+    G(xi) divides h(xi) = content(h) H(xi), so K(xi) divides
+    content(h) <= xi/2.  Every root of K is a root of a, so of size below
+    1 + |a|, hence |K(xi)| > (xi - 1 - |a|)^deg K >= (xi/2)^deg K, and K is
+    constant.  A constant h thus proves the pair coprime with no division.
+    """
+    va, vb = _at_power_of_two(a, k), _at_power_of_two(b, k)
+    gamma = _int_gcd(va, vb)
+    h = _xi_adic(gamma, k)
+    if len(h) == 1:
+        return [1], a, b
+    c = _int_gcd(*h) if h[-1] > 0 else -_int_gcd(*h)
+    if c != 1:
+        h = [x // c for x in h]
+    hv = gamma // c  # H(xi)
+    limit = (1 << (k - 1)) // sum(map(abs, h))  # max|ca| < limit: sum|H| max|ca| < xi/2
+    ca = _xi_adic(va // hv, k)
+    if max(map(abs, ca)) >= limit:
+        return None
+    cb = _xi_adic(vb // hv, k)
+    if max(map(abs, cb)) >= limit:
+        return None
+    return h, ca, cb
+
+
+def _prs_cofactors(a, b):
+    """(g, a / g, b / g) as ``_int_cofactors`` gives them, by ``_prs_gcd``
+    and exact division."""
+    g = _prs_gcd(a, b) if len(a) >= len(b) else _prs_gcd(b, a)
+    if g.degree == 0:
+        return [1], a, b
+    g = g.primitive()._nums
+    # scale stays 1: every step of an exact division by a primitive divisor
+    # has a leading coefficient divisible by lead(g).
+    return g, _divrem(list(a), g, True)[0], _divrem(list(b), g, True)[0]
+
+
+def _at_power_of_two(a, k):
+    """The int polynomial a evaluated at 2^k."""
+    v = 0
+    for c in reversed(a):
+        v = (v << k) + c
+    return v
+
+
+def _xi_adic(v, k):
+    """The int polynomial h with h(2^k) == v and every |h[i]| <= 2^(k-1)."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    h = []
+    while v:
+        c = v & mask
+        if c > half:
+            c -= mask + 1
+        h.append(c)
+        v = (v - c) >> k
+    return h
+
+
+def _spread(u):
+    """The coefficients of u(t^2) from those of u."""
+    t = [0] * (2 * len(u) - 1)
+    t[::2] = u
+    return t
+
+
 def _monic(nums) -> Polynomial:
     """The monic polynomial proportional to the nonzero ints nums."""
     lead = nums[-1]
@@ -444,6 +612,7 @@ def _monic(nums) -> Polynomial:
 
 
 T = Polynomial((0, 1))
+_ONE = Polynomial((1,), den=1)
 
 _TERM_RE = re.compile(
     r"(?P<sign>[+-]?)"

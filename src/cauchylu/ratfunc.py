@@ -8,12 +8,13 @@ Every instance is held in one canonical form, fixed at construction time:
 * zero is exactly 0/1.
 
 Arithmetic keeps denominators in that form by construction.  Common factors
-are cancelled by the primitive, positive-lead form of their gcd, and by
-Gauss's lemma every product of primitive integer polynomials is primitive,
-and so is every exact quotient of one by a primitive divisor.  So a sum,
-product or power of canonical operands has a canonical denominator, and
-only a denominator from elsewhere (``__init__``, an inverted numerator) is
-rescaled.
+are cancelled by ``Polynomial.cofactors``, which returns the primitive,
+positive-lead gcd together with both operands already divided by it, so no
+division follows the gcd.  By Gauss's lemma every product of primitive
+integer polynomials is primitive, and so is every exact quotient of one by
+a primitive divisor.  So a sum, product or power of canonical operands has a
+canonical denominator, and only a denominator from elsewhere (``__init__``,
+an inverted numerator) is rescaled.
 
 Canonical form makes equality a plain structural comparison and printing
 deterministic.  Arithmetic coerces ``int``, ``Fraction``, and ``Polynomial``
@@ -48,11 +49,7 @@ class RationalFunction:
         den = _as_polynomial(den)
         if den.is_zero:
             raise DivisionByZero("zero denominator polynomial")
-        g = num.gcd(den)
-        if g.degree > 0:
-            g = g.primitive()
-            num //= g
-            den //= g
+        _, num, den = num.cofactors(den)
         self._num, self._den = _scale_canonical(num, den)
 
     @classmethod
@@ -91,18 +88,10 @@ class RationalFunction:
         an, ad = self._num, self._den
         bn, bd = other._num, other._den
         # Henrici's scheme: gcd work stays on the small common parts.
-        d1 = ad.gcd(bd)
+        d1, adr, bdr = ad.cofactors(bd)
         if d1.degree <= 0:
             return RationalFunction._from_coprime(an * bd + bn * ad, ad * bd)
-        d1 = d1.primitive()
-        adr = ad // d1
-        bdr = bd // d1
-        num = an * bdr + bn * adr
-        d2 = num.gcd(d1)
-        if d2.degree > 0:
-            d2 = d2.primitive()
-            num //= d2
-            d1 //= d2
+        _, num, d1 = (an * bdr + bn * adr).cofactors(d1)
         return RationalFunction._from_coprime(num, adr * bdr * d1)
 
     __radd__ = __add__
@@ -128,16 +117,8 @@ class RationalFunction:
             return NotImplemented
         an, ad = self._num, self._den
         bn, bd = other._num, other._den
-        g1 = an.gcd(bd)
-        if g1.degree > 0:
-            g1 = g1.primitive()
-            an = an // g1
-            bd = bd // g1
-        g2 = bn.gcd(ad)
-        if g2.degree > 0:
-            g2 = g2.primitive()
-            bn = bn // g2
-            ad = ad // g2
+        _, an, bd = an.cofactors(bd)
+        _, bn, ad = bn.cofactors(ad)
         return RationalFunction._from_coprime(an * bn, ad * bd)
 
     __rmul__ = __mul__

@@ -359,20 +359,21 @@ def test_gamma_right_rhs_equals_field_form():
 
 
 def test_gamma_grid_runs_in_q_of_t_without_gcd(monkeypatch):
-    # Both identities are built in Q[t]: no Polynomial.gcd (the field's
-    # normalisation) runs and no RationalFunction is made.
+    # Both identities are built in Q[t]: no Polynomial.cofactors (the
+    # field's normalisation, which Polynomial.gcd also runs) is called and
+    # no RationalFunction is made.
     calls = []
-    gcd, init = Polynomial.gcd, RationalFunction.__init__
+    cofactors, init = Polynomial.cofactors, RationalFunction.__init__
 
-    def spy_gcd(a, b):
-        calls.append("gcd")
-        return gcd(a, b)
+    def spy_cofactors(a, b):
+        calls.append("cofactors")
+        return cofactors(a, b)
 
     def spy_init(self, *args, **kwargs):
         calls.append("RationalFunction")
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(Polynomial, "gcd", spy_gcd)
+    monkeypatch.setattr(Polynomial, "cofactors", spy_cofactors)
     monkeypatch.setattr(RationalFunction, "__init__", spy_init)
     assert verify_gamma_identities(8).passed
     assert calls == []

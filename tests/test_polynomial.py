@@ -1,6 +1,7 @@
 """Polynomial ring contracts: canonical form, divrem, gcd, text forms."""
 
 import contextlib
+import random
 from fractions import Fraction
 from math import gcd, lcm
 from unittest import mock
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, parse_polynomial
 from cauchylu import polynomial as polynomial_module
-from cauchylu.polynomial import MODULAR_GATE, MODULUS, _coprime_mod_p, _prs_gcd
+from cauchylu.polynomial import HEU_TRIES, MODULAR_GATE, MODULUS, _coprime_mod_p, _prs_gcd
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
@@ -374,3 +375,174 @@ def test_modular_test_runs_from_the_gate():
         assert calls == [(n, True)]
         assert ((T + 1) * (T**n + 2)).gcd((T + 1) * (T**n + 3)) == T + 1
         assert calls == [(n, True), (n + 1, False)]
+
+
+# -- cofactors: GCDHEU against the pseudo-remainder reference -------------------
+
+
+def _even(p):
+    """p(t^2)."""
+    return sum((c * T**(2 * k) for k, c in enumerate(p.coeffs)), Polynomial())
+
+
+def _reference_primitive_gcd(a, b):
+    """The primitive, positive-lead gcd by the pseudo-remainder sequence."""
+    if a.degree <= 0 or b.degree <= 0:
+        return Polynomial((1,))
+    return _reference_gcd(a, b).primitive()
+
+
+def _assert_cofactors(a, b, result=None):
+    g, ca, cb = result or a.cofactors(b)
+    assert g.is_positive_primitive
+    assert g * ca == a and g * cb == b
+    assert g == _reference_primitive_gcd(a, b)
+    assert a.gcd(b) == g * (1 / g.leading)
+    return g
+
+
+@contextlib.contextmanager
+def _paths_recorded():
+    """Record which step settles each pair: 'mod p', 'heu' or 'prs'."""
+    calls = []
+    mod_p, heu, prs = (polynomial_module._coprime_mod_p, polynomial_module._heu_cofactors,
+                       polynomial_module._prs_cofactors)
+
+    def record(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append((name, result))
+            return result
+        return wrapper
+
+    with mock.patch.object(polynomial_module, "_coprime_mod_p", record("mod p", mod_p)), \
+            mock.patch.object(polynomial_module, "_heu_cofactors", record("heu", heu)), \
+            mock.patch.object(polynomial_module, "_prs_cofactors", record("prs", prs)):
+        yield calls
+
+
+@settings(deadline=None, max_examples=40)
+@given(int_polys(st.integers(0, 6), small_ints | huge_ints),
+       int_polys(st.integers(0, 6), small_ints | huge_ints),
+       int_polys(st.integers(0, 4), small_ints | huge_ints),
+       st.integers(1, 2**70) | huge_ints, st.integers(-(2**70), -1) | huge_ints,
+       st.booleans())
+def test_cofactors_match_prs_reference(f, h, g, c1, c2, even):
+    # deg g = 0 gives pairs that are almost always coprime; c1, c2 put
+    # integer content on both operands; even operands take the u = t^2 path.
+    if even:
+        f, h, g = _even(f), _even(h), _even(g)
+    a, b = c1 * f * g, c2 * h * g
+    common = _assert_cofactors(a, b)
+    assert (common % g.primitive()).is_zero
+
+
+@given(polys, polys)
+def test_cofactors_of_rational_operands(a, b):
+    g, ca, cb = a.cofactors(b)
+    if a.is_zero and b.is_zero:
+        assert g.is_zero and ca.is_zero and cb.is_zero
+        return
+    assert g.is_positive_primitive
+    assert g * ca == a and g * cb == b
+    assert a.gcd(b) == g * (1 / g.leading)
+
+
+def test_cofactors_examples():
+    assert (2 * T**2 - 8).cofactors(4 * T - 8) == (T - 2, 2 * T + 4, 4)
+    assert (T**2 - 4).cofactors(9 * T**2 - 4) == (1, T**2 - 4, 9 * T**2 - 4)
+    assert Polynomial().cofactors(6 - 4 * T) == (2 * T - 3, 0, -2)
+    assert (Fraction(1, 2) * T).cofactors(0) == (T, Fraction(1, 2), 0)
+    assert Polynomial().cofactors(0) == (0, 0, 0)
+
+
+def _huge_poly(degree, seed):
+    """A seeded polynomial of the given degree with 1000-1100 bit coefficients."""
+    rng = random.Random(seed)
+    return Polynomial([rng.choice((1, -1)) * rng.randrange(2**1000, 2**1100)
+                       for _ in range(degree + 1)])
+
+
+@pytest.mark.parametrize("degrees, paths", [
+    # (deg g, deg f, deg h): below the gate and the size bound
+    ((3, 2, 2), ["heu"]),
+    ((4, 3, 3), ["heu"]),
+    # below the gate, above the size bound
+    ((7, 7, 7), ["heu", "prs"]),
+    # above the gate, where the modular test finds the shared factor and
+    # the size bound sends the pair on to the sequence
+    ((MODULAR_GATE, 1, 2), ["mod p", "heu", "prs"]),
+])
+def test_huge_coefficients_on_both_sides_of_gate_and_size_bound(degrees, paths):
+    g, f, h = (_huge_poly(d, seed) for seed, d in enumerate(degrees))
+    a, b = f * g, h * g
+    with _paths_recorded() as calls:
+        result = a.cofactors(b)
+    assert [name for name, _ in calls] == paths
+    assert _assert_cofactors(a, b, result) == g.primitive() * (1 if g.leading > 0 else -1)
+
+
+def test_small_pair_above_the_gate_takes_the_heuristic():
+    n = MODULAR_GATE
+    a, b = (T + 1) * (T**n + 2), (T + 1) * (T**n + 3)
+    with _paths_recorded() as calls:
+        result = a.cofactors(b)
+    assert [name for name, _ in calls] == ["mod p", "heu"]
+    assert _assert_cofactors(a, b, result) == T + 1
+
+
+def test_heuristic_proves_coprime_pairs_with_huge_coefficients():
+    # gcd(f, f h + c) = gcd(f, c) = 1: a constant candidate, no division.
+    f, h = _huge_poly(4, 1), _huge_poly(1, 2)
+    b = f * h + _huge_poly(0, 3)
+    with _paths_recorded() as calls:
+        assert f.cofactors(b) == (1, f, b)
+    assert [(name, result[0]) for name, result in calls] == [("heu", [1])]
+
+
+def test_exhausted_heuristic_falls_back_to_the_sequence():
+    a, b = (T**2 - 4) * (3 * T + 5), (T**2 - 4) * (T - 7)
+    expected = a.cofactors(b)
+    points = []
+
+    def refuse(a, b, k):
+        points.append(k)
+        return None
+
+    with mock.patch.object(polynomial_module, "_heu_at", refuse), _paths_recorded() as calls:
+        assert a.cofactors(b) == expected
+    assert len(points) == HEU_TRIES and points == sorted(set(points))
+    assert [name for name, _ in calls] == ["heu", "prs"] and calls[0][1] is None
+
+
+def test_heuristic_takes_the_next_point_after_a_refusal():
+    a, b = (T**2 - 4) * (3 * T + 5), (T**2 - 4) * (T - 7)
+    expected = a.cofactors(b)
+    points = []
+    heu_at = polynomial_module._heu_at
+
+    def refuse_first(a, b, k):
+        points.append(k)
+        return heu_at(a, b, k) if len(points) > 1 else None
+
+    with mock.patch.object(polynomial_module, "_heu_at", refuse_first), \
+            _paths_recorded() as calls:
+        assert a.cofactors(b) == expected
+    assert len(points) == 2 and points[1] > points[0]
+    assert [name for name, _ in calls] == ["heu"]
+
+
+def test_even_pairs_run_in_u():
+    # Both even: the heuristic sees F(u), H(u) with u = t^2.
+    a, b = (T**2 - 4) * (9 * T**2 - 1), (T**2 - 4) * (T**4 + 1)
+    seen = []
+    heu = polynomial_module._heu_cofactors
+
+    def spy(a, b):
+        seen.append((len(a) - 1, len(b) - 1))
+        return heu(a, b)
+
+    with mock.patch.object(polynomial_module, "_heu_cofactors", spy):
+        assert a.cofactors(b) == (T**2 - 4, 9 * T**2 - 1, T**4 + 1)
+        assert (T * a).cofactors(b) == (T**2 - 4, T * (9 * T**2 - 1), T**4 + 1)
+    assert seen == [(2, 3), (5, 6)]

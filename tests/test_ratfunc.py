@@ -150,10 +150,11 @@ def test_equality_table(f, other, equal):
 def test_comparison_with_a_constant_runs_no_gcd(monkeypatch):
     values = [RationalFunction(0), RationalFunction(3, 2), SYMBOLIC_T, RationalFunction(T, T + 1)]
 
-    def no_gcd(self, other):
-        raise AssertionError("Polynomial.gcd called")
+    def no_cofactors(self, other):
+        raise AssertionError("Polynomial.cofactors called")
 
-    monkeypatch.setattr(Polynomial, "gcd", no_gcd)
+    # Polynomial.gcd runs through cofactors, so this catches both.
+    monkeypatch.setattr(Polynomial, "cofactors", no_cofactors)
     assert [f == 0 for f in values] == [True, False, False, False]
     assert [f != 0 for f in values] == [False, True, True, True]
     assert [f == Fraction(3, 2) for f in values] == [False, True, False, False]
@@ -246,6 +247,32 @@ def test_factor_product_needs_no_denominator_rescaling(monkeypatch):
     product = lower @ upper
     monkeypatch.undo()
     assert seen == []
+    assert product == build_matrix(10, SYMBOLIC_T)
+
+
+def test_factor_product_cancels_without_polynomial_division(monkeypatch):
+    # Polynomial.cofactors hands RationalFunction the reduced numerator and
+    # denominator, so no quotient is taken after the gcd.
+    lower, upper = build_L(10, SYMBOLIC_T), build_U(10, SYMBOLIC_T)
+    seen = []
+    divmod_, floordiv = Polynomial.__divmod__, Polynomial.__floordiv__
+
+    def spy_divmod(self, other):
+        seen.append("divmod")
+        return divmod_(self, other)
+
+    def spy_floordiv(self, other):
+        seen.append("floordiv")
+        return floordiv(self, other)
+
+    monkeypatch.setattr(Polynomial, "__divmod__", spy_divmod)
+    monkeypatch.setattr(Polynomial, "__floordiv__", spy_floordiv)
+    product = lower @ upper
+    monkeypatch.undo()
+    assert seen == []
+    for row in product.rows:
+        for entry in row:
+            _assert_canonical(entry)
     assert product == build_matrix(10, SYMBOLIC_T)
 
 
