@@ -19,13 +19,25 @@ Gaussian elimination with row swaps.  They share none of that arithmetic
 with ``lu_doolittle``, so each can check the others: an error in the
 compact kernel cannot repeat itself in the determinant it is checked
 against.
+
+Over Fractions the elimination keeps its trailing block as
+A = R * B * C: diagonal scales R (rows) and C (columns) of positive
+rationals, and B of int pairs in lowest terms, on which the updates run.
+Before each step every trailing row and column of B gives its content, the
+gcd of its numerators over the gcd of its denominators, to R or C.  Every
+Schur complement of this Cauchy matrix is Cauchy-like, so these contents
+are the row and column generators that would otherwise sit in every pair.
+Dividing a line by its content makes its entries smaller.  Clearing a line
+to ints over the lcm of its denominators makes them larger, since that lcm
+collects the factors of the whole trailing block, and was measured slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
-from operator import mul
+from operator import floordiv, mul
 from typing import NamedTuple
 
 from .errors import (
@@ -363,6 +375,16 @@ def _cofactor(rows):
     return total
 
 
+# Matrices with fewer rows than this skip the content passes of
+# ``det_elimination``: their pairs stay small, and the passes cost more than
+# they save.  In-process CPU time with the passes over the same kernel
+# without them, at t = 37/11, 3/49 and 7/5: 1.5-1.7x at s = 8, 0.8-1.5x at
+# s = 10 and 12, 0.7-0.85x at s = 14 and 16, 0.4-0.5x at s = 40.  At t = 1,
+# whose pairs grow least: 1.6-1.9x up to s = 16, 1.0-1.1x at s = 20 and 24,
+# 0.55x at s = 40.
+_CONTENT_MIN_ROWS = 16
+
+
 def det_elimination(m: ExactMatrix):
     """Determinant by right-looking Gaussian elimination with row swaps and sign tracking.
 
@@ -372,28 +394,56 @@ def det_elimination(m: ExactMatrix):
     exact zero rather than raising.
 
     One loop finds the pivots, swaps rows, tracks the sign and multiplies
-    the diagonal; the field picks only the row update.  A row is a pair.
-    Over Fractions it is the numerators and the positive denominators of
-    its entries in lowest terms, updated by Fraction's own steps
-    (``_pair_update``), so every pair equals the Fraction a loop over
-    Fractions would hold and the pivots and swaps are the same.  Rows are
-    not cleared to ints over one lcm, as ``lu_doolittle`` does: a Schur
-    complement row of this family collects the factors (x_l - y_m) of the
-    whole trailing block in that lcm, and clearing ran 3 to 9 times slower
-    than the pairs at s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at
-    s = 80.  A RationalFunction row is its entries and None, updated in the
-    field (``_field_update``).
+    the diagonal; the field picks only the row update.  A RationalFunction
+    row is its entries and None, updated in the field (``_field_update``).
+
+    A Fraction row is the numerators and the positive denominators of its
+    entries in lowest terms, and the row's scale R_r; beside the rows are
+    the column scales C_c.  The trailing block is kept as
+
+        A[r][c] = R_r * B[r][c] * C_c,
+
+    with R_r, C_c positive reduced int pairs and B the pairs.  The update
+    commutes with the scaling,
+
+        A[r][c] - A[r][k] A[k][c] / A[k][k]
+            = R_r C_c (B[r][c] - B[r][k] B[k][c] / B[k][k]),
+
+    so ``_pair_update`` runs on B alone.  Before each step
+    ``_set_contents_aside`` moves the content of every trailing row of B
+    into its R_r, then that of every trailing column into its C_c.  Every
+    Schur complement of a Cauchy matrix is Cauchy-like,
+    S[r][c] = u_r v_c / (x_c - y_r) (Gohberg, Kailath, Olshevsky, Math. Comp.
+    64 (1995) 1557-1576), so without this each pair carries its row's u_r
+    and its column's v_c: at s = 40, t = 37/11 they reached 1100 bits by
+    step 38, and with the contents aside no pair passes 126 bits.  A content
+    divides every entry of its line, so the pairs shrink and stay in lowest
+    terms.  That is not the rejected clearing of each row to ints over the
+    lcm of its denominators, which multiplies every entry up: a Schur
+    complement row's lcm collects the factors (x_c - y_m) of the whole
+    trailing block, and clearing ran 3 to 9 times slower than the pairs at
+    s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at s = 80.
+
+    Row swaps carry R_r with the row.  No scale is zero, so the zero tests,
+    pivots and swaps are those of a loop over Fractions.  The determinant
+    is sign * prod_k R_k C_k B[k][k], normalised once.  Matrices with fewer
+    than ``_CONTENT_MIN_ROWS`` rows keep every scale at 1.
     """
     n = _require_square(m)
     field = type(m.rows[0][0])
     if field is Fraction:
-        a = [([x.numerator for x in row], [x.denominator for x in row]) for row in m.rows]
+        a = [([x.numerator for x in row], [x.denominator for x in row], [1, 1]) for row in m.rows]
+        cols = [[1, 1] for _ in range(n)]
         update = _pair_update
     else:
         a = [(list(row), None) for row in m.rows]
+        cols = None
         update = _field_update
+    rescale = cols and n >= _CONTENT_MIN_ROWS
     sign = 1
     for k in range(n):
+        if rescale:
+            _set_contents_aside(a, cols, k)
         if not a[k][0][k]:
             for r in range(k + 1, n):
                 if a[r][0][k]:
@@ -408,20 +458,69 @@ def det_elimination(m: ExactMatrix):
     det = a[0][0][0] if sign == 1 else -a[0][0][0]
     for k in range(1, n):
         det = det * a[k][0][k]
-    if field is Fraction:
-        return Fraction(det, prod(dens[k] for k, (_, dens) in enumerate(a)))
+    if cols:
+        num = det * prod(rs[0] * cs[0] for (_, _, rs), cs in zip(a, cols))
+        den = prod(dens[k] * rs[1] * cs[1] for k, ((_, dens, rs), cs) in enumerate(zip(a, cols)))
+        return Fraction(num, den)
     return det
+
+
+def _set_contents_aside(a, cols, k):
+    """Move the content of each trailing row a[r][k:], r >= k, into the
+    row's scale, then that of each trailing column into cols[c].
+
+    The content of a line of pairs n/d is gcd(n...) / gcd(d...).  Dividing
+    each entry by it gives (n/gn) / (d/gd), still in lowest terms.  A zero
+    entry is 0/1, so a line with a zero takes out no denominator; an
+    all-zero line has no content and keeps its entries.  A scale is
+    multiplied by its content with Fraction's cross-cancellation.  In a
+    generic matrix a row's denominators share the last pivot's minor, which
+    the next step's numerators give back, and reduced scales cancel it
+    where one running product would grow by O(s^3) bits.
+    """
+    block = a[k:]
+    tails_n, tails_d = [], []
+    for nums, dens, scale in block:
+        tn, td = nums[k:], dens[k:]
+        gn, gd = gcd(*tn), gcd(*td)
+        if gn > 1:
+            nums[k:] = tn = list(map(floordiv, tn, repeat(gn, len(tn))))
+        if gd > 1:
+            dens[k:] = td = list(map(floordiv, td, repeat(gd, len(td))))
+        if gn > 1 or gd > 1:
+            _scale_by(scale, gn or 1, gd)
+        tails_n.append(tn)
+        tails_d.append(td)
+    col_n = [gcd(*col) or 1 for col in zip(*tails_n)]
+    col_d = [gcd(*col) for col in zip(*tails_d)]
+    if any(g > 1 for g in col_n):
+        for (nums, _, _), tn in zip(block, tails_n):
+            nums[k:] = map(floordiv, tn, col_n)
+    if any(g > 1 for g in col_d):
+        for (_, dens, _), td in zip(block, tails_d):
+            dens[k:] = map(floordiv, td, col_d)
+    for scale, gn, gd in zip(cols[k:], col_n, col_d):
+        if gn > 1 or gd > 1:
+            _scale_by(scale, gn, gd)
+
+
+def _scale_by(scale, gn, gd):
+    """scale *= gn / gd, on a reduced pair of positive ints."""
+    sn, sd = scale
+    g1, g2 = gcd(sn, gd), gcd(gn, sd)
+    scale[0], scale[1] = sn // g1 * (gn // g2), sd // g2 * (gd // g1)
 
 
 def _pair_update(pivot_row, row, k):
     """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], on
     reduced int pairs (numerators, positive denominators in lowest terms).
 
-    The multiplier is reduced once; each update cross-cancels the product
-    and then subtracts by Henrici's scheme, which keeps the gcds on the
-    small common parts (Henrici, JACM 3 (1956) 6-9).
+    The multiplier is reduced once.  Each update forms the product f * b
+    uncancelled, subtracts it over the gcd of the two denominators
+    (Henrici, JACM 3 (1956) 6-9) and reduces the result by one more gcd, so
+    a zero comes out as 0/1.
     """
-    (kn, kd), (rn, rd) = pivot_row, row
+    (kn, kd, _), (rn, rd, _) = pivot_row, row
     pn, pd = kn[k], kd[k]
     fn, fd = rn[k], rd[k]
     g1, g2 = gcd(fn, pn), gcd(pd, fd)
@@ -432,18 +531,13 @@ def _pair_update(pivot_row, row, k):
         bn = kn[c]
         if not bn:
             continue
-        bd = kd[c]
-        g1, g2 = gcd(fn, bd), gcd(bn, fd)
-        qn, qd = fn // g1 * (bn // g2), fd // g2 * (bd // g1)
-        xn, xd = rn[c], rd[c]
+        qn, qd = fn * bn, fd * kd[c]
+        xd = rd[c]
         g = gcd(xd, qd)
-        if g == 1:
-            rn[c], rd[c] = xn * qd - qn * xd, xd * qd
-        else:
-            s = xd // g
-            t = xn * (qd // g) - qn * s
-            g2 = gcd(t, g)
-            rn[c], rd[c] = t // g2, s * (qd // g2)
+        s = xd // g
+        num, den = rn[c] * (qd // g) - qn * s, s * qd
+        g = gcd(num, den)
+        rn[c], rd[c] = num // g, den // g
 
 
 def _field_update(pivot_row, row, k):

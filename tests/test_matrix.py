@@ -1,6 +1,7 @@
 """Matrix construction, Doolittle LU, and the two determinant oracles."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -655,11 +656,16 @@ def right_looking_det(m):
     return det
 
 
+nonzero_entries = entries.filter(bool)
+
+
 @st.composite
 def det_matrices(draw, max_size=6):
     """Square matrices of ints, Fractions or both, some with many zero
-    entries (zero pivots that force row swaps) and some with one row a
-    multiple of another (singular)."""
+    entries (zero pivots that force row swaps), some with one row a
+    multiple of another (singular), and some with every row and every
+    column scaled by a common rational factor, so that the lines have
+    contents in both numerators and denominators."""
     n = draw(st.integers(1, max_size))
     kind = draw(st.sampled_from([small_ints, entries, st.one_of(small_ints, entries)]))
     if draw(st.booleans()):
@@ -669,13 +675,22 @@ def det_matrices(draw, max_size=6):
         i, j = draw(st.permutations(range(n)))[:2]
         c = draw(kind)
         rows[i] = [c * x for x in rows[j]]
+    if draw(st.booleans()):
+        factors = st.lists(nonzero_entries, min_size=n, max_size=n)
+        by_row, by_col = draw(factors), draw(factors)
+        rows = [[r * x * c for x, c in zip(row, by_col)] for r, row in zip(by_row, rows)]
     return ExactMatrix(rows)
 
 
 def _assert_det_equals_reference(m):
+    """det_elimination equals the field loop, with the content passes as
+    gated and with them forced on at every size."""
+    expected = right_looking_det(m)
     det = det_elimination(m)
     assert type(det) is Fraction
-    assert det == right_looking_det(m)
+    assert det == expected
+    with mock.patch.object(matrix_mod, "_CONTENT_MIN_ROWS", 1):
+        assert det_elimination(m) == expected
 
 
 @given(det_matrices())
@@ -685,12 +700,15 @@ def test_det_elimination_equals_field_loop(m):
 
 @pytest.mark.parametrize("t", [1, Fraction(37, 11), Fraction(49, 3), Fraction(3, 49)])
 def test_det_elimination_equals_field_loop_on_family(t):
-    _assert_det_equals_reference(build_matrix(12, t))
+    # s = 24 passes _CONTENT_MIN_ROWS, so the content passes run unforced.
+    for s in (12, 24):
+        _assert_det_equals_reference(build_matrix(s, t))
 
 
 def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
-    m = build_matrix(12, Fraction(37, 11))
-    expected = right_looking_det(m)
+    # s = 12 is below _CONTENT_MIN_ROWS and s = 24 past it.
+    matrices = [build_matrix(s, Fraction(37, 11)) for s in (12, 24)]
+    expected = [right_looking_det(m) for m in matrices]
     calls = []
 
     def counting(name):
@@ -704,7 +722,29 @@ def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
 
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, counting(name))
-    det = det_elimination(m)
+    dets = [det_elimination(m) for m in matrices]
     assert calls == []
     monkeypatch.undo()
-    assert det == expected
+    assert dets == expected
+
+
+def test_numeric_det_elimination_keeps_pairs_small(monkeypatch):
+    """With each trailing line's content set aside, every pair the update
+    writes at s = 40, t = 37/11 stays below 200 bits (112 at most); with
+    the contents left in, the pairs carry the Cauchy generators of their
+    row and column and grow to about 1100 bits by step 38."""
+    largest = []
+    update = matrix_mod._pair_update
+
+    def measuring(pivot_row, row, k):
+        update(pivot_row, row, k)
+        nums, dens, _ = row
+        largest.append(max(x.bit_length() for x in nums[k + 1 :] + dens[k + 1 :]))
+
+    monkeypatch.setattr(matrix_mod, "_pair_update", measuring)
+    t = Fraction(37, 11)
+    det = det_elimination(build_matrix(40, t))
+    assert len(largest) == 40 * 39 // 2
+    assert max(largest) < 200
+    monkeypatch.undo()
+    assert det == det_closed(40, t)
