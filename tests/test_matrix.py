@@ -291,12 +291,19 @@ exact_fractions = st.builds(
 )
 
 
+# Common factors of a line: large, with both numerator and denominator.
+contents = st.builds(
+    Fraction, st.integers(1, 2**200).map(lambda x: x * (-1) ** x), st.integers(1, 2**200)
+)
+
+
 @st.composite
 def matmul_operands(draw):
     """(a, b, m): n-by-k and k-by-p entry lists of one kind, 1 <= m <= k.
 
     Shapes include 1-by-n and n-by-1, entries are negative, huge or zero, and
-    a whole row of a or column of b may be zero.
+    a whole row of a or column of b may be zero.  A row of b may carry a
+    large common content, and zeros beside it.
     """
     n, k, p = (draw(st.integers(1, 4)) for _ in range(3))
     kind = draw(st.sampled_from([exact_ints, exact_fractions, st.one_of(exact_ints, exact_fractions)]))
@@ -308,6 +315,10 @@ def matmul_operands(draw):
         col = draw(st.integers(0, p - 1))
         for row in b:
             row[col] = 0
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, k - 1)), draw(contents)
+        zeros = draw(st.sets(st.integers(0, p - 1), max_size=p - 1))
+        b[r] = [0 if j in zeros else c * x for j, x in enumerate(b[r])]
     return a, b, draw(st.integers(1, k))
 
 
@@ -536,11 +547,85 @@ def test_lines_with_coprime_denominators_fall_back_to_field_sums(monkeypatch):
     assert min(lengths) == 7
 
 
+def test_fallback_sums_take_the_scaled_entries(monkeypatch):
+    # L as above, with U upper triangular and row k of U a multiple of
+    # 7^(k+1)/2 (its content), so that the rows of L hold L[r][k] 7^(k+1)/2
+    # and the columns of U hold small ints.  The rows of L fall back, and
+    # their field sums must pair each scaled entry of L with the scaled
+    # entry of U.  The entry denominators 2p have 12 bits, and 2 times seven
+    # of the primes stays within 6 * 12 bits, so they fall back at eight.
+    n = len(PRIMES_11_BITS) + 1
+    primes = iter(PRIMES_11_BITS * n)
+    lower = ExactMatrix(
+        [[Fraction(1, next(primes)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    )
+    upper = ExactMatrix(
+        [[Fraction(7 ** (i + 1), 2) * (1 + (i * j) % 5) if j >= i else 0 for j in range(n)] for i in range(n)]
+    )
+    m = lower @ upper
+    lengths = _field_sum_lengths(monkeypatch)
+    _assert_equals_reference(m)
+    assert lu_doolittle(m) == (lower, upper)
+    assert min(lengths) == 8
+
+
+@st.composite
+def pq_matrices(draw, max_size=7):
+    """Square matrices of p/q, |p| < 100 and 1 <= q < 100, some with each
+    row and column scaled by a large common content."""
+    n = draw(st.integers(1, max_size))
+    pq = st.builds(Fraction, st.integers(-99, 99), st.integers(1, 99))
+    rows = draw(st.lists(st.lists(pq, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        by_row = draw(st.lists(contents, min_size=n, max_size=n))
+        by_col = draw(st.lists(contents, min_size=n, max_size=n))
+        rows = [[r * x * c for x, c in zip(row, by_col)] for r, row in zip(by_row, rows)]
+    return ExactMatrix(rows)
+
+
+@given(pq_matrices())
+def test_compact_equals_right_looking_on_random_fractions(m):
+    _assert_equals_reference(m)
+
+
+def test_numeric_factor_lines_keep_small_denominators(monkeypatch):
+    """With the content of each row of U moved onto the column of L, no
+    column of U cleared at s = 40, t = 37/11 has a common denominator of
+    1000 bits or more, in L @ U (567 bits) or in lu_doolittle (551 bits).
+    Cleared with its contents, such a column collects the denominators of
+    every row's Cauchy generator: 5076 and 4876 bits."""
+    t = Fraction(37, 11)
+    m = build_matrix(40, t)
+    cleared, reduced = matrix_mod._cleared, matrix_mod._reduced
+    product_dens, factor_dens = [], []
+
+    def clearing(lines):
+        out = cleared(lines)
+        product_dens.append([den.bit_length() for _, den in out])
+        return out
+
+    def reducing(x, row, col, pivot=None):
+        if col.ints is not None:
+            factor_dens.append(col.den.bit_length())
+        return reduced(x, row, col, pivot)
+
+    monkeypatch.setattr(matrix_mod, "_cleared", clearing)
+    monkeypatch.setattr(matrix_mod, "_reduced", reducing)
+    product = build_L(40, t) @ build_U(40, t)
+    factors = lu_doolittle(m)
+    monkeypatch.undo()
+    _, cols_of_u = product_dens  # rows of L, then columns of U
+    assert len(cols_of_u) == 40 and max(cols_of_u) < 1000
+    assert len(factor_dens) == 40 * 40 and max(factor_dens) < 1000  # one per entry
+    assert product == m
+    assert factors == (build_L(40, t), build_U(40, t))
+
+
 def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("compact Doolittle kernel called")
 
-    for name in ("_Line", "_reduced", "_field_sum", "_cleared"):
+    for name in ("_Line", "_reduced", "_field_sum", "_cleared", "_pairs", "_content", "_divided", "_multiplied"):
         monkeypatch.setattr(matrix_mod, name, unavailable)
     assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_cofactor(build_matrix(5, Fraction(37, 11)))
     with pytest.raises(AssertionError):
