@@ -32,14 +32,12 @@ from .ratfunc import SYMBOLIC_T
 from .rational import parse_rational
 from .verify import VerifyConfig, run_all
 
-DET_ORACLE_CAP_NUMERIC = 12
-DET_ORACLE_CAP_SYMBOLIC = 6
 # The largest --s each command accepts.  Each finishes in seconds at its cap.
 # Symbolic, through ``main`` with the cap lifted (Python 3.11, 2-vCPU Xeon,
-# best of 3 in each of two rounds): ``det --symbolic`` takes 0.05 s at s=16
-# and 0.17 s at s=20, and ``lu --symbolic --compare`` 0.4 s and 1.0 s, most
-# of it in Doolittle, so ``lu`` rather than the determinant bounds any higher
-# symbolic cap.
+# best of 3): ``det --symbolic``, which runs the elimination oracle at every
+# size, takes 0.40 s at s=16 and 1.2 s at s=20, and ``lu --symbolic
+# --compare`` 0.25 s and 0.63 s, so ``det_elimination`` rather than
+# Doolittle bounds any higher symbolic cap.  ``det --s 80`` takes 0.44-0.69 s.
 S_CAP_SYMBOLIC = 16
 S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100
@@ -124,14 +122,11 @@ class Result(NamedTuple):
 def cmd_det(args) -> Result:
     t, payload = _case(args, args.symbolic)
     value = det_closed(args.s, t)
-    payload.update(determinant=serialize_value(value), oracle=None, match=None)
-    lines = [payload["determinant"]]
-    if args.s > (DET_ORACLE_CAP_SYMBOLIC if args.symbolic else DET_ORACLE_CAP_NUMERIC):
-        return Result(payload, lines)
     oracle = det_elimination(build_matrix(args.s, t))
     match = oracle == value
-    payload.update(oracle=serialize_value(oracle), match=match)
-    lines.append(f"elimination oracle: {payload['oracle']} ({'match' if match else 'MISMATCH'})")
+    payload.update(determinant=serialize_value(value), oracle=serialize_value(oracle), match=match)
+    verdict = f"elimination oracle: {payload['oracle']} ({'match' if match else 'MISMATCH'})"
+    lines = [payload["determinant"], verdict]
     return Result(payload, lines, ok=match, error="closed form disagrees with elimination")
 
 

@@ -12,12 +12,14 @@ and ``dot_products`` are the only places the 0-based row-major storage
 mapping appears.
 
 ``lu_doolittle`` is the compact Doolittle scheme: each entry of L and U is
-one inner product over the factors found so far, and over Fractions that
-inner product is an integer dot product.  ``dot_products`` (``@``) sums
-the same way.  Both first move the content of each row of the right
-factor onto the matching column of the left one, since (L D)(D^-1 U) = L U
-for any diagonal D, and only then clear each line to ints over the lcm of
-its denominators: row k of U carries the Cauchy generator u_k, whose
+one inner product over the factors found so far, taken as a dot product
+in the ring under the field: int under Fraction, Polynomial under
+RationalFunction (``_Ring``).  ``dot_products`` (``@``) sums the same way.
+Both run one path for both fields, on reduced pairs (num, den) of ring
+elements.  Both first move the content of each row of the right factor
+onto the matching column of the left one, since (L D)(D^-1 U) = L U for
+any diagonal D, and only then clear each line over the lcm of its
+denominators: row k of U carries the Cauchy generator u_k, whose
 denominator differs from row to row, and a column of U cleared with its
 contents would collect all of them.  Two independent determinant oracles
 live here -- recursive cofactor expansion and right-looking Gaussian
@@ -41,9 +43,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, prod
-from operator import floordiv, mul
-from typing import NamedTuple
+from math import gcd, prod
+from operator import attrgetter, floordiv, mul
+from typing import Callable, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -122,40 +124,38 @@ class ExactMatrix:
         """The function (i, l, m) -> sum_{k=1..m} self[i,k] * other[k,l].
 
         With m = n_cols this is entry (i, l) of the product; a smaller m
-        gives that entry of the product of leading blocks.  When both
-        matrices hold Fractions, row k of other first gives its content g_k
-        (``_content``) to column k of self: (self D)(D^-1 other) is the same
+        gives that entry of the product of leading blocks.  The entries are
+        taken as reduced pairs (num, den) in the ring under their field
+        (``_Ring``): ints under Fraction, Polynomials under
+        RationalFunction.  Row k of other first gives its content g_k
+        (``_divided``) to column k of self: (self D)(D^-1 other) is the same
         product for any diagonal D, also for leading blocks.  Then each row
-        of self and each column of other is cleared to ints over the lcm of
-        its denominators, once, so an entry costs an integer dot product and
-        one Fraction.  Otherwise the entry is a RationalFunction, summed by
-        ``_field_sum``.
+        of self and each column of other is cleared over the lcm of its
+        denominators, once, so an entry costs one dot product in the ring
+        and one field element.  A matrix of Fractions times one of
+        RationalFunctions is taken over Q(t).
 
         The content matters for factors of a Cauchy matrix: row k of U
         carries the generator u_k, whose denominator differs from row to
         row, and the lcm of a column of U would collect all of them.  At
         s = 40, t = 37/11 that lcm had 5076 bits against entry denominators
-        of at most 1121; with the contents moved into L it has 567.
+        of at most 1121; with the contents moved into L it has 567.  Over
+        Q(t) at s = 16 it has degree 30, where it had 244.
         """
         if self.n_cols != other.n_rows:
             raise DimensionMismatch(self.shape, other.shape)
-        rows, cols = self._rows, tuple(zip(*other._rows))
-        if type(rows[0][0]) is not Fraction or type(cols[0][0]) is not Fraction:
-            zero = RationalFunction()
-
-            def entry(i, l, m):
-                return _field_sum(zero, rows[i - 1][:m], cols[l - 1][:m])
-
-            return entry
-        right = list(map(_pairs, other._rows))
-        contents = list(map(_content, right))
-        rows = _cleared(list(map(_multiplied, row, contents)) for row in rows)
-        cols = _cleared(zip(*map(_divided, right, contents)))
+        rows, right = self._rows, other._rows
+        if type(rows[0][0]) is not type(right[0][0]):
+            rows, right = _lifted(rows, RationalFunction), _lifted(right, RationalFunction)
+        ring = _RINGS[type(rows[0][0])]
+        contents, right = zip(*(_divided(ring, list(map(ring.parts, row))) for row in right))
+        left = ([_multiplied(ring, x, g) for x, g in zip(map(ring.parts, row), contents)] for row in rows)
+        rows, cols = _cleared(ring, left), _cleared(ring, zip(*right))
 
         def entry(i, l, m):
             a, da = rows[i - 1]
             b, db = cols[l - 1]
-            return Fraction(sum(map(mul, a[:m], b[:m])), da * db)
+            return ring.field(sum(map(mul, a[:m], b[:m])), da * db)
 
         return entry
 
@@ -173,15 +173,15 @@ class ExactMatrix:
         return f"ExactMatrix[{body}]"
 
 
-def _lifted(rows):
-    """rows with every entry lifted into the one field the entries share.
+def _lifted(rows, field=Fraction):
+    """rows with every entry lifted into the one field the entries share,
+    at least ``field``.
 
     Ints become Fractions, as ``coerce_scalar`` makes them; when any entry is
     a Polynomial or RationalFunction, every entry becomes a RationalFunction.
     Values do not change, but division stays in the field: int / int would
     give a float, and a Polynomial has no division.
     """
-    field = Fraction
     for row in rows:
         for x in row:
             if isinstance(x, (Polynomial, RationalFunction)):
@@ -191,50 +191,85 @@ def _lifted(rows):
     return tuple(tuple(x if type(x) is field else field(x) for x in row) for row in rows)
 
 
-def _cleared(lines):
-    """Each line of int pairs (num, den) as (ints, den) with num/den ==
-    ints[k] / den, where den is the lcm of the line's denominators."""
+class _Ring(NamedTuple):
+    """The gcd ring under a field: int under Fraction, Polynomial under
+    RationalFunction.  The inner-product kernels hold a field element as
+    its reduced pair (num, den) of ring elements, a zero as (0, 1), and
+    use only these operations of the ring.
+
+    ``cofactors(a, b)`` is (g, a / g, b / g) for g = gcd(a, b), which is
+    positive, and over Q(t) primitive with a positive lead.
+    ``quotient(a, b)`` is a / b for b dividing a.  Over Q(t) it is the
+    cofactor a / g, as g == b for every divisor below, so no polynomial is
+    divided.  The first operand of both is a nonzero ring element; the
+    second may be the int 0 or 1 of an empty gcd or lcm.
+    """
+
+    field: type
+    parts: Callable
+    size: Callable  # the size of a denominator that _Line's guard compares
+    cofactors: Callable
+    quotient: Callable
+
+
+def _int_cofactors(a, b):
+    g = gcd(a, b)
+    return g, a // g, b // g
+
+
+_RINGS = {
+    Fraction: _Ring(
+        Fraction, attrgetter("numerator", "denominator"), int.bit_length, _int_cofactors, floordiv
+    ),
+    RationalFunction: _Ring(
+        RationalFunction, attrgetter("num", "den"), attrgetter("degree"), Polynomial.cofactors,
+        lambda a, b: a.cofactors(b)[1],
+    ),
+}
+
+
+def _cleared(ring, lines):
+    """Each line of reduced pairs (num, den) as (nums, den) with num/den ==
+    nums[k] / den, where den is the lcm of the line's denominators."""
     out = []
     for line in lines:
-        den = lcm(*(d for _, d in line))
-        out.append(([n * (den // d) for n, d in line], den))
+        den = 1
+        for n, d in line:
+            if n:
+                den *= ring.cofactors(d, den)[1]
+        out.append(([n * ring.quotient(den, d) if n else n for n, d in line], den))
     return out
 
 
-def _pairs(line):
-    """A line of Fractions as int pairs (numerator, denominator)."""
-    return [(x.numerator, x.denominator) for x in line]
-
-
-def _content(line):
-    """(gn, gd), the content gn/gd of a line of reduced int pairs: the gcd
-    of its numerators and the gcd of the denominators of its nonzero
-    entries.
+def _divided(ring, line):
+    """(g, line / g) for the content g = (gn, gd) of a line of reduced
+    pairs: gn is the gcd of its numerators and gd the gcd of the
+    denominators of its nonzero entries.  gn and gd divide every nonzero
+    numerator and denominator, so the quotients are reduced pairs.
 
     A zero is 0/1, so counting its denominator would make gd = 1 in every
     line with a zero, such as each row of a triangular factor.  gn and gd
     are coprime: a common factor would divide both terms of a nonzero
     entry.  A line of zeros has content 1.
     """
-    return gcd(*(n for n, _ in line)) or 1, gcd(*(d for n, d in line if n)) or 1
+    gn = gd = 0
+    for n, d in line:
+        if n:
+            gn, gd = ring.cofactors(n, gn)[0], ring.cofactors(d, gd)[0]
+    gn, gd = gn or 1, gd or 1
+    return (gn, gd), [(ring.quotient(n, gn), ring.quotient(d, gd)) if n else (n, d) for n, d in line]
 
 
-def _divided(line, g):
-    """Each reduced pair of line divided by the line's content g, as
-    reduced pairs: gn and gd divide every nonzero numerator and denominator."""
-    gn, gd = g
-    return [(n // gn, d // gd) if n else (0, 1) for n, d in line]
-
-
-def _multiplied(x, g):
-    """The Fraction x times g = (gn, gd), coprime, as a reduced int pair,
+def _multiplied(ring, x, g):
+    """The reduced pair x times g = (gn, gd), coprime, as a reduced pair,
     with Fraction's cross-cancellation."""
-    n, d = x.numerator, x.denominator
+    n, d = x
     if not n:
-        return 0, 1
+        return x
     gn, gd = g
-    g1, g2 = gcd(n, gd), gcd(gn, d)
-    return n // g1 * (gn // g2), d // g2 * (gd // g1)
+    _, n, gd = ring.cofactors(n, gd)
+    _, d, gn = ring.cofactors(d, gn)
+    return n * gn, d * gd
 
 
 class LUFactors(NamedTuple):
@@ -281,92 +316,87 @@ def build_matrix(s: int, t) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-# A cleared line falls back to field sums once the bit length of its common
-# denominator exceeds this many times that of its longest entry denominator.
-# In this family the denominators along a line nest, so the lcm stays near
-# the longest one; in matrices whose denominators do not nest it grows with
-# every entry, and the integer sums would cost more than the field sums.
+# A cleared line falls back to field sums once the size of its common
+# denominator exceeds this many times that of its largest entry
+# denominator: a ratio of bit lengths over Q, of degrees over Q(t).  In
+# this family the denominators along a line nest, so the lcm stays near
+# the largest one; in matrices whose denominators do not nest it grows
+# with every entry, and the sums in the ring would cost more than the
+# field sums.  Over Q(t) the lines of this family nest exactly (ratio 1 at
+# s = 10 and 16), and those of random matrices with entries
+# (a t + b)/(c t^k + d), n <= 7, reach 2.0 in degree, 1.5 in degree plus
+# coefficient bits: neither measure trips at 6, so the cheaper one, the
+# degree, is used.
 _LCM_BITS_PER_ENTRY_BITS = 6
 
 
 class _Line:
     """A growing row of L or column of U, as used by ``lu_doolittle``.
 
-    A line of RationalFunctions is given field elements, which ``entries``
-    holds; its ``pairs`` and ``ints`` are None.  A line of Fractions is
-    given reduced int pairs (num, den), already scaled by the contents of
-    the rows of U (see ``lu_doolittle``), which ``pairs`` holds.  While it
-    is cleared, ``ints`` holds the same entries as ints over the common
-    denominator ``den`` (the ``_cleared`` form); it is None once ``den``
-    outgrows the guard above.  A field sum reads the entries through
-    ``field_entries``, which makes each pair a Fraction once, in
-    ``entries``.
+    It is given reduced pairs (num, den) of ``ring`` (``_Ring``), already
+    scaled by the contents of the rows of U (see ``lu_doolittle``), which
+    ``pairs`` holds.  While it is cleared, ``nums`` holds the same entries
+    over the common denominator ``den`` (the ``_cleared`` form); it is None
+    once ``den`` outgrows the guard above.  A field sum reads the entries
+    through ``field_entries``, which makes each pair a field element once,
+    in ``entries``.
     """
 
-    __slots__ = ("entries", "pairs", "ints", "den", "bits")
+    __slots__ = ("ring", "entries", "pairs", "nums", "den", "size")
 
-    def __init__(self, cleared: bool):
-        self.entries = []
-        self.pairs = [] if cleared else None
-        self.ints = [] if cleared else None
+    def __init__(self, ring: _Ring):
+        self.ring = ring
+        self.entries, self.pairs, self.nums = [], [], []
         self.den = 1
-        self.bits = 1  # bit length of the longest entry denominator
+        self.size = 1  # the size of the largest entry denominator
 
     def append(self, x) -> None:
-        if self.pairs is None:
-            self.entries.append(x)
-            return
         self.pairs.append(x)
-        if self.ints is None:
+        if self.nums is None:
             return
-        num, d = x
-        den = lcm(self.den, d)
-        self.bits = max(self.bits, d.bit_length())
-        if den.bit_length() > _LCM_BITS_PER_ENTRY_BITS * self.bits:
-            self.ints = None
+        n, d = x
+        _, scale, mult = self.ring.cofactors(d, self.den)
+        den = self.den * scale
+        self.size = max(self.size, self.ring.size(d))
+        if self.ring.size(den) > _LCM_BITS_PER_ENTRY_BITS * self.size:
+            self.nums = None
             return
-        if den != self.den:
-            scale = den // self.den
-            self.ints = [v * scale for v in self.ints]
-            self.den = den
-        self.ints.append(num * (den // d))
+        if scale != 1:
+            self.nums = [v * scale for v in self.nums]
+        self.den = den
+        self.nums.append(n * mult)
 
     def field_entries(self) -> list:
-        if self.pairs is not None:
-            self.entries += [Fraction(n, d) for n, d in self.pairs[len(self.entries) :]]
+        field = self.ring.field
+        self.entries += [field(n, d) for n, d in self.pairs[len(self.entries) :]]
         return self.entries
 
 
-def _reduced(x, row: _Line, col: _Line, pivot=None):
-    """(x - sum_q row[q] * col[q]) / pivot, where pivot None stands for 1.
+def _reduced(x, row: _Line, col: _Line, pivot):
+    """(x - sum_q row[q] * col[q]) / pivot.
 
-    When both lines are cleared the sum is one integer dot product, and the
-    result is one Fraction; otherwise the sum is taken in the field.
+    When both lines are cleared the sum is one dot product in the ring, and
+    the result is one field element; otherwise the sum is taken in the
+    field.
     """
-    if row.ints is None or col.ints is None:
-        dot = _field_sum(0, row.field_entries(), col.field_entries())
-        if dot:
-            x = x - dot
-        return x if pivot is None else x / pivot
+    if row.nums is None or col.nums is None:
+        dot = _field_sum(row.field_entries(), col.field_entries())
+        return (x - dot if dot else x) / pivot
+    ring = row.ring
+    (xn, xd), (pn, pd) = ring.parts(x), ring.parts(pivot)
     den = row.den * col.den
-    num = x.numerator * den - sum(map(mul, row.ints, col.ints)) * x.denominator
-    den *= x.denominator
-    if pivot is not None:
-        num *= pivot.denominator
-        den *= pivot.numerator
-    return Fraction(num, den)
+    return ring.field((xn * den - sum(map(mul, row.nums, col.nums)) * xd) * pd, den * xd * pn)
 
 
-def _field_sum(zero, row, col):
+def _field_sum(row, col):
     """sum_q row[q] * col[q], one field operation at a time.
 
     A term with an exact zero factor is skipped, and the sum starts from the
     first term that is not, since a RationalFunction product or sum with
-    zero still runs its gcds.  ``zero`` is returned when every term is
-    skipped.
+    zero still runs its gcds.  0 is returned when every term is skipped.
     """
     terms = (a * b for a, b in zip(row, col) if a and b)
-    total = next(terms, zero)
+    total = next(terms, 0)
     for term in terms:
         total = total + term
     return total
@@ -382,21 +412,20 @@ def lu_doolittle(m: ExactMatrix) -> LUFactors:
         L[r][k] = (M[r][k] - sum_{q<k} L[r][q] U[q][k]) / U[k][k]
 
     So each entry is normalised once, where elimination updates it O(s)
-    times.  Over RationalFunctions every inner product is a field sum
-    (``_field_sum``).
-
-    Over Fractions each row of L and column of U is kept as ints over one
-    common denominator (``_Line``), so an inner product is an integer dot
-    product and one Fraction; ``_LCM_BITS_PER_ENTRY_BITS`` sends a line back
-    to field sums when that denominator grows too large.  Row k of U is
-    complete before column k of L is computed, so its content g_k
-    (``_content``) is known then: the columns of U take U[k][c] / g_k and
-    the rows of L take L[r][k] * g_k.  Each term L[r][q] U[q][c] of an
-    inner product is unchanged, and so is every returned entry, but the
-    lines no longer collect each other's contents.  For the Cauchy matrix
-    of this family row k of U carries the generator u_k, whose denominator
-    differs from row to row; at s = 40, t = 37/11 a column of U cleared
-    with its contents reached a 4876-bit lcm, and without them 551 bits.
+    times.  Each row of L and column of U is kept as reduced pairs of the
+    ring under the field (``_Ring``), cleared over one common denominator
+    (``_Line``), so an inner product is one dot product in the ring and one
+    field element; ``_LCM_BITS_PER_ENTRY_BITS`` sends a line back to field
+    sums when that denominator grows too large.  Row k of U is complete
+    before column k of L is computed, so its content g_k (``_divided``) is
+    known then: the columns of U take U[k][c] / g_k and the rows of L take
+    L[r][k] * g_k.  Each term L[r][q] U[q][c] of an inner product is
+    unchanged, and so is every returned entry, but the lines no longer
+    collect each other's contents.  For the Cauchy matrix of this family
+    row k of U carries the generator u_k, whose denominator differs from row
+    to row; at s = 40, t = 37/11 a column of U cleared with its contents
+    reached a 4876-bit lcm, and without them 551 bits.  Over Q(t) at s = 16
+    the lcm of a column of U has degree 30, where it had 244.
 
     A vanishing pivot U[k][k] (equivalently, a vanishing k-th leading
     principal minor) raises ZeroPivot(k); there is deliberately no row
@@ -404,31 +433,26 @@ def lu_doolittle(m: ExactMatrix) -> LUFactors:
     """
     n = _require_square(m)
     a = m.rows
-    field = type(a[0][0])
-    zero, one = field(0), field(1)
-    cleared = field is Fraction
-    rows_of_l = [_Line(cleared) for _ in range(n)]
-    cols_of_u = [_Line(cleared) for _ in range(n)]
+    ring = _RINGS[type(a[0][0])]
+    zero, one = ring.field(0), ring.field(1)
+    rows_of_l = [_Line(ring) for _ in range(n)]
+    cols_of_u = [_Line(ring) for _ in range(n)]
     low = [[one if i == j else zero for j in range(n)] for i in range(n)]
     upper = [[zero] * n for _ in range(n)]
     for k in range(n):
-        pivot = _reduced(a[k][k], rows_of_l[k], cols_of_u[k])
+        pivot = _reduced(a[k][k], rows_of_l[k], cols_of_u[k], one)
         if not pivot:
             raise ZeroPivot(k + 1)
         row = upper[k]
         row[k] = pivot
         for c in range(k + 1, n):
-            row[c] = _reduced(a[k][c], rows_of_l[k], cols_of_u[c])
-        line = row[k:]
-        if cleared:
-            line = _pairs(line)
-            g = _content(line)
-            line = _divided(line, g)
+            row[c] = _reduced(a[k][c], rows_of_l[k], cols_of_u[c], one)
+        g, line = _divided(ring, list(map(ring.parts, row[k:])))
         for c in range(k + 1, n):
             cols_of_u[c].append(line[c - k])
         for r in range(k + 1, n):
             low[r][k] = f = _reduced(a[r][k], rows_of_l[r], cols_of_u[k], pivot)
-            rows_of_l[r].append(_multiplied(f, g) if cleared else f)
+            rows_of_l[r].append(_multiplied(ring, ring.parts(f), g))
     return LUFactors(ExactMatrix(low), ExactMatrix(upper))
 
 

@@ -55,6 +55,14 @@ def test_det_json(capsys):
     }
 
 
+@pytest.mark.parametrize("argv", [["--s", "13"], ["--s", "7", "--symbolic"]])
+def test_det_reports_the_elimination_verdict_at_every_size(capsys, argv):
+    code, out, err = run_cli(capsys, "det", *argv, "--json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert payload["oracle"] == payload["determinant"] and payload["match"] is True
+
+
 def test_det_value_beyond_int_digit_limit_round_trips(capsys):
     # The s=40 determinant at t=37/11 has more digits than Python's default
     # int/str conversion limit of 4300; run under exactly that limit.

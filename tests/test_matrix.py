@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchylu import (
@@ -512,9 +512,9 @@ def _field_sum_lengths(monkeypatch):
     lengths = []
     field_sum = matrix_mod._field_sum
 
-    def spy(x, row, col):
+    def spy(row, col):
         lengths.append(len(row))
-        return field_sum(x, row, col)
+        return field_sum(row, col)
 
     monkeypatch.setattr(matrix_mod, "_field_sum", spy)
     return lengths
@@ -525,6 +525,13 @@ def test_family_sums_are_integer_dot_products(monkeypatch):
     lengths = _field_sum_lengths(monkeypatch)
     _assert_equals_reference(m)
     # The reference's own field operations do not go through _field_sum.
+    assert lengths == []
+
+
+def test_symbolic_family_sums_are_polynomial_dot_products(monkeypatch):
+    m = build_matrix(8, SYMBOLIC_T)
+    lengths = _field_sum_lengths(monkeypatch)
+    _assert_equals_reference(m)
     assert lengths == []
 
 
@@ -540,6 +547,21 @@ def test_lines_with_coprime_denominators_fall_back_to_field_sums(monkeypatch):
     primes = iter(PRIMES_11_BITS * n)
     m = ExactMatrix(
         [[Fraction(1, next(primes)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    )
+    lengths = _field_sum_lengths(monkeypatch)
+    _assert_equals_reference(m)
+    assert lu_doolittle(m) == (m, ExactMatrix.identity(n))
+    assert min(lengths) == 7
+
+
+def test_polynomial_lines_with_coprime_denominators_fall_back_to_field_sums(monkeypatch):
+    # The same over Q(t), where the guard compares degrees: row r of L holds
+    # 1/(t - p) for r distinct p.  Six of them stay within 6 * 1 degrees of
+    # common denominator, seven exceed it, and the row falls back.
+    n = 10
+    points = iter(range(1, n * n))
+    m = ExactMatrix(
+        [[RationalFunction(1, T - next(points)) if j < i else int(i == j) for j in range(n)] for i in range(n)]
     )
     lengths = _field_sum_lengths(monkeypatch)
     _assert_equals_reference(m)
@@ -588,6 +610,71 @@ def test_compact_equals_right_looking_on_random_fractions(m):
     _assert_equals_reference(m)
 
 
+nonzero_ints = st.integers(1, 9).map(lambda x: x * (-1) ** x)
+qt_entries = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda a, b, c, k, d: RationalFunction(a * T + b, c * T**k + d),
+        small_ints, small_ints, nonzero_ints, st.integers(1, 2), small_ints,
+    ),
+)
+# Common factors of a row over Q(t), with both numerator and denominator.
+qt_contents = st.builds(
+    lambda e, f, g, h: RationalFunction(e * T**2 + f, g * T + h),
+    nonzero_ints, small_ints, nonzero_ints, small_ints,
+)
+
+
+@st.composite
+def qt_rows(draw, n):
+    """n-by-n entries over Q(t), (a t + b)/(c t^k + d) with k = 1 or 2, and
+    exact zeros, some with one row scaled by a common content."""
+    rows = draw(st.lists(st.lists(qt_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        r, c = draw(st.integers(0, n - 1)), draw(qt_contents)
+        rows[r] = [c * x for x in rows[r]]
+    return rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(qt_rows))
+def test_compact_equals_right_looking_over_qt(rows):
+    _assert_equals_reference(ExactMatrix(rows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(qt_rows(n), qt_rows(n), st.integers(1, n))))
+def test_qt_matmul_equals_naive_sums(operands):
+    a, b, m = operands
+    product = ExactMatrix(a) @ ExactMatrix(b)
+    assert _typed(product.rows) == _typed(_naive_product(a, b))
+    dot = ExactMatrix(a).dot_products(ExactMatrix(b))
+    leading = [[dot(i, l, m) for l in range(1, len(b[0]) + 1)] for i in range(1, len(a) + 1)]
+    assert _typed(leading) == _typed(_naive_product(a, b, m))
+
+
+def _cleared_column_sizes(monkeypatch, size):
+    """Record size(den) of every cleared column of the right factor in @,
+    and of the column of U read by every cleared inner product in
+    lu_doolittle."""
+    cleared, reduced = matrix_mod._cleared, matrix_mod._reduced
+    product_sizes, factor_sizes = [], []
+
+    def clearing(ring, lines):
+        out = cleared(ring, lines)
+        product_sizes.append([size(den) for _, den in out])
+        return out
+
+    def reducing(x, row, col, pivot=None):
+        if col.nums is not None:
+            factor_sizes.append(size(col.den))
+        return reduced(x, row, col, pivot)
+
+    monkeypatch.setattr(matrix_mod, "_cleared", clearing)
+    monkeypatch.setattr(matrix_mod, "_reduced", reducing)
+    return product_sizes, factor_sizes
+
+
 def test_numeric_factor_lines_keep_small_denominators(monkeypatch):
     """With the content of each row of U moved onto the column of L, no
     column of U cleared at s = 40, t = 37/11 has a common denominator of
@@ -596,21 +683,7 @@ def test_numeric_factor_lines_keep_small_denominators(monkeypatch):
     every row's Cauchy generator: 5076 and 4876 bits."""
     t = Fraction(37, 11)
     m = build_matrix(40, t)
-    cleared, reduced = matrix_mod._cleared, matrix_mod._reduced
-    product_dens, factor_dens = [], []
-
-    def clearing(lines):
-        out = cleared(lines)
-        product_dens.append([den.bit_length() for _, den in out])
-        return out
-
-    def reducing(x, row, col, pivot=None):
-        if col.ints is not None:
-            factor_dens.append(col.den.bit_length())
-        return reduced(x, row, col, pivot)
-
-    monkeypatch.setattr(matrix_mod, "_cleared", clearing)
-    monkeypatch.setattr(matrix_mod, "_reduced", reducing)
+    product_dens, factor_dens = _cleared_column_sizes(monkeypatch, int.bit_length)
     product = build_L(40, t) @ build_U(40, t)
     factors = lu_doolittle(m)
     monkeypatch.undo()
@@ -621,11 +694,29 @@ def test_numeric_factor_lines_keep_small_denominators(monkeypatch):
     assert factors == (build_L(40, t), build_U(40, t))
 
 
+def test_symbolic_factor_lines_keep_small_degrees(monkeypatch):
+    """The same over Q(t): at s = 16 no column of U cleared in L @ U or in
+    lu_doolittle has a common denominator of degree 60 or more (30 in
+    both).  Cleared with its contents, such a column has degree 244."""
+    m = build_matrix(16, SYMBOLIC_T)
+    # The denominator of a line with no entries yet is the int 1.
+    degree = lambda den: den.degree if isinstance(den, Polynomial) else 0
+    product_dens, factor_dens = _cleared_column_sizes(monkeypatch, degree)
+    product = build_L(16, SYMBOLIC_T) @ build_U(16, SYMBOLIC_T)
+    factors = lu_doolittle(m)
+    monkeypatch.undo()
+    _, cols_of_u = product_dens
+    assert len(cols_of_u) == 16 and max(cols_of_u) < 60
+    assert len(factor_dens) == 16 * 16 and max(factor_dens) < 60
+    assert product == m
+    assert factors == (build_L(16, SYMBOLIC_T), build_U(16, SYMBOLIC_T))
+
+
 def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("compact Doolittle kernel called")
 
-    for name in ("_Line", "_reduced", "_field_sum", "_cleared", "_pairs", "_content", "_divided", "_multiplied"):
+    for name in ("_Line", "_reduced", "_field_sum", "_cleared", "_divided", "_multiplied"):
         monkeypatch.setattr(matrix_mod, name, unavailable)
     assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_cofactor(build_matrix(5, Fraction(37, 11)))
     with pytest.raises(AssertionError):
