@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +42,7 @@ S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100
 S_CAP_BENCH = 30
 BENCH_WARMUP = 3
-BENCH_REPS = 5
+BENCH_REPS = 5  # odd, so the middle sorted time is the median
 
 
 def _int_at_least(minimum: int):
@@ -200,7 +199,7 @@ def _median_ms(fn) -> float:
         t0 = time.perf_counter()
         fn()
         times.append((time.perf_counter() - t0) * 1000.0)
-    return statistics.median(times)
+    return sorted(times)[BENCH_REPS // 2]
 
 
 def cmd_bench(args) -> Result:

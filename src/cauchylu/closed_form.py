@@ -26,8 +26,8 @@ other five rather than passing silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .combinatorics import binomial, double_factorial, factorial, rising_factorial
 from .errors import SingularEntry, require_at_least
@@ -222,8 +222,7 @@ def gamma_identity_right(j: int, l: int) -> tuple[Polynomial, Polynomial]:
 # -- the t = 1 simplification chain -------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChainValues:
+class ChainValues(NamedTuple):
     """The six t=1 product expressions for one s, from the raw signed
     diagonal product (E1) to the compact odd-binomial form (E6).
 

@@ -69,8 +69,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Lowest-terms text: ``p/q``, or just ``p`` when the denominator is 1."""
-    value = Fraction(value)
+    """Lowest-terms text: ``p/q``, or just ``p`` when the denominator is 1.
+
+    Only exact values are accepted: a float or a string is a DomainError.
+    """
+    if not isinstance(value, (int, Fraction)):
+        raise DomainError(f"not an exact rational (int or Fraction): {value!r}")
     return format_ratio(value.numerator, value.denominator)
 
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import closed_form
 from .errors import (
@@ -55,8 +55,7 @@ SUITE_GAMMA = "gamma_identities"
 SUITE_CHAIN = "chain_t1"
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """One concrete index tuple where the two sides differ."""
 
     indices: dict
@@ -67,30 +66,64 @@ class Counterexample:
         return {"indices": dict(self.indices), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    range: dict
-    mode: str
-    t_samples: list[str] = field(default_factory=list)
-    discarded_t_samples: list[str] = field(default_factory=list)
-    passed: bool = False
-    skipped: bool = False
-    counterexample: Counterexample | None = None
-    error: str | None = None
-    elapsed_ms: float = 0.0
+    """One suite's outcome; ``_run`` and ``_builds`` fill it in as it runs."""
+
+    __slots__ = (
+        "suite",
+        "range",
+        "mode",
+        "t_samples",
+        "discarded_t_samples",
+        "passed",
+        "skipped",
+        "counterexample",
+        "error",
+        "elapsed_ms",
+    )
+
+    def __init__(
+        self,
+        suite: str,
+        range: dict,
+        mode: str,
+        t_samples: list[str] | None = None,
+        discarded_t_samples: list[str] | None = None,
+        passed: bool = False,
+        skipped: bool = False,
+        counterexample: Counterexample | None = None,
+        error: str | None = None,
+        elapsed_ms: float = 0.0,
+    ):
+        self.suite = suite
+        self.range = range
+        self.mode = mode
+        self.t_samples = [] if t_samples is None else t_samples
+        self.discarded_t_samples = [] if discarded_t_samples is None else discarded_t_samples
+        self.passed = passed
+        self.skipped = skipped
+        self.counterexample = counterexample
+        self.error = error
+        self.elapsed_ms = elapsed_ms
 
     def to_dict(self) -> dict:
-        # Field order is the wire format; elapsed_ms is left out because
+        # Key order is the wire format; elapsed_ms is left out because
         # timings would break byte-for-byte reproducibility of seeded runs.
-        fields = asdict(self)
-        del fields["elapsed_ms"]
-        return fields
+        found = self.counterexample
+        return {
+            "suite": self.suite,
+            "range": dict(self.range),
+            "mode": self.mode,
+            "t_samples": list(self.t_samples),
+            "discarded_t_samples": list(self.discarded_t_samples),
+            "passed": self.passed,
+            "skipped": self.skipped,
+            "counterexample": None if found is None else found.to_dict(),
+            "error": self.error,
+        }
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    # Frozen so every instance run_all sees has passed __post_init__.
+class _VerifyBounds(NamedTuple):
     seed: int = 0
     s_max_symbolic: int = 6
     s_max_numeric: int = 12
@@ -100,11 +133,31 @@ class VerifyConfig:
     chain_max: int = 20
     chain_elimination_cap: int = 12
 
-    def __post_init__(self):
-        bounds = asdict(self)
+
+class VerifyConfig(_VerifyBounds):
+    """run_all's settings, checked when built and immutable after, so every
+    instance run_all sees has passed the checks."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        cfg = super().__new__(cls, *args, **kwargs)
+        bounds = cfg._asdict()
         require_at_least(None, seed=bounds.pop("seed"))
         require_at_least(1, n_t_samples=bounds.pop("n_t_samples"))
         require_at_least(0, **bounds)
+        return cfg
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make: check it too
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        # The error a frozen dataclass raises, imported only here because
+        # importing dataclasses costs every run of the CLI ~10 ms.
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _sample_rational(rng: random.Random) -> Fraction:

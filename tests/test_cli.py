@@ -1,6 +1,8 @@
 """CLI behavior: outputs, exit codes, JSON shapes, golden lines."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -413,3 +415,22 @@ def test_unknown_command_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# -- import footprint ----------------------------------------------------------
+
+
+def test_import_loads_no_dataclasses_inspect_or_statistics():
+    # Every CLI run imports the package first.  dataclasses (which loads
+    # inspect, ast, dis and tokenize) and statistics cost it ~14 ms; modules
+    # loaded before the import, by site for example, do not count.
+    code = (
+        "import sys; before = set(sys.modules); import cauchylu, cauchylu.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'statistics'} & (set(sys.modules) - before)))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.stdout == "[]\n", child.stderr

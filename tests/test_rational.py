@@ -68,6 +68,13 @@ def test_format_rational(value, text):
     assert format_rational(value) == text
 
 
+@pytest.mark.parametrize("value", [0.5, "3/4"])
+def test_format_rational_rejects_inexact_values(value):
+    # A float or a string would print as a rational and hide the inexact input.
+    with pytest.raises(DomainError):
+        format_rational(value)
+
+
 @given(rationals)
 def test_format_parse_round_trip(q):
     assert parse_rational(format_rational(q)) == q

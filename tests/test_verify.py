@@ -375,6 +375,7 @@ def test_run_all_survives_suite_errors(monkeypatch):
         pytest.param(lambda: VerifyConfig(s_max_symbolic=-2), id="config-negative-s_max"),
         pytest.param(lambda: VerifyConfig(n_t_samples=0), id="config-no-samples"),
         pytest.param(lambda: VerifyConfig(chain_elimination_cap=-1), id="config-negative-cap"),
+        pytest.param(lambda: VerifyConfig()._replace(n_t_samples=0), id="config-replace"),
     ],
 )
 def test_bad_arguments_raise_domain_error_before_any_check(call, monkeypatch):
