@@ -17,8 +17,11 @@ powers of q cancel, and an entry is one ratio of ring products, normalised
 once.  Each docstring shows the displayed formula and its cleared ring form
 side by side.  Both Gamma identities are equalities of polynomials, so both
 sides are built in Q[t] and compared there, with no field operation.  The
-determinant and the chain stay in exact field arithmetic.  The chain
-expressions are each coded independently, reading their own factors, so a
+determinant and the chain stay in exact field arithmetic; the compact chain
+forms E4-E6 multiply their denominators up as ints and normalise once (in
+E1-E3 the stepwise reduction is cheaper than one gcd of the huge factorial
+products).  The chain expressions are each coded independently, reading
+their own factors, so a
 transcription slip in any one of them shows up as disagreement with the
 other five rather than passing silently.
 """
@@ -283,26 +286,22 @@ def chain_e3(s: int) -> Fraction:
 
 def chain_e4(s: int) -> Fraction:
     """Paired central-binomial form."""
-    total = Fraction(4 ** s * 16 ** (s * (s - 1)), factorial(s) ** 2)
-    for j in range(1, s + 1):
-        total /= binomial(4 * j, 2 * j) * binomial(4 * j - 2, 2 * j - 1)
-    return total
+    den = factorial(s) ** 2 * math.prod(
+        binomial(4 * j, 2 * j) * binomial(4 * j - 2, 2 * j - 1) for j in range(1, s + 1)
+    )
+    return Fraction(4 ** s * 16 ** (s * (s - 1)), den)
 
 
 def chain_e5(s: int) -> Fraction:
     """Flattened central-binomial form over j = 1..2s."""
-    total = Fraction(4 ** s * 16 ** (s * (s - 1)), factorial(s) ** 2)
-    for j in range(1, 2 * s + 1):
-        total /= binomial(2 * j, j)
-    return total
+    den = factorial(s) ** 2 * math.prod(binomial(2 * j, j) for j in range(1, 2 * s + 1))
+    return Fraction(4 ** s * 16 ** (s * (s - 1)), den)
 
 
 def chain_e6(s: int) -> Fraction:
     """Odd-binomial form over j = 0..2s-1."""
-    total = Fraction(16 ** (s * (s - 1)), factorial(s) ** 2)
-    for j in range(0, 2 * s):
-        total /= binomial(2 * j + 1, j)
-    return total
+    den = factorial(s) ** 2 * math.prod(binomial(2 * j + 1, j) for j in range(0, 2 * s))
+    return Fraction(16 ** (s * (s - 1)), den)
 
 
 def chain_t1(s: int) -> ChainValues:

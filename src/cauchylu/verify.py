@@ -8,9 +8,11 @@ the first counterexample.  The two sized suites build their matrices once
 per accepted t at s_max (once in symbolic mode): the size-s matrices and
 their Doolittle factors are leading blocks of those.  Entries are compared
 by size s = max(i, l), then L before U, then row-major, so a counterexample
-names the smallest failing size.  The product check also asserts that L is
-zero above the diagonal and U below it, which makes each size-s product a
-leading block too; a violation names its factor, with rhs 0.
+names the smallest failing size; each size compares the border of its
+leading block as one list (``_verify_sizes``).  The product check also
+asserts that L is zero above the diagonal and U below it, which makes each
+size-s product a leading block too; a violation names its factor, with
+rhs 0.
 
 Suites are independent: run_all executes every one of them, never letting a
 failure in one abort another, and aggregates the reports.  A suite that
@@ -227,13 +229,23 @@ def _builds(report: VerificationReport, t_samples, n_samples, rng, build):
         yield {"t": str(t)}, built
 
 
-def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
-    """Compare the sides ``build(t)`` assembles at s_max, entry by entry.
+def _border(rows, cols, s: int) -> list:
+    """The border of the leading s-by-s block of a table: column s above
+    the diagonal, top to bottom, then row s, left to right."""
+    return [*cols[s - 1][: s - 1], *rows[s - 1][:s]]
 
-    ``build(t)`` lists (label, lhs, rhs), each side a function of (i, l).
-    Entries are visited by size s = max(i, l), then side, then row-major:
-    the first difference is the one a check of each leading s-by-s block in
-    turn would find first.  In numeric mode the indices also name the t.
+
+def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
+    """Compare the sides ``build(t)`` assembles at s_max, one border at a time.
+
+    ``build(t)`` lists (label, lhs, rhs), each side an s_max-by-s_max table
+    of rows.  For each size s = 1..s_max and each side in turn, the border
+    of the leading s-by-s block (``_border``) is gathered on both sides as
+    one list, and the two lists are compared with one ``!=``; only when they
+    differ is the first differing entry looked up.  So entries are met by
+    size s = max(i, l), then side, then row-major: the first difference is
+    the one a check of each leading s-by-s block in turn would find first.
+    In numeric mode the indices also name the t.
     """
     if t_samples is not None:
         t_samples = list(t_samples)
@@ -243,14 +255,23 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     if mode not in ("symbolic", "numeric"):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     report = VerificationReport(suite, {"s_max": s_max}, mode)
-    checks = (
-        _differ({"s": s, **base, **label, "i": i, "l": l}, lhs(i, l), rhs(i, l))
-        for base, sides in _builds(report, t_samples, n_samples, rng, build)
-        for s in range(1, s_max + 1)
-        for label, lhs, rhs in sides
-        for i, l in [(i, s) for i in range(1, s)] + [(s, l) for l in range(1, s + 1)]
-    )
-    return _run(report, s_max < 1, checks)
+
+    def checks():
+        for base, sides in _builds(report, t_samples, n_samples, rng, build):
+            tables = [
+                (label, lhs, tuple(zip(*lhs)), rhs, tuple(zip(*rhs)))
+                for label, lhs, rhs in sides
+            ]
+            for s in range(1, s_max + 1):
+                for label, lhs, lhs_cols, rhs, rhs_cols in tables:
+                    left, right = _border(lhs, lhs_cols, s), _border(rhs, rhs_cols, s)
+                    if left != right:
+                        k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
+                        i, l = (k + 1, s) if k < s - 1 else (s, k - s + 2)
+                        indices = {"s": s, **base, **label, "i": i, "l": l}
+                        yield _differ(indices, left[k], right[k])
+
+    return _run(report, s_max < 1, checks())
 
 
 def verify_lu_product(
@@ -272,14 +293,16 @@ def verify_lu_product(
         upper = closed_form.build_U(s_max, t)
         target = build_matrix(s_max, t)
         dot = lower.dot_products(upper)
-
-        def product(i, l):  # of the leading max(i, l) blocks
-            return dot(i, l, max(i, l))
-
+        sizes = range(1, s_max + 1)
+        # entry (i, l) of the product of the leading max(i, l) blocks
+        product = [[dot(i, l, max(i, l)) for l in sizes] for i in sizes]
+        # each factor against its rows with the other triangle read as 0
         return [
-            ({"factor": "L"}, lower.at, lambda i, l: lower.at(i, l) if i >= l else 0),
-            ({"factor": "U"}, upper.at, lambda i, l: upper.at(i, l) if i <= l else 0),
-            ({}, product, target.at),
+            ({"factor": "L"}, lower.rows,
+             [row[: i + 1] + (0,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]),
+            ({"factor": "U"}, upper.rows,
+             [(0,) * i + row[i:] for i, row in enumerate(upper.rows)]),
+            ({}, product, target.rows),
         ]
 
     return _verify_sizes(SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, build)
@@ -302,8 +325,8 @@ def verify_factors_match(
     def build(t):
         factors = lu_doolittle(build_matrix(s_max, t))
         return [
-            ({"factor": "L"}, closed_form.build_L(s_max, t).at, factors.L.at),
-            ({"factor": "U"}, closed_form.build_U(s_max, t).at, factors.U.at),
+            ({"factor": "L"}, closed_form.build_L(s_max, t).rows, factors.L.rows),
+            ({"factor": "U"}, closed_form.build_U(s_max, t).rows, factors.U.rows),
         ]
 
     return _verify_sizes(SUITE_FACTORS_MATCH, s_max, mode, t_samples, n_samples, rng, build)

@@ -29,7 +29,7 @@ from cauchylu import (
     lu_doolittle,
     verify_gamma_identities,
 )
-from cauchylu.closed_form import ChainValues
+from cauchylu.closed_form import ChainValues, chain_e1, chain_e4, chain_e5, chain_e6
 from cauchylu.combinatorics import factorial, reciprocal_factorial, rising_factorial
 from cauchylu.ratfunc import coerce_scalar
 
@@ -422,6 +422,13 @@ def test_chain_values_are_six_independent_fields():
     assert len(chain.values) == 6
     assert chain.all_equal
     assert chain.first_disagreement() is None
+
+
+def test_single_normalised_chain_forms_equal_the_raw_product():
+    # E4-E6 multiply their denominators up as ints and normalise once; E1
+    # reduces step by step from the raw signed factor products.
+    for s in range(1, 61):
+        assert chain_e4(s) == chain_e5(s) == chain_e6(s) == chain_e1(s)
 
 
 def test_chain_first_disagreement_reporting():

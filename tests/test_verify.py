@@ -10,7 +10,7 @@ import pytest
 
 from cauchylu import closed_form
 from cauchylu.closed_form import ChainValues
-from cauchylu.combinatorics import factorial
+from cauchylu.combinatorics import binomial, factorial
 from cauchylu.errors import DomainError, RetriesExhausted
 from cauchylu.formats import serialize_value
 from cauchylu.matrix import ExactMatrix, build_matrix, lu_doolittle
@@ -206,6 +206,26 @@ def test_fault_injected_chain_e3_fails_at_size_one(monkeypatch):
     assert report.counterexample.indices == {"s": 1, "expressions": [1, 3]}
     assert report.counterexample.lhs == "1/3"
     assert report.counterexample.rhs == "32/3"
+
+
+def _chain_e5_missing_last_binomial(s: int) -> Fraction:
+    """chain_e5 with its product over j = 1..2s stopped one short."""
+    den = factorial(s) ** 2
+    for j in range(1, 2 * s):
+        den *= binomial(2 * j, j)
+    return Fraction(4 ** s * 16 ** (s * (s - 1)), den)
+
+
+def test_fault_injected_single_normalised_chain_e5_is_caught(monkeypatch):
+    assert _chain_e5_missing_last_binomial(1) == 2
+    monkeypatch.setattr(closed_form, "chain_e5", _chain_e5_missing_last_binomial)
+    report = verify_chain(5)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 1, "expressions": [1, 5]},
+        "lhs": "1/3",
+        "rhs": "2",
+    }
 
 
 def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
@@ -552,3 +572,117 @@ def test_t_singular_only_above_the_failing_size_is_discarded(monkeypatch):
     assert report.discarded_t_samples == ["6/5"]
     assert report.t_samples == ["1"]
     assert report.counterexample.indices == {"s": 1, "t": "1", "i": 1, "l": 1}
+
+
+# -- several faults at once: the first in the documented order is reported ------
+
+
+def _walk_reference(suite, s_max, t):
+    """Visit entries one at a time in the documented order -- size s, then
+    side, then row-major over the border of the s-by-s block (column s above
+    the diagonal, then row s) -- and return the first difference.  Product
+    entries are summed term by term over the leading max(i, l) blocks."""
+    base = {} if t is SYMBOLIC_T else {"t": str(t)}
+    lower = closed_form.build_L(s_max, t)
+    upper = closed_form.build_U(s_max, t)
+    if suite == "lu_product":
+
+        def product(i, l):
+            total = lower.at(i, 1) * upper.at(1, l)
+            for k in range(2, max(i, l) + 1):
+                total = total + lower.at(i, k) * upper.at(k, l)
+            return total
+
+        sides = [
+            ({"factor": "L"}, lower.at, lambda i, l: lower.at(i, l) if i >= l else 0),
+            ({"factor": "U"}, upper.at, lambda i, l: upper.at(i, l) if i <= l else 0),
+            ({}, product, build_matrix(s_max, t).at),
+        ]
+    else:
+        factors = verify_mod.lu_doolittle(build_matrix(s_max, t))
+        sides = [({"factor": "L"}, lower.at, factors.L.at), ({"factor": "U"}, upper.at, factors.U.at)]
+    for s in range(1, s_max + 1):
+        for label, lhs, rhs in sides:
+            border = [(i, s) for i in range(1, s)] + [(s, l) for l in range(1, s + 1)]
+            for i, l in border:
+                a, b = lhs(i, l), rhs(i, l)
+                if a != b:
+                    indices = {"s": s, **base, **label, "i": i, "l": l}
+                    return {"indices": indices, "lhs": serialize_value(a), "rhs": serialize_value(b)}
+    return None
+
+
+def _inject_doolittle(monkeypatch, factor, where, change):
+    """Wrap verify's lu_doolittle so entry ``where`` of its ``factor`` is changed."""
+    original = verify_mod.lu_doolittle
+
+    def faulty(m):
+        factors = original(m)
+        rows = [list(row) for row in getattr(factors, factor).rows]
+        i, l = where
+        rows[i - 1][l - 1] = change(rows[i - 1][l - 1])
+        return factors._replace(**{factor: ExactMatrix(rows)})
+
+    monkeypatch.setattr(verify_mod, "lu_doolittle", faulty)
+
+
+# Each scenario: (closed-form faults, Doolittle faults).
+MULTI_FAULTS = {
+    # L and U both wrong at s = 3: a row-part entry of L, a column-part one of U
+    "two-sides-one-size": ([("entry_L", (3, 2), _double), ("entry_U", (2, 3), _double)], []),
+    # a column-part fault at s = 4 and a row-part fault at s = 3
+    "two-sizes": ([("entry_U", (1, 4), _double), ("entry_L", (3, 1), _double)], []),
+    # nonzero above L's diagonal (column part) before a row-part fault, both at s = 3
+    "above-L-diagonal": ([("entry_L", (1, 3), _plus_one), ("entry_L", (3, 2), _double)], []),
+    # Doolittle's U wrong at s = 2, the closed-form L at s = 4
+    "doolittle-U-first": ([("entry_L", (4, 1), _double)], [("U", (2, 2), _double)]),
+    # Doolittle's L (row part) and the closed-form U (row part), both at s = 3
+    "doolittle-L-and-U": ([("entry_U", (3, 3), _double)], [("L", (3, 1), _double)]),
+    # Doolittle's L nonzero above the diagonal, with U column- and row-part faults
+    "doolittle-above-diagonal": (
+        [("entry_U", (2, 4), _double), ("entry_U", (4, 4), _double)],
+        [("L", (2, 4), _plus_one)],
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(MULTI_FAULTS))
+@pytest.mark.parametrize("suite", ["lu_product", "factors_match"])
+@pytest.mark.parametrize("t", [SYMBOLIC_T, Fraction(1, 3)], ids=["symbolic", "t=1/3"])
+def test_first_counterexample_of_several_faults_follows_the_border_order(
+    monkeypatch, scenario, suite, t
+):
+    closed, doolittle = MULTI_FAULTS[scenario]
+    _inject(monkeypatch, *closed)
+    for factor, where, change in doolittle:
+        _inject_doolittle(monkeypatch, factor, where, change)
+    run = verify_lu_product if suite == "lu_product" else verify_factors_match
+    if t is SYMBOLIC_T:
+        report = run(4, "symbolic")
+    else:
+        report = run(4, "numeric", t_samples=[t])
+    expected = _walk_reference(suite, 4, t)
+    assert expected is not None
+    assert report.counterexample.to_dict() == expected
+
+
+@pytest.mark.parametrize(
+    "scenario, suite, indices",
+    [
+        ("two-sides-one-size", "factors_match", {"factor": "L", "i": 3, "l": 2}),
+        ("two-sides-one-size", "lu_product", {"i": 2, "l": 3}),
+        ("two-sizes", "factors_match", {"factor": "L", "i": 3, "l": 1}),
+        ("above-L-diagonal", "lu_product", {"factor": "L", "i": 1, "l": 3}),
+        ("above-L-diagonal", "factors_match", {"factor": "L", "i": 1, "l": 3}),
+        ("doolittle-U-first", "factors_match", {"factor": "U", "i": 2, "l": 2}),
+        ("doolittle-above-diagonal", "factors_match", {"factor": "L", "i": 2, "l": 4}),
+    ],
+)
+def test_several_faults_report_the_documented_first_entry(monkeypatch, scenario, suite, indices):
+    closed, doolittle = MULTI_FAULTS[scenario]
+    _inject(monkeypatch, *closed)
+    for factor, where, change in doolittle:
+        _inject_doolittle(monkeypatch, factor, where, change)
+    run = verify_lu_product if suite == "lu_product" else verify_factors_match
+    found = run(4, "symbolic").counterexample.indices
+    assert found == {"s": max(indices["i"], indices["l"]), **indices}
