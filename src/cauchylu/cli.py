@@ -8,7 +8,8 @@ six t=1 expressions per size), ``verify`` (all identity suites), ``bench``
 Each ``cmd_*`` returns a ``Result`` and prints nothing; ``main`` alone
 renders it: ``--json`` or text on stdout, one ``error:`` line on stderr, and
 exit 0 when every verdict passes, 1 on a mismatch or a ``CauchyLUError``
-(``SizeCapExceeded`` above a command's ``--s`` cap), 2 on usage errors.
+(``SizeCapExceeded`` above a command's ``--s`` cap or a ``verify`` flag's
+cap), 2 on usage errors.
 t is accepted only as an exact fraction ``p/q`` (or a bare integer) --
 decimals are rejected, nothing is ever rounded.  A negative t may follow
 ``--t`` as its own argument (``--t -1/3``) or be attached (``--t=-1/3``).
@@ -41,6 +42,14 @@ S_CAP_SYMBOLIC = 16
 S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100
 S_CAP_BENCH = 30
+# The largest --gamma-max and --samples verify accepts; its size flags take
+# the S_CAP_* above.  Through ``main`` (Python 3.11, 2-vCPU Xeon) with the
+# other suites off, --gamma-max 20, 24, 28 and 32 take 0.27, 0.54, 1.05 and
+# 1.38 s, and 40 takes 3.0 s.  With every verify flag at its cap the run
+# takes 66 s: 27 and 28 s for the two numeric suites at s = 80 (about 0.55 s
+# per t sample each), 9.2 s for the chain to 100 with elimination to 80.
+GAMMA_CAP = 32
+SAMPLES_CAP = 50
 BENCH_WARMUP = 3
 BENCH_REPS = 5  # odd, so the middle sorted time is the median
 
@@ -163,6 +172,16 @@ def cmd_chain(args) -> Result:
 
 
 def cmd_verify(args) -> Result:
+    for size, cap in (
+        (args.s_max_symbolic, S_CAP_SYMBOLIC),
+        (args.s_max_numeric, S_CAP_NUMERIC),
+        (args.s_max_factors_numeric, S_CAP_NUMERIC),
+        (args.samples, SAMPLES_CAP),
+        (args.gamma_max, GAMMA_CAP),
+        (args.chain_max, S_CAP_CHAIN),
+        (args.chain_elim_cap, S_CAP_NUMERIC),
+    ):
+        _require_size(size, cap)
     cfg = VerifyConfig(
         seed=args.seed,
         s_max_symbolic=args.s_max_symbolic,

@@ -4,10 +4,9 @@ These are the combinatorial atoms of every closed-form matrix entry and of
 the t=1 product chain.  ``factorial`` and ``binomial`` delegate to the
 standard library.  ``reciprocal_factorial`` extends 1/n! to all integers by
 returning exactly 0 for n < 0 (the reciprocal Gamma function vanishes at the
-nonpositive integers); that single convention is what zeroes the
-strictly-upper entries of the lower factor and the strictly-lower entries of
-the upper factor, turning triangularity into a checkable theorem instead of
-an indexing restriction.
+nonpositive integers).  That convention is why the closed forms of the
+factors vanish off their triangles; ``entry_L`` and ``entry_U`` return that
+0 by an index test, and verify checks the triangles.
 """
 
 from __future__ import annotations

@@ -8,13 +8,12 @@ RationalFunction every entry becomes a RationalFunction; any other entry,
 such as a float, raises DomainError.  So every kernel below reads its field
 from the type of one entry, and division never leaves the field.  Logical
 indices are 1-based everywhere in this API; ``at(i, l) == rows[i-1][l-1]``
-and ``dot_products`` are the only places the 0-based row-major storage
-mapping appears.
+is the only place the 0-based row-major storage mapping appears.
 
 ``lu_doolittle`` is the compact Doolittle scheme: each entry of L and U is
 one inner product over the factors found so far, taken as a dot product
 in the ring under the field: int under Fraction, Polynomial under
-RationalFunction (``_Ring``).  ``dot_products`` (``@``) sums the same way.
+RationalFunction (``_Ring``).  ``matmul`` (``@``) sums the same way.
 Both run one path for both fields, on reduced pairs (num, den) of ring
 elements.  Both first move the content of each row of the right factor
 onto the matching column of the left one, since (L D)(D^-1 U) = L U for
@@ -106,34 +105,17 @@ class ExactMatrix:
         return ExactMatrix(zip(*self._rows))
 
     def matmul(self, other: ExactMatrix) -> ExactMatrix:
-        """The matrix product, entry by entry from ``dot_products``."""
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        entry = self.dot_products(other)
-        n = self.n_cols
-        return ExactMatrix(
-            tuple(
-                tuple(entry(i, l, n) for l in range(1, other.n_cols + 1))
-                for i in range(1, self.n_rows + 1)
-            )
-        )
+        """The matrix product.
 
-    __matmul__ = matmul
-
-    def dot_products(self, other: ExactMatrix):
-        """The function (i, l, m) -> sum_{k=1..m} self[i,k] * other[k,l].
-
-        With m = n_cols this is entry (i, l) of the product; a smaller m
-        gives that entry of the product of leading blocks.  The entries are
-        taken as reduced pairs (num, den) in the ring under their field
-        (``_Ring``): ints under Fraction, Polynomials under
+        The entries are taken as reduced pairs (num, den) in the ring under
+        their field (``_Ring``): ints under Fraction, Polynomials under
         RationalFunction.  Row k of other first gives its content g_k
         (``_divided``) to column k of self: (self D)(D^-1 other) is the same
-        product for any diagonal D, also for leading blocks.  Then each row
-        of self and each column of other is cleared over the lcm of its
-        denominators, once, so an entry costs one dot product in the ring
-        and one field element.  A matrix of Fractions times one of
-        RationalFunctions is taken over Q(t).
+        product for any diagonal D.  Then each row of self and each column
+        of other is cleared over the lcm of its denominators, once, so an
+        entry costs one dot product in the ring and one field element.  A
+        matrix of Fractions times one of RationalFunctions is taken over
+        Q(t).
 
         The content matters for factors of a Cauchy matrix: row k of U
         carries the generator u_k, whose denominator differs from row to
@@ -142,6 +124,8 @@ class ExactMatrix:
         of at most 1121; with the contents moved into L it has 567.  Over
         Q(t) at s = 16 it has degree 30, where it had 244.
         """
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.n_cols != other.n_rows:
             raise DimensionMismatch(self.shape, other.shape)
         rows, right = self._rows, other._rows
@@ -151,13 +135,11 @@ class ExactMatrix:
         contents, right = zip(*(_divided(ring, list(map(ring.parts, row))) for row in right))
         left = ([_multiplied(ring, x, g) for x, g in zip(map(ring.parts, row), contents)] for row in rows)
         rows, cols = _cleared(ring, left), _cleared(ring, zip(*right))
+        return ExactMatrix(
+            [ring.field(sum(map(mul, a, b)), da * db) for b, db in cols] for a, da in rows
+        )
 
-        def entry(i, l, m):
-            a, da = rows[i - 1]
-            b, db = cols[l - 1]
-            return ring.field(sum(map(mul, a[:m], b[:m])), da * db)
-
-        return entry
+    __matmul__ = matmul
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):

@@ -6,15 +6,13 @@ t^k.  The form is canonical: trailing zeros are stripped, and the ints and
 the denominator share no common factor, so every nonzero polynomial ends in
 its (nonzero) leading numerator and the zero polynomial is the empty tuple
 over 1.  The degree of the zero polynomial is the marker ``NEG_INFINITY``,
-which compares below every integer, so ``deg(remainder) < deg(divisor)``
-holds uniformly.
+which compares below every integer.
 
-All arithmetic runs on ints: sums scale by the lcm of the denominators,
-products are integer convolutions, and division scales its remainder by the
-least factor that keeps it integral.  ``cofactors`` returns the primitive
-gcd g with positive lead together with both operands divided by it, which is
-how ``RationalFunction`` cancels; ``gcd`` is g made monic.  g is found by the
-first of three steps that settles the pair:
+All arithmetic runs on ints: sums scale by the lcm of the denominators and
+products are integer convolutions.  There is no division operator:
+``cofactors`` returns the primitive gcd g with positive lead together with
+both operands divided by it, which is how ``RationalFunction`` cancels.  g
+is found by the first of three steps that settles the pair:
 
 1. a deterministic coprimality test modulo the prime ``MODULUS`` = 2^61 - 1
    (``_coprime_mod_p``) when the smaller degree is ``MODULAR_GATE`` or more:
@@ -31,8 +29,8 @@ first of three steps that settles the pair:
    Brown 1971) and exact division, which stays the reference.
 
 Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
-The public accessors (``coeffs``, ``leading``, ``coefficient``,
-``content``) hand out ``Fraction``s.
+The public accessors (``coeffs``, ``leading``, ``content``) hand out
+``Fraction``s.
 
 Instances are immutable and hashable; a constant hashes as its value.
 Arithmetic coerces ``int`` and ``Fraction`` scalars to constant
@@ -101,38 +99,38 @@ def _as_ints(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
             for c in cs], den
 
 
-def _divrem(rem: list[int], div: tuple[int, ...], quotient: bool):
-    """Integer division with lazy scaling: (quot, rem, scale).
+def _divrem(rem: list[int], div: list[int], quotient: bool) -> list[int]:
+    """Integer long division of rem by div, deg rem >= deg div: the exact
+    quotient when ``quotient``, else a pseudo-remainder.
 
-    On return scale * old_rem == quot * div + rem with deg(rem) < deg(div),
-    where rem is the first deg(div) entries of the list, updated in place.
-    Before each step only the part of rem still to be divided is multiplied
-    by lead / gcd(c, lead), the least factor making c a multiple of lead.
+    rem is updated in place.  Before each step only the part of rem still
+    to be divided is multiplied by lead / gcd(c, lead), the least factor
+    making c a multiple of lead; so the pseudo-remainder, the first
+    deg(div) entries of rem, is that of some positive multiple of rem.
+    When div is primitive and divides rem in Z[t], every c is lead times a
+    coefficient of the integer quotient (Gauss's lemma), so no step scales
+    and the quotient is exact.
     """
     d = len(div) - 1
     lead = div[-1]
-    scale = 1
-    quot = [0] * (len(rem) - d) if quotient else None
+    quot = [0] * (len(rem) - d)
     for k in range(len(rem) - d - 1, -1, -1):
         c = rem[k + d]
         if not c:
             continue
         mult = abs(lead) // _int_gcd(c, lead)
         if mult != 1:
-            scale *= mult
             for m in range(k + d):
                 rem[m] *= mult
-            if quotient:
-                for m in range(k + 1, len(quot)):
-                    quot[m] *= mult
             c *= mult
         c //= lead
-        if quotient:
-            quot[k] = c
+        quot[k] = c
         for m in range(d):
             rem[k + m] -= c * div[m]
+    if quotient:
+        return quot
     del rem[d:]
-    return quot, rem, scale
+    return rem
 
 
 def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
@@ -221,12 +219,6 @@ class Polynomial:
         if not self._nums:
             raise DomainError("the zero polynomial has no leading coefficient")
         return Fraction(self._nums[-1], self._den)
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of t^k; zero beyond the stored degree."""
-        if k < 0:
-            raise DomainError(f"negative power {k}")
-        return Fraction(self._nums[k], self._den) if k < len(self._nums) else Fraction(0)
 
     # -- ring arithmetic ---------------------------------------------------
 
@@ -317,30 +309,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by the zero polynomial")
-        if self.degree < other.degree:
-            return Polynomial(), self
-        # self = A/da, other = B/db and scale*A = Q*B + R give
-        # self = (Q*db/(da*scale)) * other + R/(da*scale).
-        quot, rem, scale = _divrem(list(self._nums), other._nums, True)
-        den = self._den * scale
-        db = other._den
-        return (Polynomial([c * db for c in quot] if db != 1 else quot, den=den),
-                Polynomial(rem, den=den))
-
-    def __floordiv__(self, other):
-        q, _ = divmod(self, other)
-        return q
-
-    def __mod__(self, other):
-        _, r = divmod(self, other)
-        return r
-
     def __call__(self, t0: Scalar) -> Fraction:
         """Evaluate at t0 = p/q by Horner's rule on q^deg * self(p/q)."""
         if not isinstance(t0, (int, Fraction)):
@@ -362,12 +330,6 @@ class Polynomial:
         if not self._nums:
             return Fraction(0)
         return Fraction(_int_gcd(*self._nums), self._den)
-
-    def primitive(self) -> Polynomial:
-        """self divided by its content (integer coefficients, content 1)."""
-        if not self._nums:
-            return self
-        return Polynomial(_primitive_ints(self._nums), den=1)
 
     def cofactors(self, other) -> tuple[Polynomial, Polynomial, Polynomial]:
         """(g, self / g, other / g) for g the gcd with integer coefficients,
@@ -410,12 +372,6 @@ class Polynomial:
         if len(g) == 1:
             return _ONE, self, o
         return Polynomial(g, den=1), Polynomial(ca, den=self._den), Polynomial(cb, den=o._den)
-
-    def gcd(self, other) -> Polynomial:
-        """Monic greatest common divisor: the monic form of
-        ``cofactors(other)[0]``; 0 when both operands are zero."""
-        g = self.cofactors(other)[0]
-        return _monic(g._nums) if g._nums else g
 
     # -- value semantics ---------------------------------------------------
 
@@ -464,23 +420,23 @@ class Polynomial:
         return parse_polynomial(text)
 
 
-def _prs_gcd(a, b) -> Polynomial:
-    """Monic gcd of the int polynomials a and b, deg a >= deg b >= 1, by the
-    primitive pseudo-remainder sequence: each remainder is cut to its
-    primitive part, which keeps coefficient growth tame.  It decides every
-    gcd that neither the modular test nor GCDHEU does, and is the reference
-    for both.
+def _prs_gcd(a, b) -> list[int]:
+    """The gcd of the int polynomials a and b, deg a >= deg b >= 1, as a
+    primitive int list with positive lead, by the primitive pseudo-remainder
+    sequence: each remainder is cut to its primitive part, which keeps
+    coefficient growth tame.  It decides every gcd that neither the modular
+    test nor GCDHEU does, and is the reference for both.
     """
     a = _primitive_ints(a)
     b = _primitive_ints(b)
     while True:
-        _, rem, _ = _divrem(a, b, False)
+        rem = _divrem(a, b, False)
         while rem and not rem[-1]:
             rem.pop()
         if not rem:
-            return _monic(b)
+            return b if b[-1] > 0 else [-c for c in b]
         if len(rem) == 1:
-            return Polynomial((1,), den=1)
+            return [1]
         a, b = b, _primitive_ints(rem)
 
 
@@ -567,12 +523,9 @@ def _prs_cofactors(a, b):
     """(g, a / g, b / g) as ``_int_cofactors`` gives them, by ``_prs_gcd``
     and exact division."""
     g = _prs_gcd(a, b) if len(a) >= len(b) else _prs_gcd(b, a)
-    if g.degree == 0:
-        return [1], a, b
-    g = g.primitive()._nums
-    # scale stays 1: every step of an exact division by a primitive divisor
-    # has a leading coefficient divisible by lead(g).
-    return g, _divrem(list(a), g, True)[0], _divrem(list(b), g, True)[0]
+    if len(g) == 1:
+        return g, a, b
+    return g, _divrem(list(a), g, True), _divrem(list(b), g, True)
 
 
 def _at_power_of_two(a, k):
@@ -601,14 +554,6 @@ def _spread(u):
     t = [0] * (2 * len(u) - 1)
     t[::2] = u
     return t
-
-
-def _monic(nums) -> Polynomial:
-    """The monic polynomial proportional to the nonzero ints nums."""
-    lead = nums[-1]
-    if lead < 0:
-        return Polynomial([-c for c in nums], den=-lead)
-    return Polynomial(nums, den=lead)
 
 
 T = Polynomial((0, 1))

@@ -9,10 +9,12 @@ per accepted t at s_max (once in symbolic mode): the size-s matrices and
 their Doolittle factors are leading blocks of those.  Entries are compared
 by size s = max(i, l), then L before U, then row-major, so a counterexample
 names the smallest failing size; each size compares the border of its
-leading block as one list (``_verify_sizes``).  The product check also
-asserts that L is zero above the diagonal and U below it, which makes each
-size-s product a leading block too; a violation names its factor, with
-rhs 0.
+leading block as one list (``_verify_sizes``).  The product check compares
+the leading blocks of the full product L @ U with those of M, and also
+asserts that L is zero above the diagonal and U below it; a violation names
+its factor, with rhs 0.  For triangular factors each leading block of L @ U
+is the product of the leading blocks of L and U, so a pass means that every
+size-s closed form multiplies back to its M.
 
 Suites are independent: run_all executes every one of them, never letting a
 failure in one abort another, and aggregates the reports.  A suite that
@@ -84,29 +86,17 @@ class VerificationReport:
         "elapsed_ms",
     )
 
-    def __init__(
-        self,
-        suite: str,
-        range: dict,
-        mode: str,
-        t_samples: list[str] | None = None,
-        discarded_t_samples: list[str] | None = None,
-        passed: bool = False,
-        skipped: bool = False,
-        counterexample: Counterexample | None = None,
-        error: str | None = None,
-        elapsed_ms: float = 0.0,
-    ):
+    def __init__(self, suite: str, range: dict, mode: str, t_samples=(), error: str | None = None):
         self.suite = suite
         self.range = range
         self.mode = mode
-        self.t_samples = [] if t_samples is None else t_samples
-        self.discarded_t_samples = [] if discarded_t_samples is None else discarded_t_samples
-        self.passed = passed
-        self.skipped = skipped
-        self.counterexample = counterexample
+        self.t_samples = list(t_samples)
+        self.discarded_t_samples = []
+        self.passed = False
+        self.skipped = False
+        self.counterexample = None
         self.error = error
-        self.elapsed_ms = elapsed_ms
+        self.elapsed_ms = 0.0
 
     def to_dict(self) -> dict:
         # Key order is the wire format; elapsed_ms is left out because
@@ -284,25 +274,21 @@ def verify_lu_product(
     """Check that the closed-form factors multiply back to the matrix.
 
     Entrywise exact equality of (lower factor) @ (upper factor) against the
-    built matrix, for every s = 1..s_max, symbolically or at numeric t
-    samples, and that the factors are triangular.
+    built matrix, one leading block s = 1..s_max at a time, symbolically or
+    at numeric t samples, and that the factors are triangular.
     """
 
     def build(t):
         lower = closed_form.build_L(s_max, t)
         upper = closed_form.build_U(s_max, t)
         target = build_matrix(s_max, t)
-        dot = lower.dot_products(upper)
-        sizes = range(1, s_max + 1)
-        # entry (i, l) of the product of the leading max(i, l) blocks
-        product = [[dot(i, l, max(i, l)) for l in sizes] for i in sizes]
         # each factor against its rows with the other triangle read as 0
         return [
             ({"factor": "L"}, lower.rows,
              [row[: i + 1] + (0,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]),
             ({"factor": "U"}, upper.rows,
              [(0,) * i + row[i:] for i, row in enumerate(upper.rows)]),
-            ({}, product, target.rows),
+            ({}, (lower @ upper).rows, target.rows),
         ]
 
     return _verify_sizes(SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, build)

@@ -329,6 +329,33 @@ def test_verify_negative_cap_is_usage_error(capsys, flag):
     assert getattr(args, flag[2:].replace("-", "_")) == 0  # 0 is still accepted
 
 
+@pytest.mark.parametrize(
+    "flag, field, cap",
+    [
+        ("--s-max-symbolic", "s_max_symbolic", 16),
+        ("--s-max-numeric", "s_max_numeric", 80),
+        ("--s-max-factors-numeric", "s_max_factors_numeric", 80),
+        ("--samples", "n_t_samples", 50),
+        ("--gamma-max", "gamma_max", 32),
+        ("--chain-max", "chain_max", 100),
+        ("--chain-elim-cap", "chain_elimination_cap", 80),
+    ],
+)
+def test_verify_flag_cap_is_accepted_and_cap_plus_one_rejected_before_arithmetic(
+    capsys, monkeypatch, flag, field, cap
+):
+    from cauchylu import cli as cli_mod
+
+    configs = []
+    monkeypatch.setattr(cli_mod, "run_all", lambda cfg: configs.append(cfg) or [])
+    code, out, err = run_cli(capsys, "verify", flag, str(cap + 1), "--json")
+    assert (code, out, err) == (1, "", f"error: size {cap + 1} exceeds cap {cap}\n")
+    assert configs == []
+    code, out, err = run_cli(capsys, "verify", flag, str(cap), "--json")
+    assert (code, err) == (0, "")
+    assert [getattr(cfg, field) for cfg in configs] == [cap]
+
+
 # -- bench -----------------------------------------------------------------
 
 

@@ -360,8 +360,7 @@ def test_gamma_right_rhs_equals_field_form():
 
 def test_gamma_grid_runs_in_q_of_t_without_gcd(monkeypatch):
     # Both identities are built in Q[t]: no Polynomial.cofactors (the
-    # field's normalisation, which Polynomial.gcd also runs) is called and
-    # no RationalFunction is made.
+    # field's normalisation) is called and no RationalFunction is made.
     calls = []
     cofactors, init = Polynomial.cofactors, RationalFunction.__init__
 

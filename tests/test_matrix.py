@@ -269,15 +269,13 @@ def test_matmul_dimension_mismatch():
 def test_matmul_dimension_mismatch_on_every_entry_kind(a, b):
     with pytest.raises(DimensionMismatch):
         ExactMatrix(a) @ ExactMatrix(b)
-    with pytest.raises(DimensionMismatch):
-        ExactMatrix(a).dot_products(ExactMatrix(b))
 
 
-def _naive_product(a, b, m=None):
+def _naive_product(a, b):
     """Term-by-term field sums of the lifted entries: the reference for
-    matmul and dot_products."""
+    matmul."""
     a, b = ExactMatrix(a).rows, ExactMatrix(b).rows
-    return [[sum(x * y for x, y in zip(row[:m], col[:m])) for col in zip(*b)] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def _typed(rows):
@@ -299,7 +297,7 @@ contents = st.builds(
 
 @st.composite
 def matmul_operands(draw):
-    """(a, b, m): n-by-k and k-by-p entry lists of one kind, 1 <= m <= k.
+    """(a, b): n-by-k and k-by-p entry lists of one kind.
 
     Shapes include 1-by-n and n-by-1, entries are negative, huge or zero, and
     a whole row of a or column of b may be zero.  A row of b may carry a
@@ -319,17 +317,14 @@ def matmul_operands(draw):
         r, c = draw(st.integers(0, k - 1)), draw(contents)
         zeros = draw(st.sets(st.integers(0, p - 1), max_size=p - 1))
         b[r] = [0 if j in zeros else c * x for j, x in enumerate(b[r])]
-    return a, b, draw(st.integers(1, k))
+    return a, b
 
 
 @given(matmul_operands())
 def test_matmul_equals_naive_sums(operands):
-    a, b, m = operands
+    a, b = operands
     product = ExactMatrix(a) @ ExactMatrix(b)
     assert _typed(product.rows) == _typed(_naive_product(a, b))
-    dot = ExactMatrix(a).dot_products(ExactMatrix(b))
-    leading = [[dot(i, l, m) for l in range(1, len(b[0]) + 1)] for i in range(1, len(a) + 1)]
-    assert _typed(leading) == _typed(_naive_product(a, b, m))
 
 
 @pytest.mark.parametrize(
@@ -643,14 +638,11 @@ def test_compact_equals_right_looking_over_qt(rows):
 
 
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 4).flatmap(lambda n: st.tuples(qt_rows(n), qt_rows(n), st.integers(1, n))))
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(qt_rows(n), qt_rows(n))))
 def test_qt_matmul_equals_naive_sums(operands):
-    a, b, m = operands
+    a, b = operands
     product = ExactMatrix(a) @ ExactMatrix(b)
     assert _typed(product.rows) == _typed(_naive_product(a, b))
-    dot = ExactMatrix(a).dot_products(ExactMatrix(b))
-    leading = [[dot(i, l, m) for l in range(1, len(b[0]) + 1)] for i in range(1, len(a) + 1)]
-    assert _typed(leading) == _typed(_naive_product(a, b, m))
 
 
 def _cleared_column_sizes(monkeypatch, size):

@@ -1,4 +1,4 @@
-"""Polynomial ring contracts: canonical form, divrem, gcd, text forms."""
+"""Polynomial ring contracts: canonical form, gcd and cofactors, text forms."""
 
 import contextlib
 import random
@@ -50,30 +50,29 @@ def test_difference_of_squares_example():
     assert (T**2 - 4) * (T**2 + 4) == T**4 - 16
 
 
-def test_divrem_example():
-    q, r = divmod(T**3, T**2 - 1)
-    assert q == T
-    assert r == T
+def _primitive(p):
+    """p's primitive form: integer coefficients, content 1, positive lead."""
+    return p * (1 / p.content()) * (1 if p.leading > 0 else -1)
 
 
-def test_divrem_by_zero_raises():
-    with pytest.raises(DivisionByZero):
-        divmod(T**3, Polynomial())
+def _divides(g, p):
+    """Whether g divides p: the gcd of p and g is g's primitive form."""
+    return p.cofactors(g)[0] == _primitive(g)
 
 
 def test_gcd_coprime_example():
     # distinct roots +-2 versus +-2/3
-    assert (T**2 - 4).gcd(9 * T**2 - 4) == 1
+    assert (T**2 - 4).cofactors(9 * T**2 - 4)[0] == 1
 
 
-def test_gcd_is_monic():
-    a = 2 * T**2 - 8
-    b = 2 * T - 4
-    assert a.gcd(b) == T - 2
+def test_gcd_is_primitive():
+    a = 4 * T**2 - 9
+    b = 4 * T - 6
+    assert a.cofactors(b)[0] == 2 * T - 3
 
 
 def test_gcd_of_zeros_is_zero():
-    assert Polynomial().gcd(Polynomial()).is_zero
+    assert Polynomial().cofactors(Polynomial())[0].is_zero
 
 
 def test_evaluation_horner():
@@ -82,11 +81,10 @@ def test_evaluation_horner():
     assert p(0) == -1
 
 
-def test_content_and_primitive():
+def test_content():
     p = Fraction(4, 3) * T**2 + Fraction(2, 9)
     assert p.content() == Fraction(2, 9)
-    assert p.primitive() == 6 * T**2 + 1
-    assert p.primitive().content() == 1
+    assert p * (1 / p.content()) == 6 * T**2 + 1
 
 
 @pytest.mark.parametrize(
@@ -148,25 +146,18 @@ def test_ring_axioms(a, b, c):
     assert a - a == Polynomial()
 
 
-@given(polys, nonzero_polys)
-def test_divmod_invariant(a, b):
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    assert r.degree < b.degree
-
-
 @given(nonzero_polys, nonzero_polys)
-def test_gcd_divides_both_and_is_monic(a, b):
-    g = a.gcd(b)
-    assert g.leading == 1
-    assert (a % g).is_zero
-    assert (b % g).is_zero
+def test_gcd_divides_both_and_is_primitive(a, b):
+    g, ca, cb = a.cofactors(b)
+    assert g.is_positive_primitive
+    assert g * ca == a and g * cb == b
+    assert ca.cofactors(cb)[0] == 1  # no common factor is left over
 
 
 @given(polys, nonzero_polys)
 def test_gcd_stable_under_multiple(a, b):
     # gcd(a + q*b, b) == gcd(a, b) for any multiplier q
-    assert (a + (T + 3) * b).gcd(b) == a.gcd(b)
+    assert (a + (T + 3) * b).cofactors(b)[0] == a.cofactors(b)[0]
 
 
 # -- reference: the same operations on plain Fraction lists -----------------
@@ -216,29 +207,27 @@ def test_mul_matches_fraction_reference(a, b):
     assert list((Polynomial(a) * Polynomial(b)).coeffs) == _ref_mul(_strip(a), _strip(b))
 
 
-@given(big_lists, nonzero_big_lists)
-def test_divmod_matches_fraction_reference(a, b):
-    q, r = divmod(Polynomial(a), Polynomial(b))
-    ref_q, ref_r = _ref_divmod(_strip(a), _strip(b))
-    assert list(q.coeffs) == ref_q
-    assert list(r.coeffs) == ref_r
-
-
 @given(big_lists, big_lists, nonzero_big_lists)
 def test_gcd_matches_fraction_reference(f, h, g):
     # Share the factor g so the gcd is usually nontrivial.
     a, b = _ref_mul(_strip(f), _strip(g)), _ref_mul(_strip(h), _strip(g))
-    expected = _ref_gcd(a, b) if a or b else []
-    assert list(Polynomial(a).gcd(Polynomial(b)).coeffs) == expected
+    expected = _primitive(Polynomial(_ref_gcd(a, b))) if a or b else 0
+    assert Polynomial(a).cofactors(Polynomial(b))[0] == expected
+
+
+@given(big_lists, big_lists, nonzero_big_lists)
+def test_prs_gcd_matches_fraction_reference(f, h, g):
+    # The pseudo-remainder sequence alone, on int operands of degree >= 1.
+    a, b = _ref_mul(_strip(f), _strip(g)), _ref_mul(_strip(h), _strip(g))
+    long, short = sorted((a, b), key=len, reverse=True)
+    assume(len(short) >= 2)
+    long, short = (_ints(_primitive(Polynomial(p))) for p in (long, short))
+    assert Polynomial(_prs_gcd(long, short)) == _primitive(Polynomial(_ref_gcd(a, b)))
 
 
 @given(big_lists)
-def test_content_and_primitive_match_fraction_reference(a):
-    p = Polynomial(a)
-    content = _ref_content(_strip(a))
-    assert p.content() == content
-    expected = [c / content for c in _strip(a)] if content else []
-    assert list(p.primitive().coeffs) == expected
+def test_content_matches_fraction_reference(a):
+    assert Polynomial(a).content() == _ref_content(_strip(a))
 
 
 def test_is_positive_primitive():
@@ -274,7 +263,7 @@ def _ints(p):
 def _reference_gcd(a, b):
     """The pseudo-remainder sequence alone, on operands of degree >= 1."""
     a, b = sorted((_ints(a), _ints(b)), key=len, reverse=True)
-    return _prs_gcd(a, b)
+    return Polynomial(_prs_gcd(a, b))
 
 
 def _leads_are_units_mod_p(*polys):
@@ -302,7 +291,7 @@ def test_gcd_matches_prs_reference_across_the_gate(f, h, g):
     # both the gated and the ungated path are taken; deg g = 0 gives pairs
     # that are almost always coprime.
     a, b = f * g, h * g
-    assert a.gcd(b) == _reference_gcd(a, b)
+    assert a.cofactors(b)[0] == _reference_gcd(a, b)
 
 
 @settings(max_examples=30)
@@ -323,9 +312,9 @@ def test_shared_factor_is_never_reported_coprime(f, h, g):
 def test_gcd_with_huge_coefficients_matches_prs_reference(g, f, h):
     # A shared factor of high degree keeps the reference sequence short.
     a, b = f * g, h * g
-    result = a.gcd(b)
+    result = a.cofactors(b)[0]
     assert result == _reference_gcd(a, b)
-    assert (result % g).is_zero
+    assert _divides(g, result)
 
 
 @settings(deadline=None, max_examples=30)
@@ -338,7 +327,7 @@ def test_modular_test_proves_coprime_pairs_with_huge_coefficients(f, h, c):
     b = f * h + c
     assume(_leads_are_units_mod_p(f, b))
     with _modular_tests_recorded() as calls:
-        assert f.gcd(b) == 1
+        assert f.cofactors(b)[0] == 1
     assert calls == [(f.degree, True)]
 
 
@@ -352,10 +341,10 @@ def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, f, h):
     g = Polynomial((c, k * MODULUS))
     a, b = f * g, h * g
     with _modular_tests_recorded() as calls:
-        result = a.gcd(b)
+        result = a.cofactors(b)[0]
     assert calls == []
     assert result == _reference_gcd(a, b)
-    assert (result % g).is_zero
+    assert _divides(g, result)
 
 
 def test_shared_factor_vanishing_mod_p_is_found():
@@ -363,17 +352,17 @@ def test_shared_factor_vanishing_mod_p_is_found():
     # guard keeps the modular test from reporting these two coprime.
     n = MODULAR_GATE
     g = MODULUS * T + 1
-    assert ((T**n + 2) * g).gcd((T**n + 3) * g) == T + Fraction(1, MODULUS)
+    assert ((T**n + 2) * g).cofactors((T**n + 3) * g)[0] == g
 
 
 def test_modular_test_runs_from_the_gate():
     n = MODULAR_GATE
     with _modular_tests_recorded() as calls:
-        assert (T**(n + 3) + 2).gcd(T**(n - 1) + 3) == 1
+        assert (T**(n + 3) + 2).cofactors(T**(n - 1) + 3)[0] == 1
         assert calls == []
-        assert (T**(n + 3) + 2).gcd(T**n + 3) == 1
+        assert (T**(n + 3) + 2).cofactors(T**n + 3)[0] == 1
         assert calls == [(n, True)]
-        assert ((T + 1) * (T**n + 2)).gcd((T + 1) * (T**n + 3)) == T + 1
+        assert ((T + 1) * (T**n + 2)).cofactors((T + 1) * (T**n + 3))[0] == T + 1
         assert calls == [(n, True), (n + 1, False)]
 
 
@@ -389,7 +378,7 @@ def _reference_primitive_gcd(a, b):
     """The primitive, positive-lead gcd by the pseudo-remainder sequence."""
     if a.degree <= 0 or b.degree <= 0:
         return Polynomial((1,))
-    return _reference_gcd(a, b).primitive()
+    return _reference_gcd(a, b)
 
 
 def _assert_cofactors(a, b, result=None):
@@ -397,7 +386,6 @@ def _assert_cofactors(a, b, result=None):
     assert g.is_positive_primitive
     assert g * ca == a and g * cb == b
     assert g == _reference_primitive_gcd(a, b)
-    assert a.gcd(b) == g * (1 / g.leading)
     return g
 
 
@@ -434,7 +422,7 @@ def test_cofactors_match_prs_reference(f, h, g, c1, c2, even):
         f, h, g = _even(f), _even(h), _even(g)
     a, b = c1 * f * g, c2 * h * g
     common = _assert_cofactors(a, b)
-    assert (common % g.primitive()).is_zero
+    assert _divides(g, common)
 
 
 @given(polys, polys)
@@ -445,7 +433,6 @@ def test_cofactors_of_rational_operands(a, b):
         return
     assert g.is_positive_primitive
     assert g * ca == a and g * cb == b
-    assert a.gcd(b) == g * (1 / g.leading)
 
 
 def test_cofactors_examples():
@@ -479,7 +466,7 @@ def test_huge_coefficients_on_both_sides_of_gate_and_size_bound(degrees, paths):
     with _paths_recorded() as calls:
         result = a.cofactors(b)
     assert [name for name, _ in calls] == paths
-    assert _assert_cofactors(a, b, result) == g.primitive() * (1 if g.leading > 0 else -1)
+    assert _assert_cofactors(a, b, result) == _primitive(g)
 
 
 def test_small_pair_above_the_gate_takes_the_heuristic():
