@@ -9,12 +9,13 @@ per accepted t at s_max (once in symbolic mode): the size-s matrices and
 their Doolittle factors are leading blocks of those.  Entries are compared
 by size s = max(i, l), then L before U, then row-major, so a counterexample
 names the smallest failing size; each size compares the border of its
-leading block as one list (``_verify_sizes``).  The product check compares
-the leading blocks of the full product L @ U with those of M, and also
-asserts that L is zero above the diagonal and U below it; a violation names
-its factor, with rhs 0.  For triangular factors each leading block of L @ U
-is the product of the leading blocks of L and U, so a pass means that every
-size-s closed form multiplies back to its M.
+leading block as one list (``_verify_sizes``).  The product check asserts
+that L is zero above the diagonal and U below it, and compares the leading
+blocks of M with those of the product of the two triangles, L and U with
+the other triangle read as 0; a violation names its factor, with rhs 0.
+Each leading block of a product of triangular factors is the product of
+their leading blocks, so a pass means that every size-s closed form
+multiplies back to its M.
 
 Suites are independent: run_all executes every one of them, never letting a
 failure in one abort another, and aggregates the reports.  A suite that
@@ -48,7 +49,7 @@ from .errors import (
     require_at_least,
 )
 from .formats import serialize_value
-from .matrix import build_matrix, det_elimination, lu_doolittle
+from .matrix import ExactMatrix, build_matrix, det_elimination, lu_doolittle
 from .ratfunc import SYMBOLIC_T
 
 MAX_SAMPLE_ATTEMPTS = 100
@@ -282,13 +283,16 @@ def verify_lu_product(
         lower = closed_form.build_L(s_max, t)
         upper = closed_form.build_U(s_max, t)
         target = build_matrix(s_max, t)
-        # each factor against its rows with the other triangle read as 0
+        # each factor against its rows with the other triangle read as 0;
+        # the product is taken of those triangles, so an entry off them
+        # is named by its factor check, at a size no larger
+        tri_lower = [row[: i + 1] + (0,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]
+        tri_upper = [(0,) * i + row[i:] for i, row in enumerate(upper.rows)]
+        product = ExactMatrix(tri_lower) @ ExactMatrix(tri_upper)
         return [
-            ({"factor": "L"}, lower.rows,
-             [row[: i + 1] + (0,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]),
-            ({"factor": "U"}, upper.rows,
-             [(0,) * i + row[i:] for i, row in enumerate(upper.rows)]),
-            ({}, (lower @ upper).rows, target.rows),
+            ({"factor": "L"}, lower.rows, tri_lower),
+            ({"factor": "U"}, upper.rows, tri_upper),
+            ({}, product.rows, target.rows),
         ]
 
     return _verify_sizes(SUITE_LU_PRODUCT, s_max, mode, t_samples, n_samples, rng, build)

@@ -446,8 +446,7 @@ def _reference(suite, s_max, t):
     """The per-size loop: rebuild every matrix for each s = 1..s_max and
     compare whole s-by-s blocks row-major, as the suites once did.  For the
     product it first checks that the closed-form factors are triangular,
-    L before U, which the size-ordered suite reports by factor, and then
-    compares the leading s-by-s block of the full s_max product."""
+    L before U, which the size-ordered suite reports by factor."""
     base = {} if t is SYMBOLIC_T else {"t": str(t)}
     for s in range(1, s_max + 1):
         lower = closed_form.build_L(s, t)
@@ -460,18 +459,8 @@ def _reference(suite, s_max, t):
             tri_upper = ExactMatrix(
                 [[upper.at(i, l) if i <= l else 0 for l in range(1, s + 1)] for i in range(1, s + 1)]
             )
-            # the s-by-s block product plus the terms k = s+1..s_max of the
-            # full product, each a product of two entries off the triangles
-            tail = [
-                [sum(closed_form.entry_L(i, k, t) * closed_form.entry_U(k, l, t)
-                     for k in range(s + 1, s_max + 1)) for l in range(1, s + 1)]
-                for i in range(1, s + 1)
-            ]
-            product = ExactMatrix(
-                [[x + y for x, y in zip(row, extra)] for row, extra in zip((lower @ upper).rows, tail)]
-            )
             pairs = [({"factor": "L"}, lower, tri_lower), ({"factor": "U"}, upper, tri_upper),
-                     ({}, product, target)]
+                     ({}, lower @ upper, target)]
         else:
             factors = lu_doolittle(target)
             pairs = [({"factor": "L"}, lower, factors.L), ({"factor": "U"}, upper, factors.U)]
@@ -512,11 +501,11 @@ FAULTS = {
     "L31-and-U12": [("entry_L", (3, 1), _double), ("entry_U", (1, 2), _double)],
     "L12-nonzero": [("entry_L", (1, 2), _plus_one)],
     "U21-nonzero": [("entry_U", (2, 1), _plus_one)],
-    # together they change entry (1, 1) of L @ U, which the product check
-    # meets at s = 1, before the L check meets L(1, 2) at s = 2
+    # together they change entry (1, 1) of L @ U, but not of the product of
+    # the 1x1 blocks; the L check names L(1, 2) at s = 2
     "L12-and-U21-nonzero": [("entry_L", (1, 2), _plus_one), ("entry_U", (2, 1), _plus_one)],
-    # each alone leaves the product intact; together they change its (1, 2)
-    # entry, which the product check meets at s = 2, before L(1, 3) at s = 3
+    # each alone leaves the 2x2 product intact; together they change the
+    # (1, 2) entry of the 3x3 product, which the per-size loop meets at s = 3
     "L13-and-U32-nonzero": [("entry_L", (1, 3), _plus_one), ("entry_U", (3, 2), _plus_one)],
     "U33": [("entry_U", (3, 3), _double)],
 }
@@ -560,20 +549,6 @@ def test_lu_product_names_a_triangularity_violation(monkeypatch):
     }
 
 
-def test_lu_product_compares_the_full_product(monkeypatch):
-    # Entry (1, 1) of L @ U gains L(1, 2) U(2, 1) = 1.  A product of leading
-    # blocks would not show it at s = 1, and the L check would name L(1, 2)
-    # at s = 2 instead; either way the suite fails.
-    _inject(monkeypatch, *FAULTS["L12-and-U21-nonzero"])
-    report = verify_lu_product(2, "symbolic")
-    assert not report.passed
-    assert report.counterexample.to_dict() == {
-        "indices": {"s": 1, "i": 1, "l": 1},
-        "lhs": "(t^2 - 5)/(t^2 - 4)",
-        "rhs": "(-1)/(t^2 - 4)",
-    }
-
-
 def test_sized_suites_build_once_per_t(monkeypatch):
     calls = []
     original = closed_form.build_L
@@ -609,7 +584,7 @@ def _walk_reference(suite, s_max, t):
     """Visit entries one at a time in the documented order -- size s, then
     side, then row-major over the border of the s-by-s block (column s above
     the diagonal, then row s) -- and return the first difference.  Product
-    entries are summed term by term over all s_max terms."""
+    entries are summed term by term over the leading max(i, l) blocks."""
     base = {} if t is SYMBOLIC_T else {"t": str(t)}
     lower = closed_form.build_L(s_max, t)
     upper = closed_form.build_U(s_max, t)
@@ -617,7 +592,7 @@ def _walk_reference(suite, s_max, t):
 
         def product(i, l):
             total = lower.at(i, 1) * upper.at(1, l)
-            for k in range(2, s_max + 1):
+            for k in range(2, max(i, l) + 1):
                 total = total + lower.at(i, k) * upper.at(k, l)
             return total
 
