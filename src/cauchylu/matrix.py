@@ -101,9 +101,6 @@ class ExactMatrix:
             raise DomainError(f"index ({i}, {l}) outside {self.shape}")
         return self._rows[i - 1][l - 1]
 
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(zip(*self._rows))
-
     def matmul(self, other: ExactMatrix) -> ExactMatrix:
         """The matrix product.
 
@@ -144,11 +141,7 @@ class ExactMatrix:
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        return all(
-            a == b for ra, rb in zip(self._rows, other._rows) for a, b in zip(ra, rb)
-        )
+        return self._rows == other._rows
 
     def __repr__(self):
         body = "; ".join(", ".join(str(x) for x in row) for row in self._rows)

@@ -12,23 +12,22 @@ All arithmetic runs on ints: sums scale by the lcm of the denominators and
 products are integer convolutions.  There is no division operator:
 ``cofactors`` returns the primitive gcd g with positive lead together with
 both operands divided by it, which is how ``RationalFunction`` cancels.  g
-is found by the first of three steps that settles the pair:
+is found by one of two steps, chosen by the size of the values GCDHEU
+would compute, or by a third when that step does not settle the pair:
 
-1. a deterministic coprimality test modulo the prime ``MODULUS`` = 2^61 - 1
-   (``_coprime_mod_p``) when the smaller degree is ``MODULAR_GATE`` or more:
-   when p divides neither leading coefficient, the integer gcd reduces mod p
-   to a divisor of the same degree, so a constant gcd mod p proves the pair
-   coprime;
-2. GCDHEU (``_heu_cofactors``, Char, Geddes and Gonnet 1989): the integer
-   gcd of both operands' values at a power of two 2^k, read back as a
-   polynomial in base 2^k, while those values stay under ``HEU_MAX_BITS``;
-   its cofactors come from the same values and are accepted only when a
-   size bound proves them exact, and a constant candidate proves the pair
-   coprime;
+1. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989) when those values
+   stay under ``HEU_MAX_BITS``: the integer gcd of both operands' values at
+   a power of two 2^k, read back as a polynomial in base 2^k; its cofactors
+   come from the same values and are accepted only when a size bound
+   proves them exact, and a constant candidate proves the pair coprime;
+2. otherwise a deterministic coprimality test modulo the prime ``MODULUS``
+   = 2^61 - 1 (``_coprime_mod_p``): when p divides neither leading
+   coefficient, the integer gcd reduces mod p to a divisor of the same
+   degree, so a constant gcd mod p proves the pair coprime;
 3. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
    Brown 1971) and exact division, which stays the reference.
 
-Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
+Steps 1 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
 The public accessors (``coeffs``, ``leading``, ``content``) hand out
 ``Fraction``s.
 
@@ -55,30 +54,19 @@ from .rational import format_ratio, parse_int
 NEG_INFINITY = float("-inf")
 
 MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
-# Smaller operand degree from which ``cofactors`` tries the modular
-# coprimality test first.  Below it about half the pairs share a factor, so
-# the test mostly adds its own cost.  Timed against the pseudo-remainder
-# sequence alone on every gcd of the s=10 symbolic pipeline (Python 3.11,
-# 2-vCPU Xeon), the gcds sum to 168 ms without the test, 153 ms with the gate
-# at 8, 119 ms at 16, 108 ms at 24, 107 ms at 28 and 109 ms at 32.  With
-# GCDHEU after it, a gate of 36 or 48 makes det_closed(16 and 20, T) 1.2-3.5
-# times slower, as their large coprime pairs then reach the heuristic.
-MODULAR_GATE = 24
 # Largest size in bits, k times (degree + 1), of a value at 2^k that GCDHEU
-# computes; a pair that needs more goes to the pseudo-remainder sequence.
+# computes; a pair that needs more takes the modular coprimality test.
 # CPython's int gcd is quadratic in the size.  Each pair timed alone by both
 # methods, summed per size band (Python 3.11, 2-vCPU Xeon, ms, heu / prs):
 #                                 <10k       10-20k      20-40k      40-80k
-#   symbolic s=10 pipeline, det_closed(20), lu s=16 (4991 / 3 / 1 / 2 pairs)
+#   symbolic s=10 pipeline, det_closed(20), lu s=16
 #                                 80 / 202   0.4 / 0.4   0.4 / 0.4   2.4 / 1.4
 #   random, shared factor of degree 1-60, 20-1100 bit coefficients
 #                                 7 / 11     10 / 11     30 / 26     33 / 28
-#   random coprime, degree < MODULAR_GATE (coprime pairs from the gate up are
-#   settled by the modular test first)
+#   random coprime, degree < 24
 #                                 6 / 974    5 / 1414    20 / 13097
 # Past 20k bits the heuristic loses on shared factors.
 HEU_MAX_BITS = 20000
-HEU_TRIES = 3  # points 2^k tried, each k about 1.5 times the last
 
 Scalar = Union[int, Fraction]
 
@@ -337,19 +325,21 @@ class Polynomial:
 
         g is 1 for a coprime pair, which returns both operands as they are,
         and 0 when both are zero.  Works on the integer numerators, since
-        scaling by a constant does not change the gcd, in three steps:
+        scaling by a constant does not change the gcd.  With k the first
+        GCDHEU point, the pair takes one of two steps:
 
-        1. When the smaller degree reaches MODULAR_GATE and p = MODULUS
-           divides neither leading coefficient, a constant gcd mod p proves
-           the pair coprime.  Proof: the primitive integer gcd G divides both
-           operands in Z[t] (Gauss's lemma), so p does not divide lead(G) and
-           G mod p, of degree deg G, divides both residues; so deg G <= 0.
-        2. GCDHEU (``_heu_cofactors``), while the evaluations stay under
+        1. GCDHEU at 2^k (``_heu_at``) when k (degree + 1) is at most
            HEU_MAX_BITS.
-        3. ``_prs_gcd``, the reference, when the heuristic gives up.
+        2. Otherwise, when p = MODULUS divides neither leading coefficient,
+           a constant gcd mod p proves the pair coprime.  Proof: the
+           primitive integer gcd G divides both operands in Z[t] (Gauss's
+           lemma), so p does not divide lead(G) and G mod p, of degree
+           deg G, divides both residues; so deg G <= 0.
 
-        Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are
-        even: gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for the cofactors.
+        ``_prs_gcd``, the reference, settles every pair neither step does.
+        GCDHEU and the sequence run on F(u), H(u) with u = t^2 when both
+        operands are even: gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for
+        the cofactors.
         """
         o = self._coerce(other)
         if o is None:
@@ -444,14 +434,23 @@ def _int_cofactors(a, b):
     """(g, a / g, b / g) for the int polynomials a and b, both of degree at
     least 1, with g primitive and of positive lead; g == [1] and the operands
     themselves for a coprime pair.  The steps are those of
-    ``Polynomial.cofactors``."""
-    long, short = (a, b) if len(a) >= len(b) else (b, a)
-    if (len(short) > MODULAR_GATE and long[-1] % MODULUS and short[-1] % MODULUS
-            and _coprime_mod_p(long, short)):
-        return [1], a, b
+    ``Polynomial.cofactors``.
+
+    The GCDHEU point 2^k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
+    coefficient size) by 16 bits.  With that margin 2201 of the 2206 GCDHEU
+    calls of the s=10 symbolic pipeline settle the pair.
+    """
     even = not any(a[1::2]) and not any(b[1::2])
     fa, fb = (a[::2], b[::2]) if even else (a, b)
-    g, ca, cb = _heu_cofactors(fa, fb) or _prs_cofactors(fa, fb)
+    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
+    found = None
+    if k * max(len(fa), len(fb)) <= HEU_MAX_BITS:
+        found = _heu_at(fa, fb, k)
+    else:
+        long, short = (a, b) if len(a) >= len(b) else (b, a)
+        if long[-1] % MODULUS and short[-1] % MODULUS and _coprime_mod_p(long, short):
+            return [1], a, b
+    g, ca, cb = found or _prs_cofactors(fa, fb)
     if len(g) == 1:
         return [1], a, b
     if even:
@@ -459,31 +458,10 @@ def _int_cofactors(a, b):
     return g, ca, cb
 
 
-def _heu_cofactors(a, b):
-    """GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989) 31-48):
-    (g, a / g, b / g) as ``_int_cofactors`` gives them, or None when
-    ``_heu_at`` refuses HEU_TRIES growing points 2^k or a value of a or b
-    at the next one would pass HEU_MAX_BITS.
-
-    The first k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
-    coefficient size) by 16 bits.  With that margin 3348 of the 3351 calls
-    of the s=10 symbolic pipeline that try a point pass at the first one.
-    """
-    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
-    width = max(len(a), len(b))
-    for _ in range(HEU_TRIES):
-        if k * width > HEU_MAX_BITS:
-            return None
-        found = _heu_at(a, b, k)
-        if found:
-            return found
-        k += k // 2 + 2
-    return None
-
-
 def _heu_at(a, b, k):
-    """One GCDHEU point xi = 2^k > 2 max(|a|, |b|) + 2: (g, a / g, b / g)
-    as ``_int_cofactors`` gives them, or None when the candidate is refused.
+    """GCDHEU (Char, Geddes, Gonnet, J. Symbolic Comput. 7 (1989) 31-48) at
+    the one point xi = 2^k > 2 max(|a|, |b|) + 2: (g, a / g, b / g) as
+    ``_int_cofactors`` gives them, or None when the candidate is refused.
 
     h is the symmetric xi-adic image of gcd(a(xi), b(xi)), H its primitive
     part with positive lead, and the cofactor candidates ca, cb are the

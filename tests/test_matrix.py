@@ -60,6 +60,7 @@ def test_build_matrix_size_one():
 
 def test_build_matrix_size_two_at_t_one():
     assert build_matrix(2, 1) == M2_T1
+    assert ExactMatrix([[1, 2, 3], [4, 5, 6]]) != ExactMatrix([[1, 2], [3, 4], [5, 6]])
 
 
 def test_build_matrix_symbolic_entries():
@@ -206,35 +207,21 @@ def test_at_is_one_based():
 # -- transpose -------------------------------------------------------------
 
 
-def test_transpose_swaps():
-    assert M2_T1.transpose() == ExactMatrix(
-        [
-            [Fraction(1, 3), Fraction(-1, 5)],
-            [Fraction(1, 15), Fraction(1, 7)],
-        ]
-    )
-
-
-@given(square_matrices())
-def test_transpose_is_involution(m):
-    assert m.transpose().transpose() == m
-
-
 @given(square_matrices())
 def test_transpose_preserves_determinant(m):
-    assert det_cofactor(m) == det_cofactor(m.transpose())
+    assert det_cofactor(m) == det_cofactor(ExactMatrix(zip(*m.rows)))
 
 
 def test_transpose_preserves_determinant_symbolic():
     for s in range(1, 5):
         m = build_matrix(s, SYMBOLIC_T)
-        assert det_elimination(m) == det_elimination(m.transpose())
+        assert det_elimination(m) == det_elimination(ExactMatrix(zip(*m.rows)))
 
 
 def test_transpose_preserves_determinant_numeric_family():
     for s in range(1, 6):
         m = build_matrix(s, 1)
-        assert det_elimination(m) == det_elimination(m.transpose())
+        assert det_elimination(m) == det_elimination(ExactMatrix(zip(*m.rows)))
 
 
 # -- matmul ----------------------------------------------------------------

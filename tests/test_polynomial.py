@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, parse_polynomial
 from cauchylu import polynomial as polynomial_module
-from cauchylu.polynomial import HEU_TRIES, MODULAR_GATE, MODULUS, _coprime_mod_p, _prs_gcd
+from cauchylu.polynomial import HEU_MAX_BITS, MODULUS, _coprime_mod_p, _prs_gcd
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
@@ -253,7 +253,7 @@ def int_polys(degrees, coefficients):
 
 small_ints = st.integers(-(2**20), 2**20)
 huge_ints = st.integers(2**1000, 2**1100) | st.integers(-(2**1100), -(2**1000))
-around_gate = st.integers(MODULAR_GATE - 4, MODULAR_GATE + 2)
+mid_degrees = st.integers(20, 26)
 
 
 def _ints(p):
@@ -284,19 +284,19 @@ def _modular_tests_recorded():
 
 
 @settings(deadline=None, max_examples=50)
-@given(int_polys(around_gate, small_ints), int_polys(around_gate, small_ints),
-       int_polys(st.integers(0, 3), small_ints))
-def test_gcd_matches_prs_reference_across_the_gate(f, h, g):
-    # The smaller degree runs from MODULAR_GATE - 4 to MODULAR_GATE + 5, so
-    # both the gated and the ungated path are taken; deg g = 0 gives pairs
-    # that are almost always coprime.
-    a, b = f * g, h * g
+@given(int_polys(mid_degrees, small_ints), int_polys(mid_degrees, small_ints),
+       int_polys(st.integers(0, 3), small_ints), st.just(1) | huge_ints)
+def test_gcd_matches_prs_reference_across_the_gate(f, h, g, c):
+    # A content c of 1000 bits or more puts the values at the first GCDHEU
+    # point past HEU_MAX_BITS, so both GCDHEU and the modular test are
+    # taken; deg g = 0 gives pairs that are almost always coprime.
+    a, b = c * f * g, h * g
     assert a.cofactors(b)[0] == _reference_gcd(a, b)
 
 
 @settings(max_examples=30)
-@given(int_polys(st.integers(0, MODULAR_GATE + 2), small_ints | huge_ints),
-       int_polys(st.integers(0, MODULAR_GATE + 2), small_ints | huge_ints),
+@given(int_polys(st.integers(0, 26), small_ints | huge_ints),
+       int_polys(st.integers(0, 26), small_ints | huge_ints),
        int_polys(st.integers(1, 3), small_ints | huge_ints))
 def test_shared_factor_is_never_reported_coprime(f, h, g):
     a, b = f * g, h * g
@@ -306,7 +306,7 @@ def test_shared_factor_is_never_reported_coprime(f, h, g):
 
 
 @settings(deadline=None, max_examples=30)
-@given(int_polys(st.integers(MODULAR_GATE - 3, MODULAR_GATE + 1), huge_ints),
+@given(int_polys(st.integers(21, 25), huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints))
 def test_gcd_with_huge_coefficients_matches_prs_reference(g, f, h):
@@ -318,12 +318,15 @@ def test_gcd_with_huge_coefficients_matches_prs_reference(g, f, h):
 
 
 @settings(deadline=None, max_examples=30)
-@given(int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 4), small_ints | huge_ints),
+@given(int_polys(st.integers(40, 44), small_ints | huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints),
-       small_ints.filter(bool) | huge_ints)
+       huge_ints)
 def test_modular_test_proves_coprime_pairs_with_huge_coefficients(f, h, c):
     # gcd(f, f h + c) = gcd(f, c) = 1 for a nonzero constant c.  The
-    # reference sequence would take seconds on these coefficients.
+    # reference sequence would take seconds on these coefficients.  With c
+    # of 1000 bits or more, f or f h + c has a coefficient of about that
+    # size, so the first GCDHEU point has k > 1000, over a width of at least
+    # 21 even in u = t^2: past HEU_MAX_BITS.
     b = f * h + c
     assume(_leads_are_units_mod_p(f, b))
     with _modular_tests_recorded() as calls:
@@ -332,14 +335,15 @@ def test_modular_test_proves_coprime_pairs_with_huge_coefficients(f, h, c):
 
 
 @settings(deadline=None, max_examples=30)
-@given(st.integers(1, 2**70), st.integers(1, 2**70),
-       int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 2), small_ints),
-       int_polys(st.integers(MODULAR_GATE, MODULAR_GATE + 2), small_ints))
-def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, f, h):
+@given(st.integers(1, 2**70), st.integers(1, 2**70), huge_ints,
+       int_polys(st.integers(24, 26), small_ints),
+       int_polys(st.integers(24, 26), small_ints))
+def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, big, f, h):
     # g = k p t + c vanishes to the constant c mod p, so the residues of
-    # f g and h g could be coprime although g divides both.
+    # f g and h g could be coprime although g divides both.  The content
+    # big puts the values at the first GCDHEU point past HEU_MAX_BITS.
     g = Polynomial((c, k * MODULUS))
-    a, b = f * g, h * g
+    a, b = big * f * g, h * g
     with _modular_tests_recorded() as calls:
         result = a.cofactors(b)[0]
     assert calls == []
@@ -349,20 +353,26 @@ def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, f, h):
 
 def test_shared_factor_vanishing_mod_p_is_found():
     # t^n + 2 and t^n + 3 are coprime over every field, so only the lead
-    # guard keeps the modular test from reporting these two coprime.
-    n = MODULAR_GATE
+    # guard keeps the modular test from reporting these two coprime.  The
+    # content 2^1000 puts the values past HEU_MAX_BITS.
+    n = 24
     g = MODULUS * T + 1
-    assert ((T**n + 2) * g).cofactors((T**n + 3) * g)[0] == g
+    assert (2**1000 * (T**n + 2) * g).cofactors((T**n + 3) * g)[0] == g
 
 
 def test_modular_test_runs_from_the_gate():
-    n = MODULAR_GATE
+    # The first GCDHEU point of 2^e (t^(n + 3) + 2) and t^n + 3 is 2^k with
+    # k = e + 19, 16 bits above 2 * 2^(e + 1) + 2, over n + 4 coefficients:
+    # the modular test takes the pair from k (n + 4) > HEU_MAX_BITS on.
+    n = 24
+    fits = 2 ** (HEU_MAX_BITS // (n + 4) - 19)
     with _modular_tests_recorded() as calls:
-        assert (T**(n + 3) + 2).cofactors(T**(n - 1) + 3)[0] == 1
+        assert (fits * (T**(n + 3) + 2)).cofactors(T**n + 3)[0] == 1
         assert calls == []
-        assert (T**(n + 3) + 2).cofactors(T**n + 3)[0] == 1
+        assert (2 * fits * (T**(n + 3) + 2)).cofactors(T**n + 3)[0] == 1
         assert calls == [(n, True)]
-        assert ((T + 1) * (T**n + 2)).cofactors((T + 1) * (T**n + 3))[0] == T + 1
+        a, b = 2**1000 * (T + 1) * (T**n + 2), (T + 1) * (T**n + 3)
+        assert a.cofactors(b)[0] == T + 1
         assert calls == [(n, True), (n + 1, False)]
 
 
@@ -393,7 +403,7 @@ def _assert_cofactors(a, b, result=None):
 def _paths_recorded():
     """Record which step settles each pair: 'mod p', 'heu' or 'prs'."""
     calls = []
-    mod_p, heu, prs = (polynomial_module._coprime_mod_p, polynomial_module._heu_cofactors,
+    mod_p, heu, prs = (polynomial_module._coprime_mod_p, polynomial_module._heu_at,
                        polynomial_module._prs_cofactors)
 
     def record(name, fn):
@@ -404,7 +414,7 @@ def _paths_recorded():
         return wrapper
 
     with mock.patch.object(polynomial_module, "_coprime_mod_p", record("mod p", mod_p)), \
-            mock.patch.object(polynomial_module, "_heu_cofactors", record("heu", heu)), \
+            mock.patch.object(polynomial_module, "_heu_at", record("heu", heu)), \
             mock.patch.object(polynomial_module, "_prs_cofactors", record("prs", prs)):
         yield calls
 
@@ -451,14 +461,15 @@ def _huge_poly(degree, seed):
 
 
 @pytest.mark.parametrize("degrees, paths", [
-    # (deg g, deg f, deg h): below the gate and the size bound
+    # (deg g, deg f, deg h): below the size bound
     ((3, 2, 2), ["heu"]),
     ((4, 3, 3), ["heu"]),
-    # below the gate, above the size bound
-    ((7, 7, 7), ["heu", "prs"]),
-    # above the gate, where the modular test finds the shared factor and
-    # the size bound sends the pair on to the sequence
-    ((MODULAR_GATE, 1, 2), ["mod p", "heu", "prs"]),
+    # above the size bound, where the modular test finds the shared factor
+    # and the pair goes on to the sequence
+    ((7, 7, 7), ["mod p", "prs"]),
+    ((24, 1, 2), ["mod p", "prs"]),
+    # above the size bound and coprime, below degree 24
+    ((0, 9, 9), ["mod p"]),
 ])
 def test_huge_coefficients_on_both_sides_of_gate_and_size_bound(degrees, paths):
     g, f, h = (_huge_poly(d, seed) for seed, d in enumerate(degrees))
@@ -470,11 +481,11 @@ def test_huge_coefficients_on_both_sides_of_gate_and_size_bound(degrees, paths):
 
 
 def test_small_pair_above_the_gate_takes_the_heuristic():
-    n = MODULAR_GATE
+    n = 24
     a, b = (T + 1) * (T**n + 2), (T + 1) * (T**n + 3)
     with _paths_recorded() as calls:
         result = a.cofactors(b)
-    assert [name for name, _ in calls] == ["mod p", "heu"]
+    assert [name for name, _ in calls] == ["heu"]
     assert _assert_cofactors(a, b, result) == T + 1
 
 
@@ -498,38 +509,21 @@ def test_exhausted_heuristic_falls_back_to_the_sequence():
 
     with mock.patch.object(polynomial_module, "_heu_at", refuse), _paths_recorded() as calls:
         assert a.cofactors(b) == expected
-    assert len(points) == HEU_TRIES and points == sorted(set(points))
+    assert len(points) == 1
     assert [name for name, _ in calls] == ["heu", "prs"] and calls[0][1] is None
-
-
-def test_heuristic_takes_the_next_point_after_a_refusal():
-    a, b = (T**2 - 4) * (3 * T + 5), (T**2 - 4) * (T - 7)
-    expected = a.cofactors(b)
-    points = []
-    heu_at = polynomial_module._heu_at
-
-    def refuse_first(a, b, k):
-        points.append(k)
-        return heu_at(a, b, k) if len(points) > 1 else None
-
-    with mock.patch.object(polynomial_module, "_heu_at", refuse_first), \
-            _paths_recorded() as calls:
-        assert a.cofactors(b) == expected
-    assert len(points) == 2 and points[1] > points[0]
-    assert [name for name, _ in calls] == ["heu"]
 
 
 def test_even_pairs_run_in_u():
     # Both even: the heuristic sees F(u), H(u) with u = t^2.
     a, b = (T**2 - 4) * (9 * T**2 - 1), (T**2 - 4) * (T**4 + 1)
     seen = []
-    heu = polynomial_module._heu_cofactors
+    heu = polynomial_module._heu_at
 
-    def spy(a, b):
+    def spy(a, b, k):
         seen.append((len(a) - 1, len(b) - 1))
-        return heu(a, b)
+        return heu(a, b, k)
 
-    with mock.patch.object(polynomial_module, "_heu_cofactors", spy):
+    with mock.patch.object(polynomial_module, "_heu_at", spy):
         assert a.cofactors(b) == (T**2 - 4, 9 * T**2 - 1, T**4 + 1)
         assert (T * a).cofactors(b) == (T**2 - 4, T * (9 * T**2 - 1), T**4 + 1)
     assert seen == [(2, 3), (5, 6)]
