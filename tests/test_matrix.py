@@ -204,6 +204,13 @@ def test_at_is_one_based():
         m.at(1, 3)
 
 
+def test_equality_is_by_entries_and_never_with_other_types():
+    m = ExactMatrix([[1, 2], [3, 4]])
+    assert m == ExactMatrix([[Fraction(1), 2], [3, Fraction(8, 2)]])
+    assert m != ExactMatrix([[1, 2], [3, 5]])
+    assert m != ((1, 2), (3, 4)) and m.__eq__(m.rows) is NotImplemented
+
+
 # -- transpose -------------------------------------------------------------
 
 

@@ -527,3 +527,50 @@ def test_even_pairs_run_in_u():
         assert a.cofactors(b) == (T**2 - 4, 9 * T**2 - 1, T**4 + 1)
         assert (T * a).cofactors(b) == (T**2 - 4, T * (9 * T**2 - 1), T**4 + 1)
     assert seen == [(2, 3), (5, 6)]
+
+
+def test_size_bound_counts_the_coefficients_in_u():
+    # Both even, m = 12: F(u) has 13 coefficients, f(t) 25.  The first
+    # GCDHEU point is 2^k with k = e + 19 = 1000, and 13 k <= HEU_MAX_BITS
+    # < 25 k, so the pair fits only when measured in u.
+    m, e = 12, 981
+    a, b = 2**e * (T**(2 * m) + 2), T**(2 * m) + 3
+    seen = []
+    heu = polynomial_module._heu_at
+
+    def spy(a, b, k):
+        seen.append((len(a) - 1, len(b) - 1, k))
+        return heu(a, b, k)
+
+    with mock.patch.object(polynomial_module, "_heu_at", spy), \
+            _modular_tests_recorded() as calls:
+        assert a.cofactors(b) == (1, a, b)
+        g = T**2 - 4
+        result = (g * a).cofactors(g * b)
+    assert calls == []
+    assert seen[0] == (m, m, e + 19) and seen[1][:2] == (m + 1, m + 1)
+    assert len(seen) == 2 and _assert_cofactors(g * a, g * b, result) == g
+
+
+def test_even_pairs_past_the_size_bound_take_the_modular_test_in_t():
+    # With a 2000-bit content, k (deg F + 1) is past HEU_MAX_BITS in u as
+    # well; the modular test then sees the t-form operands, and a pair it
+    # does not settle goes to the sequence in u.
+    n = 24
+    a, b = 2**2000 * (T**n + 2), T**n + 3
+    seen = []
+    prs = polynomial_module._prs_cofactors
+
+    def spy(a, b):
+        seen.append((len(a) - 1, len(b) - 1))
+        return prs(a, b)
+
+    with mock.patch.object(polynomial_module, "_prs_cofactors", spy), \
+            _modular_tests_recorded() as calls:
+        assert a.cofactors(b) == (1, a, b)
+        assert calls == [(n, True)] and seen == []
+        g = T**2 - 4
+        result = (g * a).cofactors(g * b)
+    assert calls == [(n, True), (n + 2, False)]
+    assert seen == [(n // 2 + 1, n // 2 + 1)]
+    assert _assert_cofactors(g * a, g * b, result) == g
