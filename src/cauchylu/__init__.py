@@ -41,7 +41,6 @@ from .matrix import (
     ExactMatrix,
     LUFactors,
     build_matrix,
-    det_cofactor,
     det_elimination,
     lu_doolittle,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "chain_t1",
     "coerce_scalar",
     "det_closed",
-    "det_cofactor",
     "det_elimination",
     "det_t1",
     "double_factorial",

@@ -20,11 +20,11 @@ onto the matching column of the left one, since (L D)(D^-1 U) = L U for
 any diagonal D, and only then clear each line over the lcm of its
 denominators: row k of U carries the Cauchy generator u_k, whose
 denominator differs from row to row, and a column of U cleared with its
-contents would collect all of them.  Two independent determinant oracles
-live here -- recursive cofactor expansion and right-looking Gaussian
-elimination with row swaps.  They share none of that arithmetic with
-``lu_doolittle``, so each can check the others: an error in the compact
-kernel cannot repeat itself in the determinant it is checked against.
+contents would collect all of them.  The determinant oracle here,
+``det_elimination``, is right-looking Gaussian elimination with row swaps.
+It shares none of that arithmetic with ``lu_doolittle``, so each can check
+the other: an error in the compact kernel cannot repeat itself in the
+determinant it is checked against.
 
 Over Fractions the elimination keeps its trailing block as
 A = R * B * C: diagonal scales R (rows) and C (columns) of positive
@@ -50,14 +50,11 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     SingularEntry,
-    SizeCapExceeded,
     ZeroPivot,
     require_at_least,
 )
 from .polynomial import Polynomial
 from .ratfunc import RationalFunction, coerce_scalar
-
-COFACTOR_CAP = 7
 
 
 class ExactMatrix:
@@ -74,10 +71,6 @@ class ExactMatrix:
         if types not in ({Fraction}, {RationalFunction}):
             data = _lifted(data)
         self._rows = data
-
-    @classmethod
-    def identity(cls, n: int) -> ExactMatrix:
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -429,33 +422,6 @@ def lu_doolittle(m: ExactMatrix) -> LUFactors:
             low[r][k] = f = _reduced(a[r][k], rows_of_l[r], cols_of_u[k], pivot)
             rows_of_l[r].append(_multiplied(ring, ring.parts(f), g))
     return LUFactors(ExactMatrix(low), ExactMatrix(upper))
-
-
-def det_cofactor(m: ExactMatrix):
-    """Determinant by recursive first-row cofactor expansion.
-
-    Factorial cost, so refuses sizes above ``COFACTOR_CAP``; this is the
-    slow, obviously-correct oracle.
-    """
-    n = _require_square(m)
-    if n > COFACTOR_CAP:
-        raise SizeCapExceeded(n, COFACTOR_CAP)
-    return _cofactor(m.rows)
-
-
-def _cofactor(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = rows[0][0] * 0
-    sign = 1
-    for col in range(n):
-        entry = rows[0][col]
-        if entry != 0:
-            minor = tuple(r[:col] + r[col + 1 :] for r in rows[1:])
-            total = total + sign * entry * _cofactor(minor)
-        sign = -sign
-    return total
 
 
 def det_elimination(m: ExactMatrix):

@@ -12,22 +12,24 @@ All arithmetic runs on ints: sums scale by the lcm of the denominators and
 products are integer convolutions.  There is no division operator:
 ``cofactors`` returns the primitive gcd g with positive lead together with
 both operands divided by it, which is how ``RationalFunction`` cancels.  g
-is found by one of two steps, chosen by the size of the values GCDHEU
-would compute, or by a third when that step does not settle the pair:
+is found by one chain of steps, each settling what the one before leaves
+open:
 
-1. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989) when those values
-   stay under ``HEU_MAX_BITS``: the integer gcd of both operands' values at
-   a power of two 2^k, read back as a polynomial in base 2^k; its cofactors
-   come from the same values and are accepted only when a size bound
-   proves them exact, and a constant candidate proves the pair coprime;
-2. otherwise a deterministic coprimality test modulo the prime ``MODULUS``
-   = 2^61 - 1 (``_coprime_mod_p``): when p divides neither leading
-   coefficient, the integer gcd reduces mod p to a divisor of the same
-   degree, so a constant gcd mod p proves the pair coprime;
+1. a deterministic coprimality test modulo the prime ``MODULUS`` = 2^61 - 1
+   (``_coprime_mod_p``), run only when the values GCDHEU would compute pass
+   ``HEU_MAX_BITS``: when p divides neither leading coefficient, the
+   integer gcd reduces mod p to a divisor of the same degree, so a constant
+   gcd mod p proves the pair coprime;
+2. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989): the integer gcd of
+   both operands' values at a power of two 2^k, read back as a polynomial
+   in base 2^k; its cofactors come from the same values and are accepted
+   only when a size bound proves them exact, and a constant candidate
+   proves the pair coprime;
 3. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
-   Brown 1971) and exact division, which stays the reference.
+   Brown 1971) and exact division, only for a pair GCDHEU refuses; it
+   stays the reference.
 
-Steps 1 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
+Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
 The public accessors (``coeffs``, ``leading``, ``content``) hand out
 ``Fraction``s.
 
@@ -54,10 +56,15 @@ from .rational import format_ratio, parse_int
 NEG_INFINITY = float("-inf")
 
 MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
-# Largest size in bits, k times (degree + 1), of a value at 2^k that GCDHEU
-# computes; a pair that needs more takes the modular coprimality test.
-# CPython's int gcd is quadratic in the size.  Each pair timed alone by both
-# methods, summed per size band (Python 3.11, 2-vCPU Xeon, ms, heu / prs):
+# Size in bits, k times (degree + 1), of a value at 2^k that GCDHEU computes,
+# past which a pair takes the modular coprimality test before GCDHEU.  The
+# bound decides only that order: GCDHEU runs on every pair the test leaves
+# open, and the sequence only on a pair GCDHEU refuses.  Below the bound the
+# test is mostly wasted work, since GCDHEU settles coprime and shared-factor
+# pairs alike: running it first on every pair made the s=10 symbolic
+# pipeline 79 -> 126 ms CPU (best of 5; Python 3.11, 2-vCPU Xeon).  GCDHEU
+# against the sequence, each pair timed alone, summed per size band (same
+# host, ms, heu / prs):
 #                                 <10k       10-20k      20-40k      40-80k
 #   symbolic s=10 pipeline, det_closed(20), lu s=16
 #                                 80 / 202   0.4 / 0.4   0.4 / 0.4   2.4 / 1.4
@@ -65,7 +72,9 @@ MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
 #                                 7 / 11     10 / 11     30 / 26     33 / 28
 #   random coprime, degree < 24
 #                                 6 / 974    5 / 1414    20 / 13097
-# Past 20k bits the heuristic loses on shared factors.
+# Past 20k bits GCDHEU trails the sequence by up to 1.7x on shared factors
+# in these bands, but the sequence's coefficient growth can take seconds on
+# one pair, as on the inner products of random 6x6 matrices over Q(t).
 HEU_MAX_BITS = 20000
 
 Scalar = Union[int, Fraction]
@@ -326,17 +335,17 @@ class Polynomial:
         g is 1 for a coprime pair, which returns both operands as they are,
         and 0 when both are zero.  Works on the integer numerators, since
         scaling by a constant does not change the gcd.  With k the first
-        GCDHEU point, the pair takes one of two steps:
+        GCDHEU point, the pair runs one chain:
 
-        1. GCDHEU at 2^k (``_heu_at``) when k (degree + 1) is at most
-           HEU_MAX_BITS.
-        2. Otherwise, when p = MODULUS divides neither leading coefficient,
-           a constant gcd mod p proves the pair coprime.  Proof: the
-           primitive integer gcd G divides both operands in Z[t] (Gauss's
-           lemma), so p does not divide lead(G) and G mod p, of degree
-           deg G, divides both residues; so deg G <= 0.
+        1. When k (degree + 1) passes HEU_MAX_BITS and p = MODULUS divides
+           neither leading coefficient, a constant gcd mod p proves the pair
+           coprime, and it returns at once.  Proof: the primitive integer
+           gcd G divides both operands in Z[t] (Gauss's lemma), so p does
+           not divide lead(G) and G mod p, of degree deg G, divides both
+           residues; so deg G <= 0.
+        2. Every other pair runs GCDHEU at 2^k (``_heu_at``).
+        3. ``_prs_gcd``, the reference, settles a pair GCDHEU refuses.
 
-        ``_prs_gcd``, the reference, settles every pair neither step does.
         GCDHEU and the sequence run on F(u), H(u) with u = t^2 when both
         operands are even: gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for
         the cofactors.
@@ -414,8 +423,8 @@ def _prs_gcd(a, b) -> list[int]:
     """The gcd of the int polynomials a and b, deg a >= deg b >= 1, as a
     primitive int list with positive lead, by the primitive pseudo-remainder
     sequence: each remainder is cut to its primitive part, which keeps
-    coefficient growth tame.  It decides every gcd that neither the modular
-    test nor GCDHEU does, and is the reference for both.
+    coefficient growth tame.  It settles only the pairs GCDHEU refuses, and
+    is the reference for both other steps.
     """
     a = _primitive_ints(a)
     b = _primitive_ints(b)
@@ -433,8 +442,9 @@ def _prs_gcd(a, b) -> list[int]:
 def _int_cofactors(a, b):
     """(g, a / g, b / g) for the int polynomials a and b, both of degree at
     least 1, with g primitive and of positive lead; g == [1] and the operands
-    themselves for a coprime pair.  The steps are those of
-    ``Polynomial.cofactors``.
+    themselves for a coprime pair.  The chain is that of
+    ``Polynomial.cofactors``: GCDHEU runs at the same first point k whether
+    or not the modular test ran before it.
 
     The GCDHEU point 2^k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
     coefficient size) by 16 bits.  With that margin 2201 of the 2206 GCDHEU
@@ -443,14 +453,11 @@ def _int_cofactors(a, b):
     even = not any(a[1::2]) and not any(b[1::2])
     fa, fb = (a[::2], b[::2]) if even else (a, b)
     k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
-    found = None
-    if k * max(len(fa), len(fb)) <= HEU_MAX_BITS:
-        found = _heu_at(fa, fb, k)
-    else:
+    if k * max(len(fa), len(fb)) > HEU_MAX_BITS:
         long, short = (a, b) if len(a) >= len(b) else (b, a)
         if long[-1] % MODULUS and short[-1] % MODULUS and _coprime_mod_p(long, short):
             return [1], a, b
-    g, ca, cb = found or _prs_cofactors(fa, fb)
+    g, ca, cb = _heu_at(fa, fb, k) or _prs_cofactors(fa, fb)
     if len(g) == 1:
         return [1], a, b
     if even:

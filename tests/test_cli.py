@@ -175,7 +175,7 @@ def test_lu_compare_mismatch_exits_one(capsys, monkeypatch):
     from cauchylu import cli as cli_mod
     from cauchylu.matrix import ExactMatrix, LUFactors
 
-    identity = ExactMatrix.identity(2)
+    identity = ExactMatrix([[1, 0], [0, 1]])
     monkeypatch.setattr(cli_mod, "lu_doolittle", lambda m: LUFactors(identity, identity))
     code, out, err = run_cli(capsys, "lu", "--s", "2", "--t", "1/1", "--compare")
     assert code == 1
@@ -395,7 +395,7 @@ def _stub_arithmetic(monkeypatch):
     from cauchylu.matrix import ExactMatrix, LUFactors
 
     calls = []
-    one = ExactMatrix.identity(1)
+    one = ExactMatrix([[1]])
 
     def stub(name, make):
         def call(*args):

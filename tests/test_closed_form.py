@@ -19,7 +19,6 @@ from cauchylu import (
     build_matrix,
     chain_t1,
     det_closed,
-    det_cofactor,
     det_elimination,
     det_t1,
     entry_L,
@@ -389,7 +388,7 @@ def test_det_closed_empty_product():
 def test_det_closed_values_at_t_one():
     assert det_closed(1, 1) == Fraction(1, 3)
     assert det_closed(2, 1) == Fraction(32, 525)
-    assert det_closed(2, 1) == det_cofactor(build_matrix(2, 1))
+    assert det_closed(2, 1) == det_elimination(build_matrix(2, 1))
 
 
 def test_det_closed_symbolic_matches_elimination():

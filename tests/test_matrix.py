@@ -1,5 +1,6 @@
-"""Matrix construction, Doolittle LU, and the two determinant oracles."""
+"""Matrix construction, Doolittle LU, and the elimination determinant."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,19 +15,18 @@ from cauchylu import (
     Polynomial,
     SYMBOLIC_T,
     SingularEntry,
-    SizeCapExceeded,
     T,
     ZeroPivot,
     build_L,
     build_U,
     build_matrix,
     det_closed,
-    det_cofactor,
     det_elimination,
     lu_doolittle,
     RationalFunction,
 )
 from cauchylu import matrix as matrix_mod
+from cauchylu import polynomial as polynomial_module
 from cauchylu.ratfunc import coerce_scalar
 
 M2_T1 = ExactMatrix(
@@ -49,6 +49,11 @@ def square_matrices(draw, max_size=4):
         st.lists(st.lists(kind, min_size=n, max_size=n), min_size=n, max_size=n)
     )
     return ExactMatrix(rows)
+
+
+def _eye(n):
+    """The n x n identity."""
+    return ExactMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 # -- construction ---------------------------------------------------------
@@ -216,7 +221,7 @@ def test_equality_is_by_entries_and_never_with_other_types():
 
 @given(square_matrices())
 def test_transpose_preserves_determinant(m):
-    assert det_cofactor(m) == det_cofactor(ExactMatrix(zip(*m.rows)))
+    assert det_elimination(m) == det_elimination(ExactMatrix(zip(*m.rows)))
 
 
 def test_transpose_preserves_determinant_symbolic():
@@ -235,7 +240,7 @@ def test_transpose_preserves_determinant_numeric_family():
 
 
 def test_matmul_identity_and_zero():
-    eye = ExactMatrix.identity(2)
+    eye = _eye(2)
     zero = ExactMatrix([[0, 0], [0, 0]])
     assert M2_T1 @ eye == M2_T1
     assert zero @ M2_T1 == zero
@@ -325,7 +330,7 @@ def test_matmul_equals_naive_sums(operands):
     "a, b",
     [
         (lu_doolittle(build_matrix(3, SYMBOLIC_T)).L.rows, lu_doolittle(build_matrix(3, SYMBOLIC_T)).U.rows),
-        (ExactMatrix.identity(2).rows, build_matrix(2, SYMBOLIC_T).rows),
+        (_eye(2).rows, build_matrix(2, SYMBOLIC_T).rows),
         ([[T + 1, Fraction(1, 2)]], [[T], [3]]),
     ],
 )
@@ -363,7 +368,7 @@ def test_doolittle_symbolic_subdiagonal_entry():
 def test_doolittle_on_diagonal_matrix():
     m = ExactMatrix([[Fraction(3), 0], [0, Fraction(5, 7)]])
     factors = lu_doolittle(m)
-    assert factors.L == ExactMatrix.identity(2)
+    assert factors.L == _eye(2)
     assert factors.U == m
 
 
@@ -404,7 +409,7 @@ def test_doolittle_reconstructs_input(m):
 
 
 def test_int_matrices_factor_over_the_rationals():
-    eye = ExactMatrix.identity(3)
+    eye = _eye(3)
     factors = lu_doolittle(eye)
     assert factors.L == eye and factors.U == eye
     assert {type(x) for f in factors for row in f.rows for x in row} == {Fraction}
@@ -419,14 +424,13 @@ def test_polynomial_entries_are_lifted_to_rational_functions():
     assert factors.U.at(2, 2) == RationalFunction(T**2 - 1, T)
     assert {type(x) for f in factors for row in f.rows for x in row} == {RationalFunction}
     assert factors.L @ factors.U == m
-    assert det_elimination(m) == det_cofactor(m) == T**2 - 1
+    assert det_elimination(m) == T**2 - 1
 
 
 @given(square_matrices(max_size=5))
 def test_factors_and_determinants_are_exact(m):
     # L @ U == m on the same matrices is test_doolittle_reconstructs_input.
-    for det in (det_cofactor(m), det_elimination(m)):
-        assert type(det) in (int, Fraction)
+    assert type(det_elimination(m)) in (int, Fraction)
     try:
         factors = lu_doolittle(m)
     except ZeroPivot:
@@ -539,7 +543,7 @@ def test_lines_with_coprime_denominators_fall_back_to_field_sums(monkeypatch):
     )
     lengths = _field_sum_lengths(monkeypatch)
     _assert_equals_reference(m)
-    assert lu_doolittle(m) == (m, ExactMatrix.identity(n))
+    assert lu_doolittle(m) == (m, _eye(n))
     assert min(lengths) == 7
 
 
@@ -554,7 +558,7 @@ def test_polynomial_lines_with_coprime_denominators_fall_back_to_field_sums(monk
     )
     lengths = _field_sum_lengths(monkeypatch)
     _assert_equals_reference(m)
-    assert lu_doolittle(m) == (m, ExactMatrix.identity(n))
+    assert lu_doolittle(m) == (m, _eye(n))
     assert min(lengths) == 7
 
 
@@ -698,37 +702,63 @@ def test_symbolic_factor_lines_keep_small_degrees(monkeypatch):
     assert factors == (build_L(16, SYMBOLIC_T), build_U(16, SYMBOLIC_T))
 
 
+def random_qt_matrix(n, seed):
+    """An n x n matrix over Q(t) with entries (a t + b)/(c t^k + d): a, b, c,
+    d in -9..9 with a, c != 0 and k in 1..3, drawn row by row."""
+    rng = random.Random(seed)
+    nonzero = [x for x in range(-9, 10) if x]
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            a, b = rng.choice(nonzero), rng.randint(-9, 9)
+            c, d, k = rng.choice(nonzero), rng.randint(-9, 9), rng.randint(1, 3)
+            row.append((a * SYMBOLIC_T + b) / (c * SYMBOLIC_T**k + d))
+        rows.append(row)
+    return ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_qt_doolittle_never_reaches_the_sequence(monkeypatch, seed):
+    # The cleared inner products share factors and their values at 2^k pass
+    # HEU_MAX_BITS; once the modular test leaves them open, GCDHEU settles
+    # them.  The pseudo-remainder sequence takes seconds on each.
+    m = random_qt_matrix(6, seed)
+    prs = []
+    sequence = polynomial_module._prs_cofactors
+    monkeypatch.setattr(polynomial_module, "_prs_cofactors",
+                        lambda a, b: prs.append((len(a), len(b))) or sequence(a, b))
+    factors = lu_doolittle(m)
+    assert prs == []
+    monkeypatch.undo()
+    assert factors.L @ factors.U == m
+
+
 def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):
     def unavailable(*args):
         raise AssertionError("compact Doolittle kernel called")
 
     for name in ("_Line", "_reduced", "_field_sum", "_cleared", "_divided", "_multiplied"):
         monkeypatch.setattr(matrix_mod, name, unavailable)
-    assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_cofactor(build_matrix(5, Fraction(37, 11)))
+    assert det_elimination(build_matrix(5, Fraction(37, 11))) == det_closed(5, Fraction(37, 11))
     with pytest.raises(AssertionError):
         lu_doolittle(build_matrix(2, 1))
 
 
-# -- determinant oracles ----------------------------------------------------
+# -- determinant oracle -----------------------------------------------------
 
 
-def test_det_cofactor_values():
-    assert det_cofactor(build_matrix(1, 1)) == Fraction(1, 3)
-    assert det_cofactor(build_matrix(2, 1)) == Fraction(32, 525)
-
-
-def test_det_cofactor_equal_rows_vanish():
-    m = ExactMatrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
-    assert det_cofactor(m) == 0
-
-
-def test_det_cofactor_cap():
-    with pytest.raises(SizeCapExceeded):
-        det_cofactor(build_matrix(8, 1))
-    assert det_cofactor(build_matrix(7, 1)) == det_elimination(build_matrix(7, 1))
+def _expansion_det(rows):
+    """Reference: the determinant by first-row cofactor expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = (tuple(r[:c] + r[c + 1:] for r in rows[1:]) for c in range(len(rows)))
+    return sum((-1) ** c * x * _expansion_det(minor)
+               for c, (x, minor) in enumerate(zip(rows[0], minors)) if x)
 
 
 def test_det_elimination_values():
+    assert det_elimination(build_matrix(1, 1)) == Fraction(1, 3)
     assert det_elimination(build_matrix(2, 1)) == Fraction(32, 525)
     assert det_elimination(build_matrix(3, 1)) == Fraction(524288, 68762925)
 
@@ -736,6 +766,11 @@ def test_det_elimination_values():
 def test_det_elimination_triangular_is_diagonal_product():
     m = ExactMatrix([[2, 5, 1], [0, Fraction(1, 3), 9], [0, 0, Fraction(7, 2)]])
     assert det_elimination(m) == 2 * Fraction(1, 3) * Fraction(7, 2)
+
+
+def test_det_elimination_equal_rows_vanish():
+    m = ExactMatrix([[1, 2, 3], [4, 5, 6], [1, 2, 3]])
+    assert det_elimination(m) == 0
 
 
 def test_det_elimination_singular_returns_zero():
@@ -756,7 +791,7 @@ def test_det_elimination_uses_row_swaps():
         ([[0, 0, 2, 1], [0, 0, 1, 3], [Fraction(1, 2), 1, 0, 0], [0, 4, 0, 5]], 10),
     ):
         m = ExactMatrix(rows)
-        assert det_elimination(m) == det_cofactor(m) == det
+        assert det_elimination(m) == det
 
 
 def test_det_requires_square():
@@ -766,13 +801,13 @@ def test_det_requires_square():
 
 @given(square_matrices())
 def test_oracles_agree(m):
-    assert det_cofactor(m) == det_elimination(m)
+    assert _expansion_det(m.rows) == det_elimination(m)
 
 
 def test_oracles_agree_symbolic():
     for s in (1, 2, 3):
         m = build_matrix(s, SYMBOLIC_T)
-        assert det_cofactor(m) == det_elimination(m)
+        assert _expansion_det(m.rows) == det_elimination(m)
 
 
 @pytest.mark.parametrize("s", [7, 8])
@@ -783,7 +818,7 @@ def test_symbolic_det_elimination_equals_closed_form(s):
 @given(square_matrices(), entries)
 def test_determinant_is_multilinear_in_rows(m, c):
     scaled = ExactMatrix([tuple(c * x for x in row) if i == 0 else row for i, row in enumerate(m.rows)])
-    assert det_cofactor(scaled) == c * det_cofactor(m)
+    assert det_elimination(scaled) == c * det_elimination(m)
 
 
 # -- det_elimination on reduced int pairs against the field loop -------------

@@ -465,9 +465,9 @@ def _huge_poly(degree, seed):
     ((3, 2, 2), ["heu"]),
     ((4, 3, 3), ["heu"]),
     # above the size bound, where the modular test finds the shared factor
-    # and the pair goes on to the sequence
-    ((7, 7, 7), ["mod p", "prs"]),
-    ((24, 1, 2), ["mod p", "prs"]),
+    # and GCDHEU settles the pair at the same point
+    ((7, 7, 7), ["mod p", "heu"]),
+    ((24, 1, 2), ["mod p", "heu"]),
     # above the size bound and coprime, below degree 24
     ((0, 9, 9), ["mod p"]),
 ])
@@ -555,17 +555,19 @@ def test_size_bound_counts_the_coefficients_in_u():
 def test_even_pairs_past_the_size_bound_take_the_modular_test_in_t():
     # With a 2000-bit content, k (deg F + 1) is past HEU_MAX_BITS in u as
     # well; the modular test then sees the t-form operands, and a pair it
-    # does not settle goes to the sequence in u.
+    # does not settle goes to GCDHEU in u, never to the sequence.
     n = 24
     a, b = 2**2000 * (T**n + 2), T**n + 3
     seen = []
-    prs = polynomial_module._prs_cofactors
+    heu = polynomial_module._heu_at
 
-    def spy(a, b):
+    def spy(a, b, k):
         seen.append((len(a) - 1, len(b) - 1))
-        return prs(a, b)
+        return heu(a, b, k)
 
-    with mock.patch.object(polynomial_module, "_prs_cofactors", spy), \
+    with mock.patch.object(polynomial_module, "_heu_at", spy), \
+            mock.patch.object(polynomial_module, "_prs_cofactors",
+                              wraps=polynomial_module._prs_cofactors) as prs, \
             _modular_tests_recorded() as calls:
         assert a.cofactors(b) == (1, a, b)
         assert calls == [(n, True)] and seen == []
@@ -573,4 +575,5 @@ def test_even_pairs_past_the_size_bound_take_the_modular_test_in_t():
         result = (g * a).cofactors(g * b)
     assert calls == [(n, True), (n + 2, False)]
     assert seen == [(n // 2 + 1, n // 2 + 1)]
+    prs.assert_not_called()
     assert _assert_cofactors(g * a, g * b, result) == g
