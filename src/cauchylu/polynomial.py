@@ -11,25 +11,21 @@ which compares below every integer.
 All arithmetic runs on ints: sums scale by the lcm of the denominators and
 products are integer convolutions.  There is no division operator:
 ``cofactors`` returns the primitive gcd g with positive lead together with
-both operands divided by it, which is how ``RationalFunction`` cancels.  g
-is found by one chain of steps, each settling what the one before leaves
-open:
+both operands divided by it, which is how ``RationalFunction`` cancels.
+When one operand is a monomial c t^e, g is t^min(e, ord_t of the other),
+read off the int lists.  Every other pair runs two steps, the second only
+for what the first leaves open:
 
-1. a deterministic coprimality test modulo the prime ``MODULUS`` = 2^61 - 1
-   (``_coprime_mod_p``), run only when the values GCDHEU would compute pass
-   ``HEU_MAX_BITS``: when p divides neither leading coefficient, the
-   integer gcd reduces mod p to a divisor of the same degree, so a constant
-   gcd mod p proves the pair coprime;
-2. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989): the integer gcd of
+1. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989): the integer gcd of
    both operands' values at a power of two 2^k, read back as a polynomial
    in base 2^k; its cofactors come from the same values and are accepted
    only when a size bound proves them exact, and a constant candidate
    proves the pair coprime;
-3. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
+2. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
    Brown 1971) and exact division, only for a pair GCDHEU refuses; it
    stays the reference.
 
-Steps 2 and 3 run on F(u), H(u) with u = t^2 when both operands are even.
+Both steps run on F(u), H(u) with u = t^2 when both operands are even.
 The public accessors (``coeffs``, ``leading``, ``content``) hand out
 ``Fraction``s.
 
@@ -54,28 +50,6 @@ from .errors import DivisionByZero, DomainError
 from .rational import format_ratio, parse_int
 
 NEG_INFINITY = float("-inf")
-
-MODULUS = (1 << 61) - 1  # a Mersenne prime; a residue fits one 64-bit word
-# Size in bits, k times (degree + 1), of a value at 2^k that GCDHEU computes,
-# past which a pair takes the modular coprimality test before GCDHEU.  The
-# bound decides only that order: GCDHEU runs on every pair the test leaves
-# open, and the sequence only on a pair GCDHEU refuses.  Below the bound the
-# test is mostly wasted work, since GCDHEU settles coprime and shared-factor
-# pairs alike: running it first on every pair made the s=10 symbolic
-# pipeline 79 -> 126 ms CPU (best of 5; Python 3.11, 2-vCPU Xeon).  GCDHEU
-# against the sequence, each pair timed alone, summed per size band (same
-# host, ms, heu / prs):
-#                                 <10k       10-20k      20-40k      40-80k
-#   symbolic s=10 pipeline, det_closed(20), lu s=16
-#                                 80 / 202   0.4 / 0.4   0.4 / 0.4   2.4 / 1.4
-#   random, shared factor of degree 1-60, 20-1100 bit coefficients
-#                                 7 / 11     10 / 11     30 / 26     33 / 28
-#   random coprime, degree < 24
-#                                 6 / 974    5 / 1414    20 / 13097
-# Past 20k bits GCDHEU trails the sequence by up to 1.7x on shared factors
-# in these bands, but the sequence's coefficient growth can take seconds on
-# one pair, as on the inner products of random 6x6 matrices over Q(t).
-HEU_MAX_BITS = 20000
 
 Scalar = Union[int, Fraction]
 
@@ -130,32 +104,13 @@ def _divrem(rem: list[int], div: list[int], quotient: bool) -> list[int]:
     return rem
 
 
-def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
-    """Whether the int polynomials a and b, deg a >= deg b >= 1, are coprime
-    modulo MODULUS, whose residues of both leading coefficients are nonzero.
-
-    Euclid's algorithm over GF(p).  A remainder step reduces only the
-    coefficients it eliminates; the rest take unreduced products and are
-    reduced once, when the step ends.
-    """
-    p = MODULUS
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while True:
-        d = len(b) - 1
-        inv = pow(b[-1], -1, p)
-        for k in range(len(a) - 1 - d, -1, -1):
-            c = a[k + d] * inv % p
-            if c:
-                a[k:k + d] = [x - c * y for x, y in zip(a[k:k + d], b)]
-        rem = [x % p for x in a[:d]]
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            return False
-        if len(rem) == 1:
-            return True
-        a, b = b, rem
+def _order(nums) -> int:
+    """ord_t of the nonzero int polynomial nums: the index of its first
+    nonzero coefficient."""
+    k = 0
+    while not nums[k]:
+        k += 1
+    return k
 
 
 def _primitive_ints(cs) -> list[int]:
@@ -334,21 +289,18 @@ class Polynomial:
 
         g is 1 for a coprime pair, which returns both operands as they are,
         and 0 when both are zero.  Works on the integer numerators, since
-        scaling by a constant does not change the gcd.  With k the first
-        GCDHEU point, the pair runs one chain:
+        scaling by a constant does not change the gcd.
 
-        1. When k (degree + 1) passes HEU_MAX_BITS and p = MODULUS divides
-           neither leading coefficient, a constant gcd mod p proves the pair
-           coprime, and it returns at once.  Proof: the primitive integer
-           gcd G divides both operands in Z[t] (Gauss's lemma), so p does
-           not divide lead(G) and G mod p, of degree deg G, divides both
-           residues; so deg G <= 0.
-        2. Every other pair runs GCDHEU at 2^k (``_heu_at``).
-        3. ``_prs_gcd``, the reference, settles a pair GCDHEU refuses.
+        When one operand is a monomial c t^e (a constant when e = 0), the
+        gcd is t^m with m = min(e, ord_t of the other), since t is the only
+        irreducible factor of c t^e; both cofactors drop their first m
+        (zero) coefficients.  Every other pair runs two steps:
 
-        GCDHEU and the sequence run on F(u), H(u) with u = t^2 when both
-        operands are even: gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for
-        the cofactors.
+        1. GCDHEU at the first point 2^k (``_heu_at``);
+        2. ``_prs_gcd``, the reference, for a pair GCDHEU refuses.
+
+        Both run on F(u), H(u) with u = t^2 when both operands are even:
+        gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for the cofactors.
         """
         o = self._coerce(other)
         if o is None:
@@ -365,8 +317,13 @@ class Polynomial:
             unit = Polynomial((nums[-1] // g[-1],), den=den)
             zero = Polynomial()
             return Polynomial(g, den=1), (unit if a else zero), (zero if a else unit)
-        if len(a) == 1 or len(b) == 1:
-            return _ONE, self, o
+        oa, ob = _order(a), _order(b)
+        if oa == len(a) - 1 or ob == len(b) - 1:
+            m = min(oa, ob)
+            if not m:
+                return _ONE, self, o
+            return (Polynomial((0,) * m + (1,), den=1), Polynomial(a[m:], den=self._den),
+                    Polynomial(b[m:], den=o._den))
         g, ca, cb = _int_cofactors(a, b)
         if len(g) == 1:
             return _ONE, self, o
@@ -424,7 +381,7 @@ def _prs_gcd(a, b) -> list[int]:
     primitive int list with positive lead, by the primitive pseudo-remainder
     sequence: each remainder is cut to its primitive part, which keeps
     coefficient growth tame.  It settles only the pairs GCDHEU refuses, and
-    is the reference for both other steps.
+    is the reference for GCDHEU and for the monomial rule.
     """
     a = _primitive_ints(a)
     b = _primitive_ints(b)
@@ -442,21 +399,16 @@ def _prs_gcd(a, b) -> list[int]:
 def _int_cofactors(a, b):
     """(g, a / g, b / g) for the int polynomials a and b, both of degree at
     least 1, with g primitive and of positive lead; g == [1] and the operands
-    themselves for a coprime pair.  The chain is that of
-    ``Polynomial.cofactors``: GCDHEU runs at the same first point k whether
-    or not the modular test ran before it.
+    themselves for a coprime pair, by GCDHEU at one point and the sequence
+    for a pair it refuses.
 
     The GCDHEU point 2^k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
-    coefficient size) by 16 bits.  With that margin 2201 of the 2206 GCDHEU
-    calls of the s=10 symbolic pipeline settle the pair.
+    coefficient size) by 16 bits.  With that margin every one of the 1309
+    GCDHEU calls of the s=10 symbolic pipeline settles the pair.
     """
     even = not any(a[1::2]) and not any(b[1::2])
     fa, fb = (a[::2], b[::2]) if even else (a, b)
     k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
-    if k * max(len(fa), len(fb)) > HEU_MAX_BITS:
-        long, short = (a, b) if len(a) >= len(b) else (b, a)
-        if long[-1] % MODULUS and short[-1] % MODULUS and _coprime_mod_p(long, short):
-            return [1], a, b
     g, ca, cb = _heu_at(fa, fb, k) or _prs_cofactors(fa, fb)
     if len(g) == 1:
         return [1], a, b

@@ -28,6 +28,7 @@ from cauchylu import (
     lu_doolittle,
     verify_gamma_identities,
 )
+from cauchylu import polynomial as polynomial_module
 from cauchylu.closed_form import ChainValues, chain_e1, chain_e4, chain_e5, chain_e6
 from cauchylu.combinatorics import factorial, reciprocal_factorial, rising_factorial
 from cauchylu.ratfunc import coerce_scalar
@@ -394,6 +395,22 @@ def test_det_closed_values_at_t_one():
 def test_det_closed_symbolic_matches_elimination():
     for s in (1, 2, 3):
         assert det_closed(s, SYMBOLIC_T) == det_elimination(build_matrix(s, SYMBOLIC_T))
+
+
+def test_symbolic_det_closed_needs_neither_gcd_step(monkeypatch):
+    # Each diagonal entry of U has a monomial numerator c t^(2j-2), so every
+    # gcd of the running product has a monomial operand and is read off as
+    # a power of t: no GCDHEU and no pseudo-remainder sequence.
+    calls = []
+    for name in ("_heu_at", "_prs_cofactors"):
+        step = getattr(polynomial_module, name)
+        monkeypatch.setattr(polynomial_module, name,
+                            lambda *args, name=name, step=step: calls.append(name) or step(*args))
+    result = det_closed(16, SYMBOLIC_T)
+    monkeypatch.undo()
+    assert calls == []
+    t = Fraction(37, 11)
+    assert result(t) == det_closed(16, t)
 
 
 def test_det_closed_rejects_negative_size():

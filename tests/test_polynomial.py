@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, parse_polynomial
 from cauchylu import polynomial as polynomial_module
-from cauchylu.polynomial import HEU_MAX_BITS, MODULUS, _coprime_mod_p, _prs_gcd
+from cauchylu.polynomial import _prs_gcd
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
@@ -239,7 +239,7 @@ def test_is_positive_primitive():
     assert not Polynomial().is_positive_primitive
 
 
-# -- the modular coprimality test, against the pseudo-remainder reference ----
+# -- huge coefficients, against the pseudo-remainder reference ---------------
 
 
 def int_polys(degrees, coefficients):
@@ -266,43 +266,32 @@ def _reference_gcd(a, b):
     return Polynomial(_prs_gcd(a, b))
 
 
-def _leads_are_units_mod_p(*polys):
-    return all(p.leading % MODULUS for p in polys)
-
-
 @contextlib.contextmanager
-def _modular_tests_recorded():
-    """Record (smaller degree, verdict) of every modular test gcd runs."""
+def _paths_recorded():
+    """Record which step settles each pair: 'heu' or 'prs'."""
     calls = []
+    heu, prs = polynomial_module._heu_at, polynomial_module._prs_cofactors
 
-    def record(a, b):
-        calls.append((len(b) - 1, _coprime_mod_p(a, b)))
-        return calls[-1][1]
+    def record(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append((name, result))
+            return result
+        return wrapper
 
-    with mock.patch.object(polynomial_module, "_coprime_mod_p", record):
+    with mock.patch.object(polynomial_module, "_heu_at", record("heu", heu)), \
+            mock.patch.object(polynomial_module, "_prs_cofactors", record("prs", prs)):
         yield calls
 
 
 @settings(deadline=None, max_examples=50)
 @given(int_polys(mid_degrees, small_ints), int_polys(mid_degrees, small_ints),
        int_polys(st.integers(0, 3), small_ints), st.just(1) | huge_ints)
-def test_gcd_matches_prs_reference_across_the_gate(f, h, g, c):
-    # A content c of 1000 bits or more puts the values at the first GCDHEU
-    # point past HEU_MAX_BITS, so both GCDHEU and the modular test are
-    # taken; deg g = 0 gives pairs that are almost always coprime.
+def test_gcd_matches_prs_reference_with_huge_content(f, h, g, c):
+    # A content c of 1000 bits or more puts the first GCDHEU point past
+    # 2^1000; deg g = 0 gives pairs that are almost always coprime.
     a, b = c * f * g, h * g
     assert a.cofactors(b)[0] == _reference_gcd(a, b)
-
-
-@settings(max_examples=30)
-@given(int_polys(st.integers(0, 26), small_ints | huge_ints),
-       int_polys(st.integers(0, 26), small_ints | huge_ints),
-       int_polys(st.integers(1, 3), small_ints | huge_ints))
-def test_shared_factor_is_never_reported_coprime(f, h, g):
-    a, b = f * g, h * g
-    assume(_leads_are_units_mod_p(a, b))
-    long, short = sorted((_ints(a), _ints(b)), key=len, reverse=True)
-    assert _coprime_mod_p(long, short) is False
 
 
 @settings(deadline=None, max_examples=30)
@@ -321,59 +310,26 @@ def test_gcd_with_huge_coefficients_matches_prs_reference(g, f, h):
 @given(int_polys(st.integers(40, 44), small_ints | huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints),
        huge_ints)
-def test_modular_test_proves_coprime_pairs_with_huge_coefficients(f, h, c):
+def test_heuristic_proves_high_degree_coprime_pairs_with_huge_coefficients(f, h, c):
     # gcd(f, f h + c) = gcd(f, c) = 1 for a nonzero constant c.  The
-    # reference sequence would take seconds on these coefficients.  With c
-    # of 1000 bits or more, f or f h + c has a coefficient of about that
-    # size, so the first GCDHEU point has k > 1000, over a width of at least
-    # 21 even in u = t^2: past HEU_MAX_BITS.
+    # reference sequence would take seconds on these coefficients.  At the
+    # first point xi = 2^k, k exceeds the bit length of c, and the gcd of
+    # the values divides c, so it is below xi / 2: a constant candidate.
     b = f * h + c
-    assume(_leads_are_units_mod_p(f, b))
-    with _modular_tests_recorded() as calls:
+    with _paths_recorded() as calls:
         assert f.cofactors(b)[0] == 1
-    assert calls == [(f.degree, True)]
+    assert [(name, result[0]) for name, result in calls] == [("heu", [1])]
 
 
-@settings(deadline=None, max_examples=30)
-@given(st.integers(1, 2**70), st.integers(1, 2**70), huge_ints,
-       int_polys(st.integers(24, 26), small_ints),
-       int_polys(st.integers(24, 26), small_ints))
-def test_leading_coefficient_divisible_by_p_takes_the_fallback(k, c, big, f, h):
-    # g = k p t + c vanishes to the constant c mod p, so the residues of
-    # f g and h g could be coprime although g divides both.  The content
-    # big puts the values at the first GCDHEU point past HEU_MAX_BITS.
-    g = Polynomial((c, k * MODULUS))
-    a, b = big * f * g, h * g
-    with _modular_tests_recorded() as calls:
-        result = a.cofactors(b)[0]
-    assert calls == []
-    assert result == _reference_gcd(a, b)
-    assert _divides(g, result)
-
-
-def test_shared_factor_vanishing_mod_p_is_found():
-    # t^n + 2 and t^n + 3 are coprime over every field, so only the lead
-    # guard keeps the modular test from reporting these two coprime.  The
-    # content 2^1000 puts the values past HEU_MAX_BITS.
+def test_shared_factor_with_a_large_lead_is_found():
+    # The shared factor g has the 61-bit prime 2^61 - 1 as its lead, and
+    # the content 2^1000 puts the first GCDHEU point past 2^1000.
     n = 24
-    g = MODULUS * T + 1
-    assert (2**1000 * (T**n + 2) * g).cofactors((T**n + 3) * g)[0] == g
-
-
-def test_modular_test_runs_from_the_gate():
-    # The first GCDHEU point of 2^e (t^(n + 3) + 2) and t^n + 3 is 2^k with
-    # k = e + 19, 16 bits above 2 * 2^(e + 1) + 2, over n + 4 coefficients:
-    # the modular test takes the pair from k (n + 4) > HEU_MAX_BITS on.
-    n = 24
-    fits = 2 ** (HEU_MAX_BITS // (n + 4) - 19)
-    with _modular_tests_recorded() as calls:
-        assert (fits * (T**(n + 3) + 2)).cofactors(T**n + 3)[0] == 1
-        assert calls == []
-        assert (2 * fits * (T**(n + 3) + 2)).cofactors(T**n + 3)[0] == 1
-        assert calls == [(n, True)]
-        a, b = 2**1000 * (T + 1) * (T**n + 2), (T + 1) * (T**n + 3)
-        assert a.cofactors(b)[0] == T + 1
-        assert calls == [(n, True), (n + 1, False)]
+    g = (2**61 - 1) * T + 1
+    a, b = 2**1000 * (T**n + 2) * g, (T**n + 3) * g
+    with _paths_recorded() as calls:
+        assert a.cofactors(b)[0] == g
+    assert [name for name, _ in calls] == ["heu"]
 
 
 # -- cofactors: GCDHEU against the pseudo-remainder reference -------------------
@@ -399,37 +355,20 @@ def _assert_cofactors(a, b, result=None):
     return g
 
 
-@contextlib.contextmanager
-def _paths_recorded():
-    """Record which step settles each pair: 'mod p', 'heu' or 'prs'."""
-    calls = []
-    mod_p, heu, prs = (polynomial_module._coprime_mod_p, polynomial_module._heu_at,
-                       polynomial_module._prs_cofactors)
-
-    def record(name, fn):
-        def wrapper(*args):
-            result = fn(*args)
-            calls.append((name, result))
-            return result
-        return wrapper
-
-    with mock.patch.object(polynomial_module, "_coprime_mod_p", record("mod p", mod_p)), \
-            mock.patch.object(polynomial_module, "_heu_at", record("heu", heu)), \
-            mock.patch.object(polynomial_module, "_prs_cofactors", record("prs", prs)):
-        yield calls
-
-
 @settings(deadline=None, max_examples=40)
 @given(int_polys(st.integers(0, 6), small_ints | huge_ints),
        int_polys(st.integers(0, 6), small_ints | huge_ints),
        int_polys(st.integers(0, 4), small_ints | huge_ints),
        st.integers(1, 2**70) | huge_ints, st.integers(-(2**70), -1) | huge_ints,
-       st.booleans())
-def test_cofactors_match_prs_reference(f, h, g, c1, c2, even):
+       st.integers(0, 3), st.booleans())
+def test_cofactors_match_prs_reference(f, h, g, c1, c2, e, even):
     # deg g = 0 gives pairs that are almost always coprime; c1, c2 put
-    # integer content on both operands; even operands take the u = t^2 path.
+    # integer content on both operands; T^e shares a power of t, and makes
+    # an operand a monomial when its other factors are constants; even
+    # operands take the u = t^2 path.
     if even:
         f, h, g = _even(f), _even(h), _even(g)
+    g = T**e * g
     a, b = c1 * f * g, c2 * h * g
     common = _assert_cofactors(a, b)
     assert _divides(g, common)
@@ -451,6 +390,13 @@ def test_cofactors_examples():
     assert Polynomial().cofactors(6 - 4 * T) == (2 * T - 3, 0, -2)
     assert (Fraction(1, 2) * T).cofactors(0) == (T, Fraction(1, 2), 0)
     assert Polynomial().cofactors(0) == (0, 0, 0)
+    # A monomial operand: the gcd is t^min(e, ord_t of the other).
+    assert (6 * T**3).cofactors(-4 * T**5) == (T**3, 6, -4 * T**2)
+    assert (3 * T**4).cofactors(T * (T + 2)) == (T, 3 * T**3, T + 2)
+    assert (5 * T).cofactors(T**3 - 7 * T**2) == (T, 5, T**2 - 7 * T)
+    assert (T**2).cofactors(T + 1) == (1, T**2, T + 1)
+    assert (Fraction(2, 3) * T**2).cofactors(Fraction(1, 2) * T**3 + T**2) == (
+        T**2, Fraction(2, 3), Fraction(1, 2) * T + 1)
 
 
 def _huge_poly(degree, seed):
@@ -460,23 +406,20 @@ def _huge_poly(degree, seed):
                        for _ in range(degree + 1)])
 
 
-@pytest.mark.parametrize("degrees, paths", [
-    # (deg g, deg f, deg h): below the size bound
-    ((3, 2, 2), ["heu"]),
-    ((4, 3, 3), ["heu"]),
-    # above the size bound, where the modular test finds the shared factor
-    # and GCDHEU settles the pair at the same point
-    ((7, 7, 7), ["mod p", "heu"]),
-    ((24, 1, 2), ["mod p", "heu"]),
-    # above the size bound and coprime, below degree 24
-    ((0, 9, 9), ["mod p"]),
+@pytest.mark.parametrize("degrees", [
+    # (deg g, deg f, deg h)
+    (3, 2, 2),
+    (4, 3, 3),
+    (7, 7, 7),
+    (24, 1, 2),
+    (0, 9, 9),  # coprime
 ])
-def test_huge_coefficients_on_both_sides_of_gate_and_size_bound(degrees, paths):
+def test_huge_coefficient_pairs_take_the_heuristic(degrees):
     g, f, h = (_huge_poly(d, seed) for seed, d in enumerate(degrees))
     a, b = f * g, h * g
     with _paths_recorded() as calls:
         result = a.cofactors(b)
-    assert [name for name, _ in calls] == paths
+    assert [name for name, _ in calls] == ["heu"]
     assert _assert_cofactors(a, b, result) == _primitive(g)
 
 
@@ -529,11 +472,12 @@ def test_even_pairs_run_in_u():
     assert seen == [(2, 3), (5, 6)]
 
 
-def test_size_bound_counts_the_coefficients_in_u():
-    # Both even, m = 12: F(u) has 13 coefficients, f(t) 25.  The first
-    # GCDHEU point is 2^k with k = e + 19 = 1000, and 13 k <= HEU_MAX_BITS
-    # < 25 k, so the pair fits only when measured in u.
-    m, e = 12, 981
+@pytest.mark.parametrize("e", [981, 2000])
+def test_even_pairs_with_huge_content_take_the_heuristic_in_u(e):
+    # Both even, m = 12: GCDHEU sees F(u), H(u) of 13 coefficients, at the
+    # first point 2^k with k = e + 19, 16 bits above 2 * 2^(e + 1) + 2; a
+    # pair it settles never reaches the sequence.
+    m = 12
     a, b = 2**e * (T**(2 * m) + 2), T**(2 * m) + 3
     seen = []
     heu = polynomial_module._heu_at
@@ -543,37 +487,11 @@ def test_size_bound_counts_the_coefficients_in_u():
         return heu(a, b, k)
 
     with mock.patch.object(polynomial_module, "_heu_at", spy), \
-            _modular_tests_recorded() as calls:
+            mock.patch.object(polynomial_module, "_prs_cofactors",
+                              wraps=polynomial_module._prs_cofactors) as prs:
         assert a.cofactors(b) == (1, a, b)
         g = T**2 - 4
         result = (g * a).cofactors(g * b)
-    assert calls == []
+    prs.assert_not_called()
     assert seen[0] == (m, m, e + 19) and seen[1][:2] == (m + 1, m + 1)
     assert len(seen) == 2 and _assert_cofactors(g * a, g * b, result) == g
-
-
-def test_even_pairs_past_the_size_bound_take_the_modular_test_in_t():
-    # With a 2000-bit content, k (deg F + 1) is past HEU_MAX_BITS in u as
-    # well; the modular test then sees the t-form operands, and a pair it
-    # does not settle goes to GCDHEU in u, never to the sequence.
-    n = 24
-    a, b = 2**2000 * (T**n + 2), T**n + 3
-    seen = []
-    heu = polynomial_module._heu_at
-
-    def spy(a, b, k):
-        seen.append((len(a) - 1, len(b) - 1))
-        return heu(a, b, k)
-
-    with mock.patch.object(polynomial_module, "_heu_at", spy), \
-            mock.patch.object(polynomial_module, "_prs_cofactors",
-                              wraps=polynomial_module._prs_cofactors) as prs, \
-            _modular_tests_recorded() as calls:
-        assert a.cofactors(b) == (1, a, b)
-        assert calls == [(n, True)] and seen == []
-        g = T**2 - 4
-        result = (g * a).cofactors(g * b)
-    assert calls == [(n, True), (n + 2, False)]
-    assert seen == [(n // 2 + 1, n // 2 + 1)]
-    prs.assert_not_called()
-    assert _assert_cofactors(g * a, g * b, result) == g
