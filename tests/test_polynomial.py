@@ -295,6 +295,19 @@ def test_gcd_matches_prs_reference_with_huge_content(f, h, g, c):
 
 
 @settings(deadline=None, max_examples=30)
+@given(int_polys(st.integers(0, 26), small_ints | huge_ints),
+       int_polys(st.integers(0, 26), small_ints | huge_ints),
+       int_polys(st.integers(1, 3), small_ints | huge_ints))
+def test_shared_factor_is_never_reported_coprime(f, h, g):
+    # Whichever step settles the pair, a shared factor of degree >= 1
+    # divides the gcd it reports.
+    a, b = f * g, h * g
+    result = a.cofactors(b)[0]
+    assert result.degree >= g.degree
+    assert _divides(g, result)
+
+
+@settings(deadline=None, max_examples=30)
 @given(int_polys(st.integers(21, 25), huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints),
        int_polys(st.integers(0, 2), small_ints | huge_ints))
@@ -330,6 +343,23 @@ def test_shared_factor_with_a_large_lead_is_found():
     with _paths_recorded() as calls:
         assert a.cofactors(b)[0] == g
     assert [name for name, _ in calls] == ["heu"]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 2**70), st.integers(1, 2**70), huge_ints,
+       int_polys(st.integers(24, 26), small_ints),
+       int_polys(st.integers(24, 26), small_ints))
+def test_shared_linear_factor_with_a_huge_lead_matches_prs_reference(k, c, big, f, h):
+    # g = k (2^61 - 1) t + c has a lead of up to 131 bits, and the content
+    # big puts the first GCDHEU point past 2^1000; GCDHEU still settles the
+    # pair, with no sequence call.
+    g = Polynomial((c, k * (2**61 - 1)))
+    a, b = big * f * g, h * g
+    with _paths_recorded() as calls:
+        result = a.cofactors(b)[0]
+    assert "prs" not in [name for name, _ in calls]
+    assert result == _reference_gcd(a, b)
+    assert _divides(g, result)
 
 
 # -- cofactors: GCDHEU against the pseudo-remainder reference -------------------
