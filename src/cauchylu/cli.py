@@ -8,8 +8,8 @@ six t=1 expressions per size), ``verify`` (all identity suites), ``bench``
 Each ``cmd_*`` returns a ``Result`` and prints nothing; ``main`` alone
 renders it: ``--json`` or text on stdout, one ``error:`` line on stderr, and
 exit 0 when every verdict passes, 1 on a mismatch or a ``CauchyLUError``
-(``SizeCapExceeded`` above a command's ``--s`` cap or a ``verify`` flag's
-cap), 2 on usage errors.
+(``SizeCapExceeded`` above a command's ``--s`` cap, ``--t`` digit cap or a
+``verify`` flag's cap), 2 on usage errors.
 t is accepted only as an exact fraction ``p/q`` (or a bare integer) --
 decimals are rejected, nothing is ever rounded.  A negative t may follow
 ``--t`` as its own argument (``--t -1/3``) or be attached (``--t=-1/3``).
@@ -29,7 +29,7 @@ from .errors import CauchyLUError, SizeCapExceeded
 from .formats import serialize_value
 from .matrix import ExactMatrix, build_matrix, det_elimination, lu_doolittle
 from .ratfunc import SYMBOLIC_T
-from .rational import parse_rational
+from .rational import format_int, parse_rational
 from .verify import VerifyConfig, run_all
 
 # The largest --s each command accepts.  Each finishes in seconds at its cap.
@@ -42,6 +42,11 @@ S_CAP_SYMBOLIC = 16
 S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100
 S_CAP_BENCH = 30
+# The most decimal digits --t accepts in p or q, for t = p/q in lowest terms.
+# Numeric work grows with them.  At the numeric cap s = 80, through ``main``
+# (Python 3.11, 2-vCPU Xeon, best of 3), ``det`` and ``lu --compare`` take
+# 0.74 and 0.74 s with 2-digit p and q, and 3.3 and 4.4 s with 10 digits.
+T_DIGITS_CAP = 10
 # The largest --gamma-max and --samples verify accepts; its size flags take
 # the S_CAP_* above.  Through ``main`` (Python 3.11, 2-vCPU Xeon) with the
 # other suites off, --gamma-max 20, 24, 28 and 32 take 0.27, 0.54, 1.05 and
@@ -108,9 +113,13 @@ def _require_size(s: int, cap: int) -> None:
 def _case(args, symbolic: bool):
     """t for ``det`` and ``lu``, and the JSON fields that name the case."""
     _require_size(args.s, S_CAP_SYMBOLIC if symbolic else S_CAP_NUMERIC)
-    t = SYMBOLIC_T if symbolic else (args.t if args.t is not None else Fraction(1))
-    mode, shown = ("symbolic", None) if symbolic else ("numeric", serialize_value(t))
-    return t, {"s": args.s, "mode": mode, "t": shown}
+    if symbolic:
+        return SYMBOLIC_T, {"s": args.s, "mode": "symbolic", "t": None}
+    t = args.t if args.t is not None else Fraction(1)
+    digits = len(format_int(max(abs(t.numerator), t.denominator)))
+    if digits > T_DIGITS_CAP:
+        raise SizeCapExceeded(digits, T_DIGITS_CAP, "t digits")
+    return t, {"s": args.s, "mode": "numeric", "t": serialize_value(t)}
 
 
 class Result(NamedTuple):

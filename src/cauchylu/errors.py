@@ -75,10 +75,10 @@ class ZeroPivot(CauchyLUError):
 class SizeCapExceeded(CauchyLUError):
     """A deliberately capped operation was asked for more than its cap."""
 
-    def __init__(self, size: int, cap: int):
+    def __init__(self, size: int, cap: int, what: str = "size"):
         self.size = size
         self.cap = cap
-        super().__init__(f"size {size} exceeds cap {cap}")
+        super().__init__(f"{what} {size} exceeds cap {cap}")
 
 
 class RetriesExhausted(CauchyLUError):

@@ -13,19 +13,14 @@ products are integer convolutions.  There is no division operator:
 ``cofactors`` returns the primitive gcd g with positive lead together with
 both operands divided by it, which is how ``RationalFunction`` cancels.
 When one operand is a monomial c t^e, g is t^min(e, ord_t of the other),
-read off the int lists.  Every other pair runs two steps, the second only
-for what the first leaves open:
+read off the int lists.  Every other pair runs GCDHEU (``_heu_at``, Char,
+Geddes and Gonnet 1989): the integer gcd of both operands' values at a
+power of two 2^k, read back as a polynomial in base 2^k; its cofactors come
+from the same values and are accepted only when a size bound proves them
+exact, and a constant candidate proves the pair coprime.  A refused point
+is tried again at a larger k until the bound accepts (``_int_cofactors``).
 
-1. GCDHEU (``_heu_at``, Char, Geddes and Gonnet 1989): the integer gcd of
-   both operands' values at a power of two 2^k, read back as a polynomial
-   in base 2^k; its cofactors come from the same values and are accepted
-   only when a size bound proves them exact, and a constant candidate
-   proves the pair coprime;
-2. the primitive pseudo-remainder sequence (``_prs_gcd``; Collins 1967;
-   Brown 1971) and exact division, only for a pair GCDHEU refuses; it
-   stays the reference.
-
-Both steps run on F(u), H(u) with u = t^2 when both operands are even.
+GCDHEU runs on F(u), H(u) with u = t^2 when both operands are even.
 The public accessors (``coeffs``, ``leading``, ``content``) hand out
 ``Fraction``s.
 
@@ -68,40 +63,6 @@ def _as_ints(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
         return [int(c) for c in cs], 1
     return [c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
             for c in cs], den
-
-
-def _divrem(rem: list[int], div: list[int], quotient: bool) -> list[int]:
-    """Integer long division of rem by div, deg rem >= deg div: the exact
-    quotient when ``quotient``, else a pseudo-remainder.
-
-    rem is updated in place.  Before each step only the part of rem still
-    to be divided is multiplied by lead / gcd(c, lead), the least factor
-    making c a multiple of lead; so the pseudo-remainder, the first
-    deg(div) entries of rem, is that of some positive multiple of rem.
-    When div is primitive and divides rem in Z[t], every c is lead times a
-    coefficient of the integer quotient (Gauss's lemma), so no step scales
-    and the quotient is exact.
-    """
-    d = len(div) - 1
-    lead = div[-1]
-    quot = [0] * (len(rem) - d)
-    for k in range(len(rem) - d - 1, -1, -1):
-        c = rem[k + d]
-        if not c:
-            continue
-        mult = abs(lead) // _int_gcd(c, lead)
-        if mult != 1:
-            for m in range(k + d):
-                rem[m] *= mult
-            c *= mult
-        c //= lead
-        quot[k] = c
-        for m in range(d):
-            rem[k + m] -= c * div[m]
-    if quotient:
-        return quot
-    del rem[d:]
-    return rem
 
 
 def _order(nums) -> int:
@@ -294,12 +255,11 @@ class Polynomial:
         When one operand is a monomial c t^e (a constant when e = 0), the
         gcd is t^m with m = min(e, ord_t of the other), since t is the only
         irreducible factor of c t^e; both cofactors drop their first m
-        (zero) coefficients.  Every other pair runs two steps:
+        (zero) coefficients.  Every other pair runs GCDHEU at a power of
+        two 2^k, retried at a larger k while the size bound refuses the
+        point (``_int_cofactors``).
 
-        1. GCDHEU at the first point 2^k (``_heu_at``);
-        2. ``_prs_gcd``, the reference, for a pair GCDHEU refuses.
-
-        Both run on F(u), H(u) with u = t^2 when both operands are even:
+        It runs on F(u), H(u) with u = t^2 when both operands are even:
         gcd(F(t^2), H(t^2)) = gcd(F, H)(t^2), and so for the cofactors.
         """
         o = self._coerce(other)
@@ -376,40 +336,36 @@ class Polynomial:
         return parse_polynomial(text)
 
 
-def _prs_gcd(a, b) -> list[int]:
-    """The gcd of the int polynomials a and b, deg a >= deg b >= 1, as a
-    primitive int list with positive lead, by the primitive pseudo-remainder
-    sequence: each remainder is cut to its primitive part, which keeps
-    coefficient growth tame.  It settles only the pairs GCDHEU refuses, and
-    is the reference for GCDHEU and for the monomial rule.
-    """
-    a = _primitive_ints(a)
-    b = _primitive_ints(b)
-    while True:
-        rem = _divrem(a, b, False)
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            return b if b[-1] > 0 else [-c for c in b]
-        if len(rem) == 1:
-            return [1]
-        a, b = b, _primitive_ints(rem)
-
-
 def _int_cofactors(a, b):
     """(g, a / g, b / g) for the int polynomials a and b, both of degree at
     least 1, with g primitive and of positive lead; g == [1] and the operands
-    themselves for a coprime pair, by GCDHEU at one point and the sequence
-    for a pair it refuses.
+    themselves for a coprime pair, by GCDHEU alone.
 
-    The GCDHEU point 2^k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
-    coefficient size) by 16 bits.  With that margin every one of the 1309
-    GCDHEU calls of the s=10 symbolic pipeline settles the pair.
+    The first point 2^k puts 2^k above 2 max(|a|, |b|) + 2 (|.| the largest
+    coefficient size) by a margin of 16 bits; a refused point is tried again
+    with the margin doubled: 32 bits, then 64, and so on.  With the first
+    margin every one of the 1309 GCDHEU calls of the s=10 symbolic pipeline
+    settles the pair.
+
+    The loop ends.  Let G be the primitive gcd of the operands GCDHEU sees,
+    A and B their cofactors, and |.|_1 the sum of the coefficient sizes.  A
+    and B are coprime, so S A + R B = r for some S, R in Z[t] and a nonzero
+    integer r: their resultant, or the one of them that is a constant.  At
+    xi = 2^k, gcd(a(xi), b(xi)) = e G(xi) with e = gcd(A(xi), B(xi)), and e
+    divides r, which does not depend on xi.  So once 2^(k-1) exceeds both
+    e |G| and |G|_1 (max(|A|, |B|) + 1), the xi-adic image is e G, its
+    primitive part is G, and both cofactor images, A and B, pass the size
+    bound of ``_heu_at``.  Doubling the margin reaches that k in O(log k)
+    tries, and the last point dominates the cost.  Any candidate the bound
+    accepts, at any point, is already proven exact (``_heu_at``).
     """
     even = not any(a[1::2]) and not any(b[1::2])
     fa, fb = (a[::2], b[::2]) if even else (a, b)
-    k = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length() + 16
-    g, ca, cb = _heu_at(fa, fb, k) or _prs_cofactors(fa, fb)
+    bits = (2 * max(max(map(abs, a)), max(map(abs, b))) + 2).bit_length()
+    margin = 16
+    while (found := _heu_at(fa, fb, bits + margin)) is None:
+        margin *= 2
+    g, ca, cb = found
     if len(g) == 1:
         return [1], a, b
     if even:
@@ -454,15 +410,6 @@ def _heu_at(a, b, k):
     if max(map(abs, cb)) >= limit:
         return None
     return h, ca, cb
-
-
-def _prs_cofactors(a, b):
-    """(g, a / g, b / g) as ``_int_cofactors`` gives them, by ``_prs_gcd``
-    and exact division."""
-    g = _prs_gcd(a, b) if len(a) >= len(b) else _prs_gcd(b, a)
-    if len(g) == 1:
-        return g, a, b
-    return g, _divrem(list(a), g, True), _divrem(list(b), g, True)
 
 
 def _at_power_of_two(a, k):

@@ -385,7 +385,7 @@ def test_bench_mismatch_exits_before_any_timing(capsys, monkeypatch):
     assert "mismatch at s=1" in err
 
 
-# -- --s caps ----------------------------------------------------------------
+# -- --s and --t caps ---------------------------------------------------------
 
 
 def _stub_arithmetic(monkeypatch):
@@ -413,27 +413,41 @@ def _stub_arithmetic(monkeypatch):
     return calls
 
 
+def _numerator_digits(n):
+    """--t text, in lowest terms, whose numerator has n digits."""
+    return f"-{'9' * n}/2"
+
+
+def _denominator_digits(n):
+    """--t text, in lowest terms, whose denominator has n digits."""
+    return f"7/{'9' * n}"
+
+
 @pytest.mark.parametrize(
-    "argv, cap",
+    "argv, cap, flag, value, what",
     [
-        (["det", "--symbolic"], 16),
-        (["det", "--t", "37/11"], 80),
-        (["det"], 80),
-        (["lu"], 16),
-        (["lu", "--symbolic", "--compare"], 16),
-        (["lu", "--t", "37/11", "--compare"], 80),
-        (["chain"], 100),
-        (["bench"], 30),
+        (["det", "--symbolic"], 16, "--s", str, "size"),
+        (["det", "--t", "37/11"], 80, "--s", str, "size"),
+        (["det"], 80, "--s", str, "size"),
+        (["lu"], 16, "--s", str, "size"),
+        (["lu", "--symbolic", "--compare"], 16, "--s", str, "size"),
+        (["lu", "--t", "37/11", "--compare"], 80, "--s", str, "size"),
+        (["chain"], 100, "--s", str, "size"),
+        (["bench"], 30, "--s", str, "size"),
+        (["det", "--s", "80"], 10, "--t", _numerator_digits, "t digits"),
+        (["det", "--s", "2"], 10, "--t", _denominator_digits, "t digits"),
+        (["lu", "--s", "80", "--compare"], 10, "--t", _denominator_digits, "t digits"),
+        (["lu", "--s", "2"], 10, "--t", _numerator_digits, "t digits"),
     ],
 )
 def test_size_cap_is_accepted_and_cap_plus_one_rejected_before_arithmetic(
-    capsys, monkeypatch, argv, cap
+    capsys, monkeypatch, argv, cap, flag, value, what
 ):
     calls = _stub_arithmetic(monkeypatch)
-    code, out, err = run_cli(capsys, *argv, "--s", str(cap + 1), "--json")
-    assert (code, out, err) == (1, "", f"error: size {cap + 1} exceeds cap {cap}\n")
+    code, out, err = run_cli(capsys, *argv, flag, value(cap + 1), "--json")
+    assert (code, out, err) == (1, "", f"error: {what} {cap + 1} exceeds cap {cap}\n")
     assert calls == []
-    code, out, err = run_cli(capsys, *argv, "--s", str(cap))
+    code, out, err = run_cli(capsys, *argv, flag, value(cap))
     assert (code, err) == (0, "")
     assert out and calls
 

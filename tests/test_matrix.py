@@ -718,20 +718,43 @@ def random_qt_matrix(n, seed):
     return ExactMatrix(rows)
 
 
+def _refused_points(monkeypatch):
+    """A list that collects the k of each GCDHEU point the size bound refuses."""
+    refused = []
+    heu = polynomial_module._heu_at
+
+    def record(a, b, k):
+        result = heu(a, b, k)
+        if result is None:
+            refused.append(k)
+        return result
+
+    monkeypatch.setattr(polynomial_module, "_heu_at", record)
+    return refused
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_random_qt_doolittle_never_reaches_the_sequence(monkeypatch, seed):
+def test_random_qt_doolittle_settles_every_pair_at_the_first_point(monkeypatch, seed):
     # The cleared inner products share factors, with values at 2^k of up to
     # 29k bits; GCDHEU settles all 389 pairs that reach it over the three
-    # seeds.  The pseudo-remainder sequence takes seconds on each.
+    # seeds, each at its first point.
     m = random_qt_matrix(6, seed)
-    prs = []
-    sequence = polynomial_module._prs_cofactors
-    monkeypatch.setattr(polynomial_module, "_prs_cofactors",
-                        lambda a, b: prs.append((len(a), len(b))) or sequence(a, b))
+    refused = _refused_points(monkeypatch)
     factors = lu_doolittle(m)
-    assert prs == []
+    assert refused == []
     monkeypatch.undo()
     assert factors.L @ factors.U == m
+
+
+def test_symbolic_doolittle_retries_seven_refused_points(monkeypatch):
+    # Doolittle over Q(t) at s = 16 sends 661 pairs to GCDHEU.  The size
+    # bound refuses the first point of 6 of them and the second point of
+    # one; each settles when its margin has doubled once or twice.
+    refused = _refused_points(monkeypatch)
+    factors = lu_doolittle(build_matrix(16, SYMBOLIC_T))
+    assert len(refused) == 7
+    monkeypatch.undo()
+    assert factors == (build_L(16, SYMBOLIC_T), build_U(16, SYMBOLIC_T))
 
 
 def test_det_elimination_does_not_use_the_compact_kernel(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from cauchylu import NEG_INFINITY, DivisionByZero, DomainError, Polynomial, T, parse_polynomial
 from cauchylu import polynomial as polynomial_module
-from cauchylu.polynomial import _prs_gcd
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
@@ -196,6 +195,49 @@ def _ref_gcd(a, b):
     return [c / a[-1] for c in a]
 
 
+def _primitive_list(cs):
+    g = gcd(*cs)
+    return [c // g for c in cs]
+
+
+def _pseudo_remainder(rem, div):
+    """A pseudo-remainder of the int polynomial rem by div, deg rem >= deg
+    div: that of some positive multiple of rem.  Before each step only the
+    part of rem still to be divided is multiplied by lead / gcd(c, lead),
+    the least factor making its leading entry c a multiple of lead."""
+    rem = list(rem)
+    d, lead = len(div) - 1, div[-1]
+    for k in range(len(rem) - d - 1, -1, -1):
+        c = rem[k + d]
+        if not c:
+            continue
+        mult = abs(lead) // gcd(c, lead)
+        if mult != 1:
+            for m in range(k + d):
+                rem[m] *= mult
+            c *= mult
+        c //= lead
+        for m in range(d):
+            rem[k + m] -= c * div[m]
+    return rem[:d]
+
+
+def _prs_gcd(a, b):
+    """The gcd of the int polynomials a and b, deg a >= deg b >= 1, as a
+    primitive int list with positive lead, by the primitive pseudo-remainder
+    sequence (Collins 1967; Brown 1971): each remainder is cut to its
+    primitive part, which keeps coefficient growth tame.  It is the
+    reference for GCDHEU and for the monomial rule."""
+    a, b = _primitive_list(a), _primitive_list(b)
+    while True:
+        rem = _strip(_pseudo_remainder(a, b))
+        if not rem:
+            return b if b[-1] > 0 else [-c for c in b]
+        if len(rem) == 1:
+            return [1]
+        a, b = b, _primitive_list(rem)
+
+
 def _ref_content(a):
     if not a:
         return Fraction(0)
@@ -267,21 +309,22 @@ def _reference_gcd(a, b):
 
 
 @contextlib.contextmanager
-def _paths_recorded():
-    """Record which step settles each pair: 'heu' or 'prs'."""
-    calls = []
-    heu, prs = polynomial_module._heu_at, polynomial_module._prs_cofactors
+def _points_recorded():
+    """Record each GCDHEU point as (k, refused)."""
+    points = []
+    heu = polynomial_module._heu_at
 
-    def record(name, fn):
-        def wrapper(*args):
-            result = fn(*args)
-            calls.append((name, result))
-            return result
-        return wrapper
+    def record(a, b, k):
+        result = heu(a, b, k)
+        points.append((k, result is None))
+        return result
 
-    with mock.patch.object(polynomial_module, "_heu_at", record("heu", heu)), \
-            mock.patch.object(polynomial_module, "_prs_cofactors", record("prs", prs)):
-        yield calls
+    with mock.patch.object(polynomial_module, "_heu_at", record):
+        yield points
+
+
+def _refusals(points):
+    return [refused for _, refused in points]
 
 
 @settings(deadline=None, max_examples=50)
@@ -299,8 +342,8 @@ def test_gcd_matches_prs_reference_with_huge_content(f, h, g, c):
        int_polys(st.integers(0, 26), small_ints | huge_ints),
        int_polys(st.integers(1, 3), small_ints | huge_ints))
 def test_shared_factor_is_never_reported_coprime(f, h, g):
-    # Whichever step settles the pair, a shared factor of degree >= 1
-    # divides the gcd it reports.
+    # At whichever point GCDHEU settles the pair, a shared factor of
+    # degree >= 1 divides the gcd it reports.
     a, b = f * g, h * g
     result = a.cofactors(b)[0]
     assert result.degree >= g.degree
@@ -327,11 +370,12 @@ def test_heuristic_proves_high_degree_coprime_pairs_with_huge_coefficients(f, h,
     # gcd(f, f h + c) = gcd(f, c) = 1 for a nonzero constant c.  The
     # reference sequence would take seconds on these coefficients.  At the
     # first point xi = 2^k, k exceeds the bit length of c, and the gcd of
-    # the values divides c, so it is below xi / 2: a constant candidate.
+    # the values divides c, so it is below xi / 2: a constant candidate,
+    # accepted at the first point.
     b = f * h + c
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         assert f.cofactors(b)[0] == 1
-    assert [(name, result[0]) for name, result in calls] == [("heu", [1])]
+    assert _refusals(points) == [False]
 
 
 def test_shared_factor_with_a_large_lead_is_found():
@@ -340,9 +384,9 @@ def test_shared_factor_with_a_large_lead_is_found():
     n = 24
     g = (2**61 - 1) * T + 1
     a, b = 2**1000 * (T**n + 2) * g, (T**n + 3) * g
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         assert a.cofactors(b)[0] == g
-    assert [name for name, _ in calls] == ["heu"]
+    assert _refusals(points) == [False]
 
 
 @settings(deadline=None, max_examples=30)
@@ -351,13 +395,13 @@ def test_shared_factor_with_a_large_lead_is_found():
        int_polys(st.integers(24, 26), small_ints))
 def test_shared_linear_factor_with_a_huge_lead_matches_prs_reference(k, c, big, f, h):
     # g = k (2^61 - 1) t + c has a lead of up to 131 bits, and the content
-    # big puts the first GCDHEU point past 2^1000; GCDHEU still settles the
-    # pair, with no sequence call.
+    # big puts the first GCDHEU point past 2^1000; GCDHEU settles the pair
+    # at that first point.
     g = Polynomial((c, k * (2**61 - 1)))
     a, b = big * f * g, h * g
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         result = a.cofactors(b)[0]
-    assert "prs" not in [name for name, _ in calls]
+    assert _refusals(points) == [False]
     assert result == _reference_gcd(a, b)
     assert _divides(g, result)
 
@@ -447,18 +491,18 @@ def _huge_poly(degree, seed):
 def test_huge_coefficient_pairs_take_the_heuristic(degrees):
     g, f, h = (_huge_poly(d, seed) for seed, d in enumerate(degrees))
     a, b = f * g, h * g
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         result = a.cofactors(b)
-    assert [name for name, _ in calls] == ["heu"]
+    assert _refusals(points) == [False]
     assert _assert_cofactors(a, b, result) == _primitive(g)
 
 
 def test_small_pair_above_the_gate_takes_the_heuristic():
     n = 24
     a, b = (T + 1) * (T**n + 2), (T + 1) * (T**n + 3)
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         result = a.cofactors(b)
-    assert [name for name, _ in calls] == ["heu"]
+    assert _refusals(points) == [False]
     assert _assert_cofactors(a, b, result) == T + 1
 
 
@@ -466,24 +510,27 @@ def test_heuristic_proves_coprime_pairs_with_huge_coefficients():
     # gcd(f, f h + c) = gcd(f, c) = 1: a constant candidate, no division.
     f, h = _huge_poly(4, 1), _huge_poly(1, 2)
     b = f * h + _huge_poly(0, 3)
-    with _paths_recorded() as calls:
+    with _points_recorded() as points:
         assert f.cofactors(b) == (1, f, b)
-    assert [(name, result[0]) for name, result in calls] == [("heu", [1])]
+    assert _refusals(points) == [False]
 
 
-def test_exhausted_heuristic_falls_back_to_the_sequence():
+def test_refused_point_is_retried_with_the_margin_doubled():
+    # The stub refuses the first point only; the retry puts 2^k 32 bits,
+    # not 16, above 2 max(|a|, |b|) + 2.
     a, b = (T**2 - 4) * (3 * T + 5), (T**2 - 4) * (T - 7)
-    expected = a.cofactors(b)
+    bits = (2 * max(map(abs, _ints(a) + _ints(b))) + 2).bit_length()
     points = []
+    heu = polynomial_module._heu_at
 
-    def refuse(a, b, k):
+    def refuse_first(a, b, k):
         points.append(k)
-        return None
+        return None if len(points) == 1 else heu(a, b, k)
 
-    with mock.patch.object(polynomial_module, "_heu_at", refuse), _paths_recorded() as calls:
-        assert a.cofactors(b) == expected
-    assert len(points) == 1
-    assert [name for name, _ in calls] == ["heu", "prs"] and calls[0][1] is None
+    with mock.patch.object(polynomial_module, "_heu_at", refuse_first):
+        result = a.cofactors(b)
+    assert points == [bits + 16, bits + 32]
+    assert _assert_cofactors(a, b, result) == T**2 - 4
 
 
 def test_even_pairs_run_in_u():
@@ -505,8 +552,8 @@ def test_even_pairs_run_in_u():
 @pytest.mark.parametrize("e", [981, 2000])
 def test_even_pairs_with_huge_content_take_the_heuristic_in_u(e):
     # Both even, m = 12: GCDHEU sees F(u), H(u) of 13 coefficients, at the
-    # first point 2^k with k = e + 19, 16 bits above 2 * 2^(e + 1) + 2; a
-    # pair it settles never reaches the sequence.
+    # first point 2^k with k = e + 19, 16 bits above 2 * 2^(e + 1) + 2, and
+    # settles each pair there: one point per pair.
     m = 12
     a, b = 2**e * (T**(2 * m) + 2), T**(2 * m) + 3
     seen = []
@@ -516,12 +563,9 @@ def test_even_pairs_with_huge_content_take_the_heuristic_in_u(e):
         seen.append((len(a) - 1, len(b) - 1, k))
         return heu(a, b, k)
 
-    with mock.patch.object(polynomial_module, "_heu_at", spy), \
-            mock.patch.object(polynomial_module, "_prs_cofactors",
-                              wraps=polynomial_module._prs_cofactors) as prs:
+    with mock.patch.object(polynomial_module, "_heu_at", spy):
         assert a.cofactors(b) == (1, a, b)
         g = T**2 - 4
         result = (g * a).cofactors(g * b)
-    prs.assert_not_called()
     assert seen[0] == (m, m, e + 19) and seen[1][:2] == (m + 1, m + 1)
     assert len(seen) == 2 and _assert_cofactors(g * a, g * b, result) == g
