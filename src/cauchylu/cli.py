@@ -10,9 +10,10 @@ renders it: ``--json`` or text on stdout, one ``error:`` line on stderr, and
 exit 0 when every verdict passes, 1 on a mismatch or a ``CauchyLUError``
 (``SizeCapExceeded`` above a command's ``--s`` cap, ``--t`` digit cap or a
 ``verify`` flag's cap), 2 on usage errors.
-t is accepted only as an exact fraction ``p/q`` (or a bare integer) --
-decimals are rejected, nothing is ever rounded.  A negative t may follow
-``--t`` as its own argument (``--t -1/3``) or be attached (``--t=-1/3``).
+t is accepted only as an exact fraction ``p/q`` (or a bare integer) in
+ASCII digits -- decimals are rejected, nothing is ever rounded.  A negative
+t may follow ``--t`` as its own argument (``--t -1/3``) or be attached
+(``--t=-1/3``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ T_DIGITS_CAP = 10
 # per t sample each), 9.2 s for the chain to 100 with elimination to 80.
 GAMMA_CAP = 32
 SAMPLES_CAP = 50
+# Each verify flag, by the VerifyConfig field it sets: its argparse dest (the
+# flag is the dest with dashes) and its cap.
+_VERIFY_FLAGS = {
+    "s_max_symbolic": ("s_max_symbolic", S_CAP_SYMBOLIC),
+    "s_max_numeric": ("s_max_numeric", S_CAP_NUMERIC),
+    "s_max_factors_numeric": ("s_max_factors_numeric", S_CAP_NUMERIC),
+    "n_t_samples": ("samples", SAMPLES_CAP),
+    "gamma_max": ("gamma_max", GAMMA_CAP),
+    "chain_max": ("chain_max", S_CAP_CHAIN),
+    "chain_elimination_cap": ("chain_elim_cap", S_CAP_NUMERIC),
+}
 BENCH_WARMUP = 3
 BENCH_REPS = 5  # odd, so the middle sorted time is the median
 
@@ -181,26 +193,11 @@ def cmd_chain(args) -> Result:
 
 
 def cmd_verify(args) -> Result:
-    for size, cap in (
-        (args.s_max_symbolic, S_CAP_SYMBOLIC),
-        (args.s_max_numeric, S_CAP_NUMERIC),
-        (args.s_max_factors_numeric, S_CAP_NUMERIC),
-        (args.samples, SAMPLES_CAP),
-        (args.gamma_max, GAMMA_CAP),
-        (args.chain_max, S_CAP_CHAIN),
-        (args.chain_elim_cap, S_CAP_NUMERIC),
-    ):
-        _require_size(size, cap)
-    cfg = VerifyConfig(
-        seed=args.seed,
-        s_max_symbolic=args.s_max_symbolic,
-        s_max_numeric=args.s_max_numeric,
-        s_max_factors_numeric=args.s_max_factors_numeric,
-        n_t_samples=args.samples,
-        gamma_max=args.gamma_max,
-        chain_max=args.chain_max,
-        chain_elimination_cap=args.chain_elim_cap,
-    )
+    bounds = {}
+    for field, (dest, cap) in _VERIFY_FLAGS.items():
+        bounds[field] = getattr(args, dest)
+        _require_size(bounds[field], cap)
+    cfg = VerifyConfig(seed=args.seed, **bounds)
     reports = run_all(cfg)
     failed = [r for r in reports if not r.passed and not r.skipped]
     lines = []
@@ -284,17 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = VerifyConfig()
     verify = sub.add_parser("verify", help="run every identity suite")
     verify.add_argument("--seed", type=_int_at_least(0), default=defaults.seed)
-    # A negative cap is a usage error, never a silent skip.
-    cap = _int_at_least(0)
-    verify.add_argument("--s-max-symbolic", type=cap, default=defaults.s_max_symbolic)
-    verify.add_argument("--s-max-numeric", type=cap, default=defaults.s_max_numeric)
-    verify.add_argument(
-        "--s-max-factors-numeric", type=cap, default=defaults.s_max_factors_numeric
-    )
-    verify.add_argument("--samples", type=_int_at_least(1), default=defaults.n_t_samples)
-    verify.add_argument("--gamma-max", type=cap, default=defaults.gamma_max)
-    verify.add_argument("--chain-max", type=cap, default=defaults.chain_max)
-    verify.add_argument("--chain-elim-cap", type=cap, default=defaults.chain_elimination_cap)
+    for field, (dest, _) in _VERIFY_FLAGS.items():
+        # A negative cap is a usage error, never a silent skip; verify needs
+        # at least one t sample.
+        minimum = 1 if field == "n_t_samples" else 0
+        flag = "--" + dest.replace("_", "-")
+        verify.add_argument(flag, type=_int_at_least(minimum), default=getattr(defaults, field))
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(handler=cmd_verify)
 

@@ -2,10 +2,11 @@
 
 Values print minimally: rationals as ``p/q`` (or ``p``), polynomial-valued
 rational functions as the bare polynomial, proper quotients as
-``(num)/(den)``.  ``parse_value(serialize_value(x)) == x`` for every exact
-value the package produces; the parse result may land in a wider field
-(``"1"`` parses as a Fraction even if it came from a RationalFunction), and
-cross-field equality handles that.
+``(num)/(den)``.  ``parse_value`` accepts exactly that text: it returns a
+value only when ``serialize_value`` prints it back as the same string, so
+``2/4``, ``+3``, `` 3 ``, ``1 + t`` and ``(t)/(1)`` are DomainErrors.  The
+parse result may land in a wider field (``"1"`` parses as a Fraction even if
+it came from a RationalFunction), and cross-field equality handles that.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ def serialize_value(value) -> str:
 def parse_value(text: str) -> Fraction | RationalFunction:
     """Parse any serialized exact value, preferring the narrowest field."""
     try:
-        return parse_rational(text)
+        value = parse_rational(text)
     except DomainError:
         return parse_ratfunc(text)
+    if format_rational(value) != text:
+        raise DomainError(f"not a printed rational: {text!r}")
+    return value

@@ -36,13 +36,12 @@ polynomials; floats are refused everywhere.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Union
 
-from .errors import DivisionByZero, DomainError
-from .rational import format_ratio, parse_int
+from .errors import DomainError
+from .rational import format_ratio, parse_int, parse_rational
 
 NEG_INFINITY = float("-inf")
 
@@ -443,44 +442,27 @@ def _spread(u):
 T = Polynomial((0, 1))
 _ONE = Polynomial((1,), den=1)
 
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-]?)"
-    r"(?:(?P<num>\d+)(?:/(?P<den>\d+))?\*?)?"
-    r"(?:(?P<var>t)(?:\^(?P<power>\d+))?)?"
-)
-
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Inverse of ``str(Polynomial)``; accepts any order of sparse terms.
+    """Inverse of ``str(Polynomial)``: accepts exactly the text it prints.
 
-    Every term after the first must start with an explicit sign.
+    The terms are split at `` + `` and `` - ``; each coefficient is read by
+    ``parse_rational`` and each power by ``parse_int``.  The polynomial is
+    returned only when it prints back as ``text``; any other text is a
+    DomainError, and a zero denominator is DivisionByZero.
     """
-    compact = re.sub(r"\s+", "", text)
-    if not compact:
-        raise DomainError("empty polynomial text")
-    coeffs: dict[int, Fraction] = {}
-    pos = 0
-    while pos < len(compact):
-        m = _TERM_RE.match(compact, pos)
-        if (not m or m.end() == pos or (m.group("num") is None and m.group("var") is None)
-                or (pos and not m.group("sign"))):
-            raise DomainError(f"unparseable polynomial text: {text!r}")
-        coeff = Fraction(1)
-        if m.group("num"):
-            den = parse_int(m.group("den")) if m.group("den") else 1
-            if den == 0:
-                raise DivisionByZero(f"zero denominator in polynomial text: {text!r}")
-            coeff = Fraction(parse_int(m.group("num")), den)
-        if m.group("sign") == "-":
-            coeff = -coeff
-        if m.group("var"):
-            power = int(m.group("power")) if m.group("power") else 1
-        else:
-            power = 0
-        coeffs[power] = coeffs.get(power, Fraction(0)) + coeff
-        pos = m.end()
-    size = max(coeffs) + 1
-    out = [Fraction(0)] * size
-    for power, value in coeffs.items():
-        out[power] = value
-    return Polynomial(out)
+    terms: dict[int, Fraction] = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        head, var, power = term.partition("t")
+        power = (power or "^1") if var else "^0"  # a bare t is t^1, a constant c*t^0
+        if power[0] != "^" or not power[1:].isdecimal():
+            raise DomainError(f"not a printed polynomial: {text!r}")
+        coeff = head + "1" if head in ("", "-") else head.removesuffix("*")
+        terms[parse_int(power[1:])] = parse_rational(coeff)
+    coeffs = [0] * (max(terms) + 1)
+    for power, coeff in terms.items():
+        coeffs[power] = coeff
+    value = Polynomial(coeffs)
+    if str(value) != text:
+        raise DomainError(f"not a printed polynomial: {text!r}")
+    return value

@@ -24,13 +24,10 @@ it as the scalar t switches the matrix and formula code into symbolic mode.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, DomainError, PoleAtPoint
 from .polynomial import Polynomial, T, parse_polynomial
-
-_QUOTIENT_RE = re.compile(r"\(([^()]*)\)\s*/\s*\(([^()]*)\)")
 
 
 def _as_polynomial(value) -> Polynomial:
@@ -219,14 +216,21 @@ def coerce_scalar(t):
 
 
 def parse_ratfunc(text: str) -> RationalFunction:
-    """Inverse of ``str(RationalFunction)``."""
-    s = text.strip()
-    if s.startswith("("):
-        m = _QUOTIENT_RE.fullmatch(s)
-        if not m:
-            raise DomainError(f"unparseable rational function text: {text!r}")
-        return RationalFunction(parse_polynomial(m.group(1)), parse_polynomial(m.group(2)))
-    return RationalFunction(parse_polynomial(s))
+    """Inverse of ``str(RationalFunction)``: accepts exactly the text it prints.
+
+    ``(num)/(den)`` is split at ``)/(``, anything else is read as a bare
+    polynomial, and the value is returned only when it prints back as
+    ``text``; any other text is a DomainError, and a zero denominator is
+    DivisionByZero.
+    """
+    num, quotient, den = text.partition(")/(")
+    if quotient:
+        value = RationalFunction(parse_polynomial(num[1:]), parse_polynomial(den[:-1]))
+    else:
+        value = RationalFunction(parse_polynomial(text))
+    if str(value) != text:
+        raise DomainError(f"not a printed rational function: {text!r}")
+    return value
 
 
 SYMBOLIC_T = RationalFunction(T)

@@ -23,7 +23,7 @@ from .errors import DivisionByZero, DomainError
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:\s*/\s*(\d+))?")
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?")
 
 
 def format_int(n: int) -> str:
@@ -54,9 +54,12 @@ def parse_int(text: str) -> int:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` into an exact Fraction.
+    """Parse ``p`` or ``p/q`` in ASCII digits into an exact Fraction.
 
-    Anything else (decimals, exponents, a zero denominator) is an error.
+    This is the lenient reader of ``--t``: a sign, surrounding spaces and a
+    fraction not in lowest terms are accepted (``parse_value`` accepts only
+    the printed form).  Anything else (decimals, exponents, a zero
+    denominator) is an error.
     """
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:

@@ -122,6 +122,15 @@ def test_det_rejects_decimal_t(capsys):
 
 
 @pytest.mark.parametrize("command", ["det", "lu"])
+def test_t_in_non_ascii_digits_is_usage_error(capsys, command):
+    # Arabic-Indic 1/3: int() reads every Unicode decimal digit, --t only 0-9.
+    with pytest.raises(SystemExit) as info:
+        main([command, "--s", "2", "--t", "١/٣"])
+    assert info.value.code == 2
+    assert "١/٣" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["det", "lu"])
 def test_negative_t_may_follow_its_option(capsys, command):
     # argparse alone reads a separate -1/3 as an option and exits 2.
     separate = run_cli(capsys, command, "--s", "3", "--t", "-1/3")
