@@ -240,13 +240,6 @@ class ChainValues(NamedTuple):
     def all_equal(self) -> bool:
         return all(v == self.values[0] for v in self.values)
 
-    def first_disagreement(self) -> tuple[int, int] | None:
-        """1-based (reference, offender) expression numbers, or None."""
-        for m, v in enumerate(self.values[1:], start=2):
-            if v != self.values[0]:
-                return 1, m
-        return None
-
 
 def chain_e1(s: int) -> Fraction:
     """Raw diagonal product: signed integer factor products, no regrouping."""

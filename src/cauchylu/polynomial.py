@@ -41,9 +41,13 @@ from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Union
 
 from .errors import DomainError
-from .rational import format_ratio, parse_int, parse_rational
+from .rational import format_ratio, parse_rational
 
 NEG_INFINITY = float("-inf")
+
+# The largest power ``parse_polynomial`` reads.  A Polynomial is dense, so
+# t^n costs a list of n + 1 coefficients; the CLI prints degrees up to 512.
+POWER_CAP = 100_000
 
 Scalar = Union[int, Fraction]
 
@@ -447,18 +451,23 @@ def parse_polynomial(text: str) -> Polynomial:
     """Inverse of ``str(Polynomial)``: accepts exactly the text it prints.
 
     The terms are split at `` + `` and `` - ``; each coefficient is read by
-    ``parse_rational`` and each power by ``parse_int``.  The polynomial is
-    returned only when it prints back as ``text``; any other text is a
-    DomainError, and a zero denominator is DivisionByZero.
+    ``parse_rational``.  A power above ``POWER_CAP`` is a DomainError raised
+    before any list is allocated, and one with more digits than the cap is
+    refused unconverted.  The polynomial is returned only when it prints
+    back as ``text``; any other text is a DomainError, and a zero
+    denominator is DivisionByZero.
     """
     terms: dict[int, Fraction] = {}
     for term in text.replace(" - ", " + -").split(" + "):
         head, var, power = term.partition("t")
         power = (power or "^1") if var else "^0"  # a bare t is t^1, a constant c*t^0
-        if power[0] != "^" or not power[1:].isdecimal():
+        digits = power[1:]
+        if power[0] != "^" or not digits.isdecimal():
             raise DomainError(f"not a printed polynomial: {text!r}")
+        if len(digits) > len(str(POWER_CAP)) or int(digits) > POWER_CAP:
+            raise DomainError(f"power exceeds cap {POWER_CAP}")
         coeff = head + "1" if head in ("", "-") else head.removesuffix("*")
-        terms[parse_int(power[1:])] = parse_rational(coeff)
+        terms[int(digits)] = parse_rational(coeff)
     coeffs = [0] * (max(terms) + 1)
     for power, coeff in terms.items():
         coeffs[power] = coeff

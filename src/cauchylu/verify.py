@@ -3,19 +3,21 @@
 Each suite compares two independently computed sides of one identity over a
 full index range and reports pass/fail with the first counterexample found.
 Every suite is a lazy sequence of checks, each giving a Counterexample or
-None, fed to one driver (``_run``) that marks skips, times the run and keeps
-the first counterexample.  The two sized suites build their matrices once
-per accepted t at s_max (once in symbolic mode): the size-s matrices and
-their Doolittle factors are leading blocks of those.  Entries are compared
-by size s = max(i, l), then L before U, then row-major, so a counterexample
-names the smallest failing size; each size compares the border of its
-leading block as one list (``_verify_sizes``).  The product check asserts
-that L is zero above the diagonal and U below it, and compares the leading
-blocks of M with those of the product of the two triangles, L and U with
-the other triangle read as 0; a violation names its factor, with rhs 0.
-Each leading block of a product of triangular factors is the product of
-their leading blocks, so a pass means that every size-s closed form
-multiplies back to its M.
+None, fed to one driver (``_run``) that times the run, keeps the first
+counterexample and builds the suite's report once, at the end; a report is
+a read-only value.  The numeric t samples that the checks accept or discard
+are gathered until then in two lists the suite owns.  The two sized suites
+build their matrices once per accepted t at s_max (once in symbolic mode):
+the size-s matrices and their Doolittle factors are leading blocks of
+those.  Entries are compared by size s = max(i, l), then L before U, then
+row-major, so a counterexample names the smallest failing size; each size
+compares the border of its leading block as one list (``_verify_sizes``).
+The product check asserts that L is zero above the diagonal and U below it,
+and compares the leading blocks of M with those of the product of the two
+triangles, L and U with the other triangle read as 0; a violation names its
+factor, with rhs 0.  Each leading block of a product of triangular factors
+is the product of their leading blocks, so a pass means that every size-s
+closed form multiplies back to its M.
 
 Suites are independent: run_all executes every one of them, never letting a
 failure in one abort another, and aggregates the reports.  A suite that
@@ -71,49 +73,33 @@ class Counterexample(NamedTuple):
         return {"indices": dict(self.indices), "lhs": self.lhs, "rhs": self.rhs}
 
 
-class VerificationReport:
-    """One suite's outcome; ``_run`` and ``_builds`` fill it in as it runs."""
+class VerificationReport(NamedTuple):
+    """One suite's outcome, built once by ``_run`` when the suite ends."""
 
-    __slots__ = (
-        "suite",
-        "range",
-        "mode",
-        "t_samples",
-        "discarded_t_samples",
-        "passed",
-        "skipped",
-        "counterexample",
-        "error",
-        "elapsed_ms",
-    )
-
-    def __init__(self, suite: str, range: dict, mode: str, t_samples=(), error: str | None = None):
-        self.suite = suite
-        self.range = range
-        self.mode = mode
-        self.t_samples = list(t_samples)
-        self.discarded_t_samples = []
-        self.passed = False
-        self.skipped = False
-        self.counterexample = None
-        self.error = error
-        self.elapsed_ms = 0.0
+    suite: str
+    range: dict
+    mode: str
+    t_samples: list
+    discarded_t_samples: list
+    passed: bool
+    skipped: bool
+    counterexample: Counterexample | None
+    error: str | None
+    elapsed_ms: float
 
     def to_dict(self) -> dict:
         # Key order is the wire format; elapsed_ms is left out because
         # timings would break byte-for-byte reproducibility of seeded runs.
         found = self.counterexample
-        return {
-            "suite": self.suite,
-            "range": dict(self.range),
-            "mode": self.mode,
-            "t_samples": list(self.t_samples),
-            "discarded_t_samples": list(self.discarded_t_samples),
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "counterexample": None if found is None else found.to_dict(),
-            "error": self.error,
-        }
+        wire = self._asdict()
+        del wire["elapsed_ms"]
+        wire.update(
+            range=dict(self.range),
+            t_samples=list(self.t_samples),
+            discarded_t_samples=list(self.discarded_t_samples),
+            counterexample=None if found is None else found.to_dict(),
+        )
+        return wire
 
 
 class _VerifyBounds(NamedTuple):
@@ -167,39 +153,41 @@ def _differ(indices: dict, lhs, rhs) -> Counterexample | None:
     return Counterexample(indices, serialize_value(lhs), serialize_value(rhs))
 
 
-def _run(report: VerificationReport, skip: bool, results) -> VerificationReport:
-    """The one suite driver: skip, time, and keep the first counterexample.
+def _run(suite, range, mode, skip, results, t_samples=(), discarded=()) -> VerificationReport:
+    """The one suite driver: time the checks and return the finished report.
 
     ``results`` is a lazy iterable of Counterexample-or-None, one per check;
-    it is consumed only up to the first counterexample.  A CauchyLUError
-    raised while consuming it propagates with ``exc.report`` set to an
-    error-only report for the same suite, range and mode, which run_all
-    appends in place of the suite's own.
+    it is consumed only up to the first counterexample, and not at all when
+    ``skip``.  ``t_samples`` and ``discarded`` are read once it has been
+    consumed, so they may be lists that the checks fill as they run.  A
+    CauchyLUError raised while consuming it propagates with ``exc.report``
+    set to an error-only report for the same suite, range and mode, which
+    run_all appends in place of the suite's own.
     """
     started = time.perf_counter()
     try:
-        if skip:
-            report.skipped = True
-        else:
-            report.counterexample = _first(results)
-            report.passed = report.counterexample is None
+        found = None if skip else _first(results)
     except CauchyLUError as exc:
-        report = exc.report = VerificationReport(
-            report.suite, report.range, report.mode, error=str(exc)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        exc.report = VerificationReport(
+            suite, range, mode, [], [], False, False, None, str(exc), elapsed_ms
         )
         raise
-    finally:
-        report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return report
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    passed = not skip and found is None
+    return VerificationReport(
+        suite, range, mode, list(t_samples), list(discarded), passed, skip, found, None, elapsed_ms
+    )
 
 
-def _builds(report: VerificationReport, t_samples, n_samples, rng, build):
+def _builds(mode, t_samples, n_samples, rng, build, accepted, discarded):
     """Yield (t indices, build(t)) at the symbolic t or per accepted sample t.
 
-    In numeric mode ``build(t)`` may raise SingularEntry/ZeroPivot, which
-    discards the sample and draws a fresh one.
+    In numeric mode each sample t is appended, as text, to ``accepted`` or,
+    when ``build(t)`` raises SingularEntry/ZeroPivot, to ``discarded``, and a
+    fresh one is drawn in its place.
     """
-    if report.mode == "symbolic":
+    if mode == "symbolic":
         yield {}, build(SYMBOLIC_T)
         return
     provided = list(t_samples or ())
@@ -211,9 +199,9 @@ def _builds(report: VerificationReport, t_samples, n_samples, rng, build):
             try:
                 built = build(t)
             except (SingularEntry, ZeroPivot):
-                report.discarded_t_samples.append(str(t))
+                discarded.append(str(t))
                 continue
-            report.t_samples.append(str(t))
+            accepted.append(str(t))
             break
         else:
             raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
@@ -245,10 +233,10 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     require_at_least(1, samples=n_samples)
     if mode not in ("symbolic", "numeric"):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
-    report = VerificationReport(suite, {"s_max": s_max}, mode)
+    accepted, discarded = [], []
 
     def checks():
-        for base, sides in _builds(report, t_samples, n_samples, rng, build):
+        for base, sides in _builds(mode, t_samples, n_samples, rng, build, accepted, discarded):
             tables = [
                 (label, lhs, tuple(zip(*lhs)), rhs, tuple(zip(*rhs)))
                 for label, lhs, rhs in sides
@@ -262,7 +250,7 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
                         indices = {"s": s, **base, **label, "i": i, "l": l}
                         yield _differ(indices, left[k], right[k])
 
-    return _run(report, s_max < 1, checks())
+    return _run(suite, {"s_max": s_max}, mode, s_max < 1, checks(), accepted, discarded)
 
 
 def verify_lu_product(
@@ -343,8 +331,7 @@ def verify_gamma_identities(index_max: int = 8) -> VerificationReport:
                 yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
 
     bounds = {"i_max": index_max, "j_max": index_max, "l_max": index_max}
-    report = VerificationReport(SUITE_GAMMA, bounds, "symbolic")
-    return _run(report, index_max < 1, checks())
+    return _run(SUITE_GAMMA, bounds, "symbolic", index_max < 1, checks())
 
 
 def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationReport:
@@ -357,13 +344,10 @@ def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationRepo
 
     def checks():
         for s in range(1, s_max + 1):
-            chain = closed_form.chain_t1(s)
-            disagreement = chain.first_disagreement()
-            if disagreement is not None:
-                ref, offender = disagreement
-                indices = {"s": s, "expressions": [ref, offender]}
-                yield _differ(indices, chain.values[ref - 1], chain.values[offender - 1])
-            value = chain.values[5]
+            values = closed_form.chain_t1(s).values
+            for m, other in enumerate(values[1:], start=2):
+                yield _differ({"s": s, "expressions": [1, m]}, values[0], other)
+            value = values[5]
             if not value > 0:
                 yield Counterexample(
                     {"s": s, "check": "positivity"}, serialize_value(value), "> 0"
@@ -376,8 +360,7 @@ def verify_chain(s_max: int = 20, elimination_cap: int = 12) -> VerificationRepo
 
     bounds = {"s_max": s_max, "elimination_cap": elimination_cap}
     require_at_least(0, **bounds)
-    report = VerificationReport(SUITE_CHAIN, bounds, "numeric", t_samples=["1"])
-    return _run(report, s_max < 1, checks())
+    return _run(SUITE_CHAIN, bounds, "numeric", s_max < 1, checks(), ["1"])
 
 
 def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:

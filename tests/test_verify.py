@@ -146,6 +146,13 @@ def test_report_json_excludes_elapsed_by_default():
     assert report.elapsed_ms >= 0
 
 
+def test_report_is_read_only():
+    report = verify_chain(1)
+    with pytest.raises(AttributeError):
+        report.passed = False
+    assert report.passed
+
+
 # -- fault injection ---------------------------------------------------------
 
 
@@ -226,6 +233,13 @@ def test_fault_injected_single_normalised_chain_e5_is_caught(monkeypatch):
         "lhs": "1/3",
         "rhs": "2",
     }
+
+
+def test_two_broken_chain_expressions_name_the_first(monkeypatch):
+    monkeypatch.setattr(closed_form, "chain_e3", _chain_e3_with_wrong_exponent)
+    monkeypatch.setattr(closed_form, "chain_e5", _chain_e5_missing_last_binomial)
+    found = verify_chain(3).counterexample
+    assert found.indices == {"s": 1, "expressions": [1, 3]}
 
 
 def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
