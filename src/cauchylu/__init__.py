@@ -22,7 +22,6 @@ from .combinatorics import (
     binomial,
     double_factorial,
     factorial,
-    reciprocal_factorial,
     rising_factorial,
 )
 from .errors import (
@@ -103,7 +102,6 @@ __all__ = [
     "parse_ratfunc",
     "parse_rational",
     "parse_value",
-    "reciprocal_factorial",
     "rising_factorial",
     "run_all",
     "serialize_value",

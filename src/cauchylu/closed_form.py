@@ -78,9 +78,9 @@ def entry_L(i: int, j: int, t):
              * (i+j-2)! / ((i-j)! (2j-2)!)
            = P(j, j) / P(i, j) * (i+j-2)! / ((i-j)! (2j-2)!)
 
-    with 1/(i-j)! = 0 for j > i (``reciprocal_factorial``'s convention),
-    hence zero above the diagonal; on the diagonal the two products cancel
-    identically and the value is 1.
+    with 1/n! = 0 for n < 0, since 1/Gamma vanishes at the nonpositive
+    integers: 1/(i-j)! = 0 for j > i, hence zero above the diagonal.  On the
+    diagonal the two products cancel identically and the value is 1.
 
     Computed in the ring of t = p/q: multiplying every factor by q^2 turns
     it into (2a-1)^2 p^2 - (2b)^2 q^2, and the j powers of q^2 above and
@@ -117,7 +117,7 @@ def entry_U(j: int, l: int, t):
            = t^(2j-2) (-1)^j 16^(j-1) (2j-2)! (j+l-1)!
              / [Q(l, j) P(j, j-1) l (l-j)!]
 
-    with 1/(l-j)! = 0 for l < j (``reciprocal_factorial``'s convention),
+    with 1/n! = 0 for n < 0, as for entry_L: 1/(l-j)! = 0 for l < j,
     hence zero below the diagonal.
 
     Computed in the ring of t = p/q, as entry_L is: the 2j-1 denominator

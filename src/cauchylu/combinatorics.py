@@ -2,17 +2,14 @@
 
 These are the combinatorial atoms of every closed-form matrix entry and of
 the t=1 product chain.  ``factorial`` and ``binomial`` delegate to the
-standard library.  ``reciprocal_factorial`` extends 1/n! to all integers by
-returning exactly 0 for n < 0 (the reciprocal Gamma function vanishes at the
-nonpositive integers).  That convention is why the closed forms of the
-factors vanish off their triangles; ``entry_L`` and ``entry_U`` return that
-0 by an index test, and verify checks the triangles.
+standard library.  The closed forms of the factors also read 1/n! as 0 for
+n < 0, since 1/Gamma vanishes at the nonpositive integers; ``entry_L`` and
+``entry_U`` return that 0 by an index test, and verify checks the triangles.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 
@@ -22,13 +19,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise DomainError(f"factorial of negative {n}")
     return math.factorial(n)
-
-
-def reciprocal_factorial(n: int) -> Fraction:
-    """1/n! for n >= 0; exactly 0 for n < 0."""
-    if n < 0:
-        return Fraction(0)
-    return Fraction(1, math.factorial(n))
 
 
 def double_factorial(n: int) -> int:

@@ -77,27 +77,28 @@ def _order(nums) -> int:
     return k
 
 
-def _primitive_ints(cs) -> list[int]:
-    """cs divided by the gcd of its entries (sign kept)."""
-    g = _int_gcd(*cs)
-    return [c // g for c in cs] if g != 1 else list(cs)
+def _positive_primitive(cs):
+    """(c, cs / c) for the nonzero int polynomial cs, with c the gcd of its
+    entries signed as its lead: cs / c is primitive with a positive lead."""
+    c = _int_gcd(*cs) if cs[-1] > 0 else -_int_gcd(*cs)
+    return c, ([x // c for x in cs] if c != 1 else cs)
 
 
 class Polynomial:
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), *, den: int | None = None):
-        """Build from int/Fraction coefficients, lowest power first.
+    def __init__(self, coeffs: Iterable[Scalar] = (), *, _den: int | None = None):
+        """Build from int/Fraction coefficients, lowest power first; any
+        other coefficient is a DomainError.
 
-        With ``den`` the coefficients must be ints: they are the numerators
-        over the positive int ``den``, and no Fraction is formed.
+        ``_den`` is the module's own form, for results it has already
+        computed: the coefficients are then the int numerators over the
+        positive int ``_den``, unchecked, and no Fraction is formed.
         """
-        if den is None:
+        if _den is None:
             nums, den = _as_ints(coeffs)
         else:
-            nums = list(coeffs)
-            if den < 1:
-                raise DomainError(f"common denominator must be positive, got {den!r}")
+            nums, den = list(coeffs), _den
         while nums and not nums[-1]:
             nums.pop()
         if not nums:
@@ -143,9 +144,9 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return other
         if isinstance(other, int):
-            return Polynomial((other,), den=1)
+            return Polynomial((other,), _den=1)
         if isinstance(other, Fraction):
-            return Polynomial((other.numerator,), den=other.denominator)
+            return Polynomial((other.numerator,), _den=other.denominator)
         return None
 
     def _combine(self, other: Polynomial, sign: int) -> Polynomial:
@@ -166,7 +167,7 @@ class Polynomial:
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return Polynomial(out, den=den)
+        return Polynomial(out, _den=den)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -177,7 +178,7 @@ class Polynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial([-c for c in self._nums], den=self._den)
+        return Polynomial([-c for c in self._nums], _den=self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -194,10 +195,10 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             if isinstance(other, int):
-                return Polynomial([c * other for c in self._nums], den=self._den)
+                return Polynomial([c * other for c in self._nums], _den=self._den)
             if isinstance(other, Fraction):
                 n = other.numerator
-                return Polynomial([c * n for c in self._nums], den=self._den * other.denominator)
+                return Polynomial([c * n for c in self._nums], _den=self._den * other.denominator)
             return NotImplemented
         a, b = self._nums, other._nums
         if not a or not b:
@@ -209,7 +210,7 @@ class Polynomial:
             if cb:
                 for i, ca in enumerate(a, j):
                     out[i] += ca * cb
-        return Polynomial(out, den=self._den * other._den)
+        return Polynomial(out, _den=self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -274,23 +275,21 @@ class Polynomial:
                 return self, self, o
             # gcd(p, 0) is p's primitive form, and p divided by it a constant.
             nums, den = (a, self._den) if a else (b, o._den)
-            g = _primitive_ints(nums)
-            if g[-1] < 0:
-                g = [-c for c in g]
-            unit = Polynomial((nums[-1] // g[-1],), den=den)
+            c, g = _positive_primitive(nums)
+            unit = Polynomial((c,), _den=den)
             zero = Polynomial()
-            return Polynomial(g, den=1), (unit if a else zero), (zero if a else unit)
+            return Polynomial(g, _den=1), (unit if a else zero), (zero if a else unit)
         oa, ob = _order(a), _order(b)
         if oa == len(a) - 1 or ob == len(b) - 1:
             m = min(oa, ob)
             if not m:
                 return _ONE, self, o
-            return (Polynomial((0,) * m + (1,), den=1), Polynomial(a[m:], den=self._den),
-                    Polynomial(b[m:], den=o._den))
+            return (Polynomial((0,) * m + (1,), _den=1), Polynomial(a[m:], _den=self._den),
+                    Polynomial(b[m:], _den=o._den))
         g, ca, cb = _int_cofactors(a, b)
         if len(g) == 1:
             return _ONE, self, o
-        return Polynomial(g, den=1), Polynomial(ca, den=self._den), Polynomial(cb, den=o._den)
+        return Polynomial(g, _den=1), Polynomial(ca, _den=self._den), Polynomial(cb, _den=o._den)
 
     # -- value semantics ---------------------------------------------------
 
@@ -401,9 +400,7 @@ def _heu_at(a, b, k):
     h = _xi_adic(gamma, k)
     if len(h) == 1:
         return [1], a, b
-    c = _int_gcd(*h) if h[-1] > 0 else -_int_gcd(*h)
-    if c != 1:
-        h = [x // c for x in h]
+    c, h = _positive_primitive(h)
     hv = gamma // c  # H(xi)
     limit = (1 << (k - 1)) // sum(map(abs, h))  # max|ca| < limit: sum|H| max|ca| < xi/2
     ca = _xi_adic(va // hv, k)
@@ -444,7 +441,7 @@ def _spread(u):
 
 
 T = Polynomial((0, 1))
-_ONE = Polynomial((1,), den=1)
+_ONE = Polynomial((1,), _den=1)
 
 
 def parse_polynomial(text: str) -> Polynomial:

@@ -30,23 +30,17 @@ from .errors import DivisionByZero, DomainError, PoleAtPoint
 from .polynomial import Polynomial, T, parse_polynomial
 
 
-def _as_polynomial(value) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Polynomial((value,))
-    raise DomainError(f"cannot build a rational function from {value!r}")
-
-
 class RationalFunction:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num=0, den=1):
-        num = _as_polynomial(num)
-        den = _as_polynomial(den)
-        if den.is_zero:
+        p, q = Polynomial._coerce(num), Polynomial._coerce(den)
+        if p is None or q is None:
+            value = num if p is None else den
+            raise DomainError(f"cannot build a rational function from {value!r}")
+        if q.is_zero:
             raise DivisionByZero("zero denominator polynomial")
-        _, num, den = num.cofactors(den)
+        _, num, den = p.cofactors(q)
         self._num, self._den = _scale_canonical(num, den)
 
     @classmethod
@@ -75,7 +69,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return other
         if isinstance(other, (int, Fraction, Polynomial)):
-            return RationalFunction(_as_polynomial(other))
+            return RationalFunction(other)
         return None
 
     def __add__(self, other):
@@ -164,7 +158,7 @@ class RationalFunction:
         if isinstance(other, RationalFunction):
             return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction, Polynomial)):
-            return self._den == 1 and self._num == _as_polynomial(other)
+            return self._den == 1 and self._num == other
         return NotImplemented
 
     def __hash__(self):

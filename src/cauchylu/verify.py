@@ -115,7 +115,8 @@ class _VerifyBounds(NamedTuple):
 
 class VerifyConfig(_VerifyBounds):
     """run_all's settings, checked when built and immutable after, so every
-    instance run_all sees has passed the checks."""
+    instance run_all sees has passed the checks.  As for any NamedTuple,
+    assigning a field or a new attribute raises AttributeError."""
 
     __slots__ = ()
 
@@ -130,13 +131,6 @@ class VerifyConfig(_VerifyBounds):
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make: check it too
         return cls(*iterable)
-
-    def __setattr__(self, name, value):
-        # The error a frozen dataclass raises, imported only here because
-        # importing dataclasses costs every run of the CLI ~10 ms.
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _sample_rational(rng: random.Random) -> Fraction:

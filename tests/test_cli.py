@@ -484,3 +484,12 @@ def test_import_loads_no_dataclasses_inspect_or_statistics():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert child.stdout == "[]\n", child.stderr
+
+
+def test_every_exported_name_resolves():
+    import cauchylu
+
+    missing = [name for name in cauchylu.__all__ if not hasattr(cauchylu, name)]
+    assert missing == []
+    assert len(set(cauchylu.__all__)) == len(cauchylu.__all__)
+    assert "reciprocal_factorial" not in cauchylu.__all__

@@ -14,7 +14,6 @@ from cauchylu import (
     binomial,
     double_factorial,
     factorial,
-    reciprocal_factorial,
     rising_factorial,
 )
 
@@ -27,16 +26,6 @@ def test_factorial(n, expected):
 def test_factorial_rejects_negative():
     with pytest.raises(DomainError):
         factorial(-1)
-
-
-@pytest.mark.parametrize("n, expected", [(-1, 0), (0, 1), (3, Fraction(1, 6)), (-7, 0)])
-def test_reciprocal_factorial(n, expected):
-    assert reciprocal_factorial(n) == expected
-
-
-@given(st.integers(0, 40))
-def test_reciprocal_factorial_inverts_factorial(n):
-    assert reciprocal_factorial(n) * factorial(n) == 1
 
 
 @pytest.mark.parametrize("n, expected", [(5, 15), (-1, 1), (7, 105), (1, 1), (9, 945)])

@@ -40,6 +40,16 @@ def test_float_coefficients_rejected():
         Polynomial((0.5,))
 
 
+@pytest.mark.parametrize(
+    "coeffs, den", [([0.5], 1), ([Fraction(1, 2)], 2)], ids=["float-over-1", "fraction-over-2"]
+)
+def test_no_public_common_denominator(coeffs, den):
+    # The ints-over-one-denominator form is private, so every public build
+    # passes the coefficient check.
+    with pytest.raises(TypeError, match="keyword argument 'den'"):
+        Polynomial(coeffs, den=den)
+
+
 def test_indeterminate():
     assert T.degree == 1
     assert (T * T - 4).coeffs == (Fraction(-4), Fraction(0), Fraction(1))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cauchylu import (
     DivisionByZero,
+    DomainError,
     PoleAtPoint,
     Polynomial,
     RationalFunction,
@@ -68,6 +69,12 @@ def test_zero_is_zero_over_one():
 def test_zero_denominator_rejected():
     with pytest.raises(DivisionByZero):
         RationalFunction(T, Polynomial())
+
+
+@pytest.mark.parametrize("num, den", [(0.5, 1), (T, 0.5)], ids=["float-num", "float-den"])
+def test_inexact_operand_rejected_by_name(num, den):
+    with pytest.raises(DomainError, match=r"from 0\.5$"):
+        RationalFunction(num, den)
 
 
 def test_division_by_zero_function_raises():

@@ -1,7 +1,6 @@
 """Verification-suite behavior: reports, sampling, determinism, and the
 fault-injection meta-tests (a checker that cannot fail is untrustworthy)."""
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -158,13 +157,11 @@ def test_report_is_read_only():
 
 def _entry_U_with_wrong_constant(j, l, t):
     """entry_U with its 16^(j-1) power corrupted to 15^(j-1)."""
-    from cauchylu.combinatorics import reciprocal_factorial
     from cauchylu.ratfunc import coerce_scalar
 
     t = coerce_scalar(t)
     one = t ** 0
-    recip = reciprocal_factorial(l - j)
-    if recip == 0:
+    if l < j:
         return one * 0
     tt = t * t
     den = one
@@ -173,7 +170,7 @@ def _entry_U_with_wrong_constant(j, l, t):
     for k in range(1, j):
         den = den * ((2 * j - 1) ** 2 * tt - (2 * k) ** 2)
     num = t ** (2 * j - 2) * ((-1) ** j * 15 ** (j - 1) * factorial(2 * j - 2))
-    return num / den * (Fraction(factorial(j + l - 1), l) * recip)
+    return num / den * Fraction(factorial(j + l - 1), l * factorial(l - j))
 
 
 def test_fault_injected_entry_U_is_caught_at_size_two(monkeypatch):
@@ -449,8 +446,12 @@ def test_zero_elimination_cap_and_negative_seed_are_accepted():
 
 def test_verify_config_cannot_be_changed_past_its_checks():
     cfg = VerifyConfig()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cfg.s_max_symbolic = -1
+    assert cfg.s_max_symbolic == 6
+    with pytest.raises(AttributeError):
+        cfg.s_max = -1
+    assert not hasattr(cfg, "s_max")
 
 
 # -- one build at s_max, compared in size order ----------------------------------
