@@ -8,27 +8,35 @@ are ratios of two products over k = 1..j,
     row product     P(a, j) = prod_{k=1..j} ((2a-1)^2 t^2 - (2k)^2)
     column product  Q(l, j) = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2)
 
-and each is written once, in ``_left_product`` and ``_right_product``.  The
-factor entries multiply them, and the two Gamma identities state their
-rising-factorial forms, so the Gamma suite checks the very products the
-entries use.  Both products are computed in the ring beneath t's field:
-with t = p/q (ints, or Polynomials), every factor is multiplied by q^2, the
-powers of q cancel, and an entry is one ratio of ring products, normalised
-once.  Each docstring shows the displayed formula and its cleared ring form
-side by side.  Both Gamma identities are equalities of polynomials, so both
-sides are built in Q[t] and compared there, with no field operation.  The
-determinant and the chain stay in exact field arithmetic; the compact chain
-forms E4-E6 multiply their denominators up as ints and normalise once (in
-E1-E3 the stepwise reduction is cheaper than one gcd of the huge factorial
-products).  The chain expressions are each coded independently, reading
-their own factors, so a
-transcription slip in any one of them shows up as disagreement with the
-other five rather than passing silently.
+and each is written once, factor by factor, in ``_row_factors`` and
+``_column_factors``.  The factor entries multiply them, and the two Gamma
+identities state their rising-factorial forms, so the Gamma suite checks the
+very factors the entries use.  Both products are computed in the ring
+beneath t's field: with t = p/q (ints, or Polynomials), every factor is
+multiplied by q^2, the powers of q cancel, and an entry is one ratio of ring
+products, normalised once.  Each docstring shows the displayed formula and
+its cleared ring form side by side.
+
+The products are kept as running prefixes in a ``_Products`` table.  One
+build_L or build_U call shares one table across all its entries, so each
+product grows one factor at a time instead of being multiplied out again
+for every entry; the table is dropped when the call returns.  An entry
+called on its own makes a table of its own.
+
+Both Gamma identities are equalities of polynomials, so both sides are built
+in Q[t] and compared there, with no field operation.  The determinant and
+the chain stay in exact field arithmetic; the compact chain forms E4-E6
+multiply their denominators up as ints and normalise once (in E1-E3 the
+stepwise reduction is cheaper than one gcd of the huge factorial products).
+The chain expressions are each coded independently, reading their own
+factors, so a transcription slip in any one of them shows up as
+disagreement with the other five rather than passing silently.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,34 +47,85 @@ from .polynomial import Polynomial, T
 from .ratfunc import coerce_scalar
 
 
-def _ring(t):
-    """(t, p, q): t coerced to its field, and t = p/q in the ring under it
-    (ints for a Fraction, Polynomials for a RationalFunction)."""
-    t = coerce_scalar(t)
-    if isinstance(t, Fraction):
-        return t, t.numerator, t.denominator
-    return t, t.num, t.den
-
-
-def _left_product(a: int, j: int, pp, qq):
-    """prod_{k=1..j} ((2a-1)^2 pp - (2k)^2 qq), the row product P(a, j)
-    cleared by q^(2j), with pp = p^2 and qq = q^2; the empty product is 1."""
+def _row_factors(a: int, ks: range, pp, qq):
+    """The factors (2a-1)^2 pp - (2k)^2 qq, k in ks, of the row product
+    P(a, .), each cleared by q^2, with pp = p^2 and qq = q^2."""
     head = (2 * a - 1) ** 2 * pp
-    return math.prod(head - (2 * k) ** 2 * qq for k in range(1, j + 1))
+    return (head - (2 * k) ** 2 * qq for k in ks)
 
 
-def _right_product(l: int, j: int, pp, qq):
-    """prod_{k=1..j} ((2k-1)^2 pp - (2l)^2 qq), the column product Q(l, j)
-    cleared by q^(2j), with pp = p^2 and qq = q^2; the empty product is 1."""
+def _column_factors(l: int, ks: range, pp, qq):
+    """The factors (2k-1)^2 pp - (2l)^2 qq, k in ks, of the column product
+    Q(l, .), each cleared by q^2, with pp = p^2 and qq = q^2."""
     tail = (2 * l) ** 2 * qq
-    return math.prod((2 * k - 1) ** 2 * pp - tail for k in range(1, j + 1))
+    return ((2 * k - 1) ** 2 * pp - tail for k in ks)
 
 
-def _singular(product, j: int, t, where: tuple[int, int], note: str = "") -> SingularEntry:
-    """The error for a denominator product(j) of j factors that vanished,
-    naming its first vanishing factor: the first k with product(k) == 0
-    (the ring has no zero divisors)."""
-    k = next(k for k in range(1, j + 1) if not product(k))
+class _Products:
+    """The row and column products of one t, kept as running prefixes.
+
+    ``row(a, j)[k]`` is P(a, k) and ``column(l, j)[k]`` is Q(l, k), cleared
+    by q^(2k), for every k <= j; index 0 is the empty product 1.  A prefix
+    list grows one factor at a time, and only when an entry asks for a
+    longer product.  ``key`` is the object the table was made for: an entry
+    uses a build's table only when it is called with that very object.
+    """
+
+    __slots__ = ("key", "t", "pp", "qq", "_rows", "_columns")
+
+    def __init__(self, key, t, p, q):
+        self.key, self.t = key, t
+        self.pp, self.qq = p * p, q * q
+        self._rows: dict[int, list] = {}
+        self._columns: dict[int, list] = {}
+
+    def row(self, a: int, j: int) -> list:
+        """P(a, 0), ..., P(a, j) and perhaps more."""
+        return self._prefixes(self._rows, _row_factors, a, j)
+
+    def column(self, l: int, j: int) -> list:
+        """Q(l, 0), ..., Q(l, j) and perhaps more."""
+        return self._prefixes(self._columns, _column_factors, l, j)
+
+    def _prefixes(self, lists: dict, factors, index: int, j: int) -> list:
+        prefixes = lists.get(index)
+        if prefixes is None:
+            prefixes = lists[index] = [1]
+        if len(prefixes) <= j:
+            product = prefixes[-1]
+            for factor in factors(index, range(len(prefixes), j + 1), self.pp, self.qq):
+                product = product * factor
+                prefixes.append(product)
+        return prefixes
+
+
+def _ring(t) -> _Products:
+    """A new product table for t: t coerced to its field and split as t = p/q
+    in the ring under it (ints for a Fraction, Polynomials for a
+    RationalFunction)."""
+    field = coerce_scalar(t)
+    if isinstance(field, Fraction):
+        return _Products(t, field, field.numerator, field.denominator)
+    return _Products(t, field, field.num, field.den)
+
+
+# The table of the build_L/build_U call running in this context, if any.  It
+# lives exactly as long as that call; a ContextVar keeps threads apart.
+_BUILD_TABLE: ContextVar[_Products | None] = ContextVar("_BUILD_TABLE", default=None)
+
+
+def _products(t) -> _Products:
+    """The running build's table when it was made for this very t, else a
+    throwaway one."""
+    table = _BUILD_TABLE.get()
+    return table if table is not None and table.key is t else _ring(t)
+
+
+def _singular(prefixes: list, j: int, t, where: tuple[int, int], note: str = "") -> SingularEntry:
+    """The error for a product of j factors that vanished, naming its first
+    vanishing factor: the first k with prefixes[k] == 0 (the ring has no
+    zero divisors)."""
+    k = next(k for k in range(1, j + 1) if not prefixes[k])
     return SingularEntry([where], t=t, note=f"denominator factor k={k}{note}")
 
 
@@ -94,16 +153,16 @@ def entry_L(i: int, j: int, t):
     """
     if not (isinstance(i, int) and isinstance(j, int) and i >= 1 and j >= 1):
         require_at_least(1, i=i, j=j)
-    t, p, q = _ring(t)
+    table = _products(t)
+    t = table.t
     if i < j:  # 1/(i-j)! = 0
         return type(t)(0)
     if i == j:
         return type(t)(1)
-    pp, qq = p * p, q * q
-    den = _left_product(i, j, pp, qq)
+    den = table.row(i, j)[j]
     if not den:
-        raise _singular(lambda k: _left_product(i, k, pp, qq), j, t, (i, j))
-    num = factorial(i + j - 2) * _left_product(j, j, pp, qq)
+        raise _singular(table.row(i, j), j, t, (i, j))
+    num = factorial(i + j - 2) * table.row(j, j)[j]
     return type(t)(num, factorial(i - j) * factorial(2 * j - 2) * den)
 
 
@@ -129,35 +188,42 @@ def entry_U(j: int, l: int, t):
     """
     if not (isinstance(j, int) and isinstance(l, int) and j >= 1 and l >= 1):
         require_at_least(1, j=j, l=l)
-    t, p, q = _ring(t)
+    table = _products(t)
+    t = table.t
     if l < j:  # 1/(l-j)! = 0
         return type(t)(0)
-    pp, qq = p * p, q * q
-    first = _right_product(l, j, pp, qq)
+    first = table.column(l, j)[j]
     if not first:
-        raise _singular(lambda k: _right_product(l, k, pp, qq), j, t, (j, l), ", first product")
-    second = _left_product(j, j - 1, pp, qq)
+        raise _singular(table.column(l, j), j, t, (j, l), ", first product")
+    second = table.row(j, j - 1)[j - 1]
     if not second:
-        raise _singular(lambda k: _left_product(j, k, pp, qq), j - 1, t, (j, l), ", second product")
+        raise _singular(table.row(j, j - 1), j - 1, t, (j, l), ", second product")
     scale = (-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2) * factorial(j + l - 1)
-    num = p ** (2 * j - 2) * q ** (2 * j) * scale
+    num = table.pp ** (j - 1) * table.qq ** j * scale
     return type(t)(num, l * factorial(l - j) * first * second)
+
+
+def _build(s: int, t, entry) -> ExactMatrix:
+    """The s-by-s matrix of entry(a, b, t), with one product table shared by
+    every entry for the length of the call."""
+    require_at_least(1, s=s)
+    token = _BUILD_TABLE.set(_ring(t))
+    try:
+        return ExactMatrix(
+            [[entry(a, b, t) for b in range(1, s + 1)] for a in range(1, s + 1)]
+        )
+    finally:
+        _BUILD_TABLE.reset(token)
 
 
 def build_L(s: int, t) -> ExactMatrix:
     """The s-by-s lower factor, assembled entrywise from entry_L."""
-    require_at_least(1, s=s)
-    return ExactMatrix(
-        [[entry_L(i, j, t) for j in range(1, s + 1)] for i in range(1, s + 1)]
-    )
+    return _build(s, t, entry_L)
 
 
 def build_U(s: int, t) -> ExactMatrix:
     """The s-by-s upper factor, assembled entrywise from entry_U."""
-    require_at_least(1, s=s)
-    return ExactMatrix(
-        [[entry_U(j, l, t) for l in range(1, s + 1)] for j in range(1, s + 1)]
-    )
+    return _build(s, t, entry_U)
 
 
 def det_closed(s: int, t):
@@ -185,11 +251,11 @@ def gamma_identity_left(i: int, j: int) -> tuple[Polynomial, Polynomial]:
     rhs = (-1)^j 4^j (1 - t(i - 1/2))_j (1 + t(i - 1/2))_j
 
     where (x)_j is the rising factorial -- the Gamma-ratio form of the same
-    product.  Both sides are built in Q[t] (the lhs by the same helper the
+    product.  Both sides are built in Q[t] (the lhs from the same factors the
     factor entries use, at p = t, q = 1).  The caller compares the two.
     """
     require_at_least(1, i=i, j=j)
-    lhs = _left_product(i, j, T * T, 1)
+    lhs = math.prod(_row_factors(i, range(1, j + 1), T * T, 1))
     half_odd = Fraction(2 * i - 1, 2)
     rhs = (
         (-1) ** j * 4 ** j
@@ -210,7 +276,7 @@ def gamma_identity_right(j: int, l: int) -> tuple[Polynomial, Polynomial]:
     which is built in Q[u] and read backwards.
     """
     require_at_least(1, j=j, l=l)
-    lhs = _right_product(l, j, T * T, 1)
+    lhs = math.prod(_column_factors(l, range(1, j + 1), T * T, 1))
     half = Fraction(1, 2)
     f = (
         4 ** j

@@ -1,5 +1,8 @@
 """Closed-form factor entries, Gamma-product identities, determinant, chain."""
 
+import collections
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -28,6 +31,7 @@ from cauchylu import (
     lu_doolittle,
     verify_gamma_identities,
 )
+from cauchylu import closed_form
 from cauchylu import polynomial as polynomial_module
 from cauchylu.closed_form import ChainValues, chain_e1, chain_e4, chain_e5, chain_e6
 from cauchylu.combinatorics import factorial, rising_factorial
@@ -173,10 +177,11 @@ def field_entry_U(j, l, t):
     return num / den * scale
 
 
-def _outcome(entry, a, b, t):
-    """(type, value) of an entry, or the full identity of its SingularEntry."""
+def _outcome(f, *args):
+    """(type, value) of f(*args) -- an entry or a whole factor -- or the full
+    identity of its SingularEntry."""
     try:
-        value = entry(a, b, t)
+        value = f(*args)
     except SingularEntry as exc:
         return SingularEntry, exc.positions, exc.note, str(exc)
     return type(value), value
@@ -296,6 +301,123 @@ def test_factors_match_doolittle_small_symbolic():
         factors = lu_doolittle(build_matrix(s, SYMBOLIC_T))
         assert build_L(s, SYMBOLIC_T) == factors.L
         assert build_U(s, SYMBOLIC_T) == factors.U
+
+
+# -- the product table one build shares ---------------------------------------
+
+
+def entrywise(entry, s, t):
+    """The s-by-s factor from entry(a, b, t) called one by one, row by row,
+    outside any build; the first SingularEntry propagates, as from a build."""
+    return ExactMatrix([[entry(a, b, t) for b in range(1, s + 1)] for a in range(1, s + 1)])
+
+
+@pytest.mark.parametrize("t", [1, Fraction(37, 11), Fraction(3, 49)], ids=str)
+def test_builds_equal_entrywise_numeric(t):
+    for s in (1, 2, 7, 40):
+        assert build_L(s, t) == entrywise(entry_L, s, t)
+        assert build_U(s, t) == entrywise(entry_U, s, t)
+
+
+def test_builds_equal_entrywise_symbolic():
+    for s in (1, 2, 5, 8):
+        assert build_L(s, SYMBOLIC_T) == entrywise(entry_L, s, SYMBOLIC_T)
+        assert build_U(s, SYMBOLIC_T) == entrywise(entry_U, s, SYMBOLIC_T)
+
+
+@given(st.integers(1, 8), fraction_t)
+def test_builds_raise_the_first_entrys_singular_error(s, t):
+    # The same positions, note (factor k, first or second product) and text
+    # as the first singular entry met row by row, or the same values.
+    assert _outcome(build_L, s, t) == _outcome(entrywise, entry_L, s, t)
+    assert _outcome(build_U, s, t) == _outcome(entrywise, entry_U, s, t)
+
+
+@pytest.mark.parametrize(
+    "build, t, note",
+    [
+        (build_L, Fraction(2, 3), "denominator factor k=1"),
+        (build_U, Fraction(2), "denominator factor k=1, first product"),
+        (build_U, Fraction(2, 3), "denominator factor k=1, second product"),
+    ],
+    ids=["L", "U-first", "U-second"],
+)
+def test_singular_build_names_the_factor(build, t, note):
+    with pytest.raises(SingularEntry) as info:
+        build(4, t)
+    assert info.value.note == note
+    entry = entry_L if build is build_L else entry_U
+    assert _outcome(build, 4, t) == _outcome(entrywise, entry, 4, t)
+
+
+def test_build_table_is_gone_after_the_build(monkeypatch):
+    seen = []
+    original = closed_form.entry_U
+
+    def spy(j, l, t):
+        seen.append(closed_form._BUILD_TABLE.get())
+        return original(j, l, t)
+
+    monkeypatch.setattr(closed_form, "entry_U", spy)
+    assert closed_form._BUILD_TABLE.get() is None
+    build_U(3, Fraction(5, 7))
+    assert closed_form._BUILD_TABLE.get() is None
+    assert len(seen) == 9 and all(table is seen[0] for table in seen)
+    assert seen[0].key == Fraction(5, 7)
+    with pytest.raises(SingularEntry):
+        build_U(3, Fraction(2))
+    assert closed_form._BUILD_TABLE.get() is None
+    with pytest.raises(SingularEntry):
+        build_L(3, Fraction(2, 3))
+    assert closed_form._BUILD_TABLE.get() is None
+
+
+def test_entry_called_with_another_t_inside_a_build_gets_that_t(monkeypatch):
+    # A patched entry_U that evaluates the original at a different t must not
+    # be served the products of the build's t.
+    other = Fraction(3, 49)
+    original = closed_form.entry_U
+    monkeypatch.setattr(closed_form, "entry_U", lambda j, l, t: original(j, l, other))
+    assert build_U(6, Fraction(37, 11)) == entrywise(original, 6, other)
+    monkeypatch.setattr(closed_form, "entry_U", lambda j, l, t: original(j, l, Fraction(t)))
+    assert build_U(6, 1) == entrywise(original, 6, 1)
+
+
+def test_builds_in_threads_get_their_own_products(monkeypatch):
+    # Each build makes one table (one _ring call) and every entry of it finds
+    # that table, however the threads interleave.
+    ts = [Fraction(37, 11), Fraction(3, 49), Fraction(1), Fraction(15, 13)]
+    expected = {t: (entrywise(entry_L, 12, t), entrywise(entry_U, 12, t)) for t in ts}
+    results = {}
+    tables = []
+    ring = closed_form._ring
+
+    def counting_ring(t):
+        tables.append(threading.get_ident())
+        return ring(t)
+
+    monkeypatch.setattr(closed_form, "_ring", counting_ring)
+    start = threading.Barrier(len(ts))
+
+    def work(t):
+        start.wait(timeout=30)
+        results[t] = [(build_L(12, t), build_U(12, t)) for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in ts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results.keys() == expected.keys()
+    for t, runs in results.items():
+        assert all(run == expected[t] for run in runs)
+    assert sorted(collections.Counter(tables).values()) == [10] * len(ts)
 
 
 # -- Gamma identities -----------------------------------------------------------

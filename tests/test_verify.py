@@ -269,11 +269,12 @@ def test_fault_injected_gamma_right_identity_is_named(monkeypatch):
 
 
 def test_fault_in_shared_left_product_fails_gamma_and_lu_product(monkeypatch):
-    # The entries and the left Gamma identity multiply the same row product,
-    # so one slip in it (here the row index a read as a + 1) fails both.
-    original = closed_form._left_product
+    # The entries, through the products a build shares, and the left Gamma
+    # identity multiply the factors of one row-product transcription, so one
+    # slip in it (here the row index a read as a + 1) fails both.
+    original = closed_form._row_factors
     monkeypatch.setattr(
-        closed_form, "_left_product", lambda a, j, pp, qq: original(a + 1, j, pp, qq)
+        closed_form, "_row_factors", lambda a, ks, pp, qq: original(a + 1, ks, pp, qq)
     )
     gamma = verify_gamma_identities(2)
     assert not gamma.passed
@@ -281,6 +282,21 @@ def test_fault_in_shared_left_product_fails_gamma_and_lu_product(monkeypatch):
     product = verify_lu_product(2, "symbolic")
     assert not product.passed
     assert product.counterexample.indices["s"] == 2
+
+
+def test_fault_in_shared_right_product_fails_gamma_and_lu_product(monkeypatch):
+    # The column-product twin: the column index l read as l + 1 in the one
+    # column-product transcription fails the right Gamma identity and L @ U.
+    original = closed_form._column_factors
+    monkeypatch.setattr(
+        closed_form, "_column_factors", lambda l, ks, pp, qq: original(l + 1, ks, pp, qq)
+    )
+    gamma = verify_gamma_identities(2)
+    assert not gamma.passed
+    assert gamma.counterexample.indices == {"identity": "right", "j": 1, "l": 1}
+    product = verify_lu_product(2, "symbolic")
+    assert not product.passed
+    assert product.counterexample.indices["s"] == 1
 
 
 def test_fault_injected_entry_L_names_factor_L(monkeypatch):
