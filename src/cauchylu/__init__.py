@@ -2,7 +2,7 @@
 Cauchy-like matrix family with entries 1/((2l)^2 - t^2(2i-1)^2).
 
 Everything is computed in exact arithmetic: arbitrary-precision rationals
-(``Rational`` is the stdlib Fraction) for numeric t, and rational functions
+(the stdlib ``fractions.Fraction``) for numeric t, and rational functions
 in t for symbolic work (pass ``SYMBOLIC_T`` wherever a scalar t is taken).
 """
 
@@ -45,7 +45,7 @@ from .matrix import (
 )
 from .polynomial import NEG_INFINITY, Polynomial, T, parse_polynomial
 from .ratfunc import RationalFunction, SYMBOLIC_T, coerce_scalar, parse_ratfunc
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .verify import (
     Counterexample,
     VerificationReport,
@@ -71,7 +71,6 @@ __all__ = [
     "NEG_INFINITY",
     "PoleAtPoint",
     "Polynomial",
-    "Rational",
     "RationalFunction",
     "RetriesExhausted",
     "SYMBOLIC_T",

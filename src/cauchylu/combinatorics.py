@@ -11,27 +11,29 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, require_at_least
 
 
 def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise DomainError(f"factorial of negative {n}")
+    """Exact n! for an int n >= 0."""
+    if not (isinstance(n, int) and n >= 0):
+        require_at_least(0, n=n)
     return math.factorial(n)
 
 
 def double_factorial(n: int) -> int:
     """n!! = n(n-2)...3*1 for odd n >= -1; (-1)!! is the empty product 1."""
-    if n < -1 or n % 2 == 0:
+    if not (isinstance(n, int) and n >= -1 and n % 2):
+        require_at_least(-1, n=n)
         raise DomainError(f"double factorial needs odd n >= -1, got {n}")
     return math.prod(range(1, n + 1, 2))
 
 
 def binomial(n: int, k: int) -> int:
-    """n choose k for n >= 0; 0 whenever k lies outside 0..n."""
-    if n < 0:
-        raise DomainError(f"binomial with negative n = {n}")
+    """n choose k for ints n >= 0 and k; 0 whenever k lies outside 0..n."""
+    if not (isinstance(n, int) and isinstance(k, int) and n >= 0):
+        require_at_least(0, n=n)
+        require_at_least(None, k=k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -44,8 +46,8 @@ def rising_factorial(a, n: int):
     this is how every Gamma-function ratio with integer offset is computed
     here -- as a finite product, never through floating point.
     """
-    if n < 0:
-        raise DomainError(f"rising factorial needs n >= 0, got {n}")
+    if not (isinstance(n, int) and n >= 0):
+        require_at_least(0, n=n)
     result = a ** 0
     for m in range(n):
         result = result * (a + m)

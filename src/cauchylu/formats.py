@@ -4,9 +4,10 @@ Values print minimally: rationals as ``p/q`` (or ``p``), polynomial-valued
 rational functions as the bare polynomial, proper quotients as
 ``(num)/(den)``.  ``parse_value`` accepts exactly that text: it returns a
 value only when ``serialize_value`` prints it back as the same string, so
-``2/4``, ``+3``, `` 3 ``, ``1 + t`` and ``(t)/(1)`` are DomainErrors.  The
-parse result may land in a wider field (``"1"`` parses as a Fraction even if
-it came from a RationalFunction), and cross-field equality handles that.
+``2/4``, ``+3``, `` 3 ``, ``1 + t``, ``(t)/(1)`` and input that is not a str
+are DomainErrors.  The parse result may land in a wider field (``"1"``
+parses as a Fraction even if it came from a RationalFunction), and
+cross-field equality handles that.
 """
 
 from __future__ import annotations

@@ -77,20 +77,13 @@ class ExactMatrix:
         return self._rows
 
     @property
-    def n_rows(self) -> int:
-        return len(self._rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self._rows[0])
-
-    @property
     def shape(self) -> tuple[int, int]:
         return len(self._rows), len(self._rows[0])
 
     def at(self, i: int, l: int):
         """Entry at 1-based (row i, column l)."""
-        if not (1 <= i <= self.n_rows and 1 <= l <= self.n_cols):
+        n_rows, n_cols = self.shape
+        if not (1 <= i <= n_rows and 1 <= l <= n_cols):
             raise DomainError(f"index ({i}, {l}) outside {self.shape}")
         return self._rows[i - 1][l - 1]
 
@@ -116,7 +109,7 @@ class ExactMatrix:
         """
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if self.n_cols != other.n_rows:
+        if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(self.shape, other.shape)
         rows, right = self._rows, other._rows
         if type(rows[0][0]) is not type(right[0][0]):
@@ -246,9 +239,10 @@ class LUFactors(NamedTuple):
 
 
 def _require_square(m: ExactMatrix) -> int:
-    if m.n_rows != m.n_cols:
+    n_rows, n_cols = m.shape
+    if n_rows != n_cols:
         raise DomainError(f"operation needs a square matrix, got {m.shape}")
-    return m.n_rows
+    return n_rows
 
 
 def build_matrix(s: int, t) -> ExactMatrix:

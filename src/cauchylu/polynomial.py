@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DomainError
 from .rational import format_ratio, parse_rational
@@ -49,10 +49,8 @@ NEG_INFINITY = float("-inf")
 # t^n costs a list of n + 1 coefficients; the CLI prints degrees up to 512.
 POWER_CAP = 100_000
 
-Scalar = Union[int, Fraction]
 
-
-def _as_ints(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
+def _as_ints(coeffs: Iterable[int | Fraction]) -> tuple[list[int], int]:
     """(ints, den) with coeffs[k] == ints[k] / den; refuses inexact values."""
     cs = list(coeffs)
     den = 1
@@ -62,8 +60,6 @@ def _as_ints(coeffs: Iterable[Scalar]) -> tuple[list[int], int]:
         if not isinstance(c, Fraction):
             raise DomainError(f"not an exact coefficient: {c!r}")
         den = _int_lcm(den, c.denominator)
-    if den == 1:
-        return [int(c) for c in cs], 1
     return [c.numerator * (den // c.denominator) if isinstance(c, Fraction) else c * den
             for c in cs], den
 
@@ -87,7 +83,7 @@ def _positive_primitive(cs):
 class Polynomial:
     __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = (), *, _den: int | None = None):
+    def __init__(self, coeffs: Iterable[int | Fraction] = (), *, _den: int | None = None):
         """Build from int/Fraction coefficients, lowest power first; any
         other coefficient is a DomainError.
 
@@ -226,7 +222,7 @@ class Polynomial:
             n >>= 1
         return result
 
-    def __call__(self, t0: Scalar) -> Fraction:
+    def __call__(self, t0: int | Fraction) -> Fraction:
         """Evaluate at t0 = p/q by Horner's rule on q^deg * self(p/q)."""
         if not isinstance(t0, (int, Fraction)):
             raise DomainError(f"not an exact coefficient: {t0!r}")
@@ -451,9 +447,11 @@ def parse_polynomial(text: str) -> Polynomial:
     ``parse_rational``.  A power above ``POWER_CAP`` is a DomainError raised
     before any list is allocated, and one with more digits than the cap is
     refused unconverted.  The polynomial is returned only when it prints
-    back as ``text``; any other text is a DomainError, and a zero
-    denominator is DivisionByZero.
+    back as ``text``; any other text, and any input that is not a str, is a
+    DomainError, and a zero denominator is DivisionByZero.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"not text: {text!r}")
     terms: dict[int, Fraction] = {}
     for term in text.replace(" - ", " + -").split(" + "):
         head, var, power = term.partition("t")

@@ -80,8 +80,6 @@ class RationalFunction:
         bn, bd = other._num, other._den
         # Henrici's scheme: gcd work stays on the small common parts.
         d1, adr, bdr = ad.cofactors(bd)
-        if d1.degree <= 0:
-            return RationalFunction._from_coprime(an * bd + bn * ad, ad * bd)
         _, num, d1 = (an * bdr + bn * adr).cofactors(d1)
         return RationalFunction._from_coprime(num, adr * bdr * d1)
 
@@ -214,9 +212,11 @@ def parse_ratfunc(text: str) -> RationalFunction:
 
     ``(num)/(den)`` is split at ``)/(``, anything else is read as a bare
     polynomial, and the value is returned only when it prints back as
-    ``text``; any other text is a DomainError, and a zero denominator is
-    DivisionByZero.
+    ``text``; any other text, and any input that is not a str, is a
+    DomainError, and a zero denominator is DivisionByZero.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"not text: {text!r}")
     num, quotient, den = text.partition(")/(")
     if quotient:
         value = RationalFunction(parse_polynomial(num[1:]), parse_polynomial(den[:-1]))

@@ -1,6 +1,6 @@
 """Exact rational scalars.
 
-``Rational`` is the standard-library ``fractions.Fraction``: arbitrary
+Exact rationals are the standard-library ``fractions.Fraction``: arbitrary
 precision, always reduced, denominator positive, zero stored as 0/1 --
 exactly the invariants the rest of the package relies on, so no wrapper
 class is introduced.  What this module adds is the strict text format used
@@ -20,8 +20,6 @@ import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, DomainError
-
-Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:\s*/\s*([0-9]+))?")
 
@@ -58,9 +56,11 @@ def parse_rational(text: str) -> Fraction:
 
     This is the lenient reader of ``--t``: a sign, surrounding spaces and a
     fraction not in lowest terms are accepted (``parse_value`` accepts only
-    the printed form).  Anything else (decimals, exponents, a zero
-    denominator) is an error.
+    the printed form).  Anything else (input that is not a str, decimals,
+    exponents, a zero denominator) is an error.
     """
+    if not isinstance(text, str):
+        raise DomainError(f"not text: {text!r}")
     m = _RATIONAL_RE.fullmatch(text.strip())
     if not m:
         raise DomainError(f"not an exact rational 'p' or 'p/q': {text!r}")

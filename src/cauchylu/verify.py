@@ -174,47 +174,23 @@ def _run(suite, range, mode, skip, results, t_samples=(), discarded=()) -> Verif
     )
 
 
-def _builds(mode, t_samples, n_samples, rng, build, accepted, discarded):
-    """Yield (t indices, build(t)) at the symbolic t or per accepted sample t.
-
-    In numeric mode each sample t is appended, as text, to ``accepted`` or,
-    when ``build(t)`` raises SingularEntry/ZeroPivot, to ``discarded``, and a
-    fresh one is drawn in its place.
-    """
-    if mode == "symbolic":
-        yield {}, build(SYMBOLIC_T)
-        return
-    provided = list(t_samples or ())
-    if rng is None:
-        rng = random.Random("resample")
-    for _ in range(n_samples):
-        for _ in range(MAX_SAMPLE_ATTEMPTS):
-            t = provided.pop(0) if provided else _sample_rational(rng)
-            try:
-                built = build(t)
-            except (SingularEntry, ZeroPivot):
-                discarded.append(str(t))
-                continue
-            accepted.append(str(t))
-            break
-        else:
-            raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
-        yield {"t": str(t)}, built
-
-
-def _border(rows, cols, s: int) -> list:
-    """The border of the leading s-by-s block of a table: column s above
-    the diagonal, top to bottom, then row s, left to right."""
-    return [*cols[s - 1][: s - 1], *rows[s - 1][:s]]
+def _border(rows, s: int) -> list:
+    """The border of the leading s-by-s block of a table of rows: column s
+    above the diagonal, top to bottom, then row s, left to right."""
+    return [*(row[s - 1] for row in rows[: s - 1]), *rows[s - 1][:s]]
 
 
 def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     """Compare the sides ``build(t)`` assembles at s_max, one border at a time.
 
     ``build(t)`` lists (label, lhs, rhs), each side an s_max-by-s_max table
-    of rows.  For each size s = 1..s_max and each side in turn, the border
-    of the leading s-by-s block (``_border``) is gathered on both sides as
-    one list, and the two lists are compared with one ``!=``; only when they
+    of rows.  It runs once at the symbolic t, or once per numeric sample t:
+    the provided ``t_samples`` first, then draws from ``rng``.  Each sample
+    is recorded, as text, as accepted or, when ``build(t)`` raises
+    SingularEntry/ZeroPivot, as discarded, and then a fresh one takes its
+    place.  For each size s = 1..s_max and each side in turn, the border of
+    the leading s-by-s block (``_border``) is gathered on both sides as one
+    list, and the two lists are compared with one ``!=``; only when they
     differ is the first differing entry looked up.  So entries are met by
     size s = max(i, l), then side, then row-major: the first difference is
     the one a check of each leading s-by-s block in turn would find first.
@@ -229,15 +205,30 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     accepted, discarded = [], []
 
+    def builds():
+        if mode == "symbolic":
+            yield {}, build(SYMBOLIC_T)
+            return
+        draw = random.Random("resample") if rng is None else rng
+        for _ in range(n_samples):
+            for _ in range(MAX_SAMPLE_ATTEMPTS):
+                t = t_samples.pop(0) if t_samples else _sample_rational(draw)
+                try:
+                    built = build(t)
+                except (SingularEntry, ZeroPivot):
+                    discarded.append(str(t))
+                    continue
+                accepted.append(str(t))
+                break
+            else:
+                raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
+            yield {"t": str(t)}, built
+
     def checks():
-        for base, sides in _builds(mode, t_samples, n_samples, rng, build, accepted, discarded):
-            tables = [
-                (label, lhs, tuple(zip(*lhs)), rhs, tuple(zip(*rhs)))
-                for label, lhs, rhs in sides
-            ]
+        for base, sides in builds():
             for s in range(1, s_max + 1):
-                for label, lhs, lhs_cols, rhs, rhs_cols in tables:
-                    left, right = _border(lhs, lhs_cols, s), _border(rhs, rhs_cols, s)
+                for label, lhs, rhs in sides:
+                    left, right = _border(lhs, s), _border(rhs, s)
                     if left != right:
                         k = next(k for k, (a, b) in enumerate(zip(left, right)) if a != b)
                         i, l = (k + 1, s) if k < s - 1 else (s, k - s + 2)

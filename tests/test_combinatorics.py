@@ -57,6 +57,22 @@ def test_binomial_rejects_negative_n():
         binomial(-2, 1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: factorial(2.5), id="factorial-float"),
+        pytest.param(lambda: factorial("3"), id="factorial-str"),
+        pytest.param(lambda: binomial(5, 2.5), id="binomial-float-k"),
+        pytest.param(lambda: binomial("5", 2), id="binomial-str-n"),
+        pytest.param(lambda: double_factorial(3.0), id="double-factorial-float"),
+        pytest.param(lambda: rising_factorial(Fraction(1), 2.0), id="rising-factorial-float"),
+    ],
+)
+def test_non_int_counts_are_domain_errors(call):
+    with pytest.raises(DomainError, match="must be an int"):
+        call()
+
+
 def test_rising_factorial_empty_product():
     assert rising_factorial(Fraction(9, 7), 0) == 1
     assert rising_factorial(RationalFunction(Polynomial((0, 1))), 0) == 1

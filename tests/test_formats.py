@@ -9,6 +9,7 @@ from cauchylu import (
     DomainError,
     parse_polynomial,
     parse_ratfunc,
+    parse_rational,
     parse_value,
     serialize_value,
 )
@@ -41,6 +42,13 @@ printed_alphabet = st.text(alphabet="0123456789t^*/+-() ", max_size=12)
 def test_parse_value_refuses_text_it_would_not_print(text):
     with pytest.raises(DomainError):
         parse_value(text)
+
+
+@pytest.mark.parametrize("parse", [parse_rational, parse_polynomial, parse_ratfunc, parse_value])
+@pytest.mark.parametrize("value", [1.5, None, 5, b"1"])
+def test_parsers_refuse_input_that_is_not_text(parse, value):
+    with pytest.raises(DomainError):
+        parse(value)
 
 
 @pytest.mark.parametrize(

@@ -60,6 +60,25 @@ def test_factors_match_numeric_resamples_singular_values():
     assert "1" in report.t_samples
 
 
+@pytest.mark.parametrize(
+    "seed, accepted",
+    [
+        pytest.param("fixed", ["1", "7/34"], id="given-rng"),
+        pytest.param(None, ["1", "5/16"], id="default-rng"),
+    ],
+)
+def test_numeric_sample_stream_is_pinned(seed, accepted):
+    # The provided samples come first, in order; the singular t = 2 is
+    # discarded, and the one draw that replaces it comes last.  With no rng
+    # the draws come from Random("resample").
+    rng = None if seed is None else random.Random(seed)
+    report = verify_factors_match(
+        3, "numeric", t_samples=[Fraction(2), Fraction(1)], rng=rng
+    )
+    assert report.t_samples == accepted
+    assert report.discarded_t_samples == ["2"]
+
+
 def test_factors_match_numeric_resamples_zero_pivot():
     # t = 0 leaves every entry finite but collapses rank: elimination hits a
     # zero pivot at s = 2, so the sample must be rejected the same way.
