@@ -49,11 +49,12 @@ S_CAP_BENCH = 30
 # 0.74 and 0.74 s with 2-digit p and q, and 3.3 and 4.4 s with 10 digits.
 T_DIGITS_CAP = 10
 # The largest --gamma-max and --samples verify accepts; its size flags take
-# the S_CAP_* above.  Through ``main`` (Python 3.11, 2-vCPU Xeon) with the
-# other suites off, --gamma-max 20, 24, 28 and 32 take 0.27, 0.54, 1.05 and
-# 1.38 s, and 40 takes 3.0 s.  With every verify flag at its cap the run
-# takes 66 s: 27 and 28 s for the two numeric suites at s = 80 (about 0.55 s
-# per t sample each), 9.2 s for the chain to 100 with elimination to 80.
+# the S_CAP_* above.  Through ``main`` (Python 3.11, 2-vCPU Xeon, CPU time,
+# best of 3) with the other suites off, --gamma-max 20, 24, 28 and 32 take
+# 0.06, 0.11, 0.17 and 0.28 s; the Gamma suite alone at 40 takes 0.86 s.
+# With every verify flag at its cap the run takes 60 s: 25 and 24 s for the
+# two numeric suites at s = 80 (about 0.5 s per t sample each), 9.9 s for
+# the chain to 100 with elimination to 80 and 0.5 s for the Gamma grid.
 GAMMA_CAP = 32
 SAMPLES_CAP = 50
 # Each verify flag, by the VerifyConfig field it sets: its argparse dest (the

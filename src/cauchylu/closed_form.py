@@ -24,8 +24,13 @@ for every entry; the table is dropped when the call returns.  An entry
 called on its own makes a table of its own.
 
 Both Gamma identities are equalities of polynomials, so both sides are built
-in Q[t] and compared there, with no field operation.  The determinant and
-the chain stay in exact field arithmetic; the compact chain forms E4-E6
+in Q[t] and compared there, with no field operation.  ``gamma_sides_left``
+and ``gamma_sides_right`` give both sides for j = 1, 2, ... as running
+prefixes -- the product grows one factor per j, and so do the two rising
+factorials of the other side -- so a pair costs O(1) polynomial products
+where multiplying it out afresh costs O(j); ``gamma_identity_left`` and
+``gamma_identity_right`` return one pair.  The determinant and the chain
+stay in exact field arithmetic; the compact chain forms E4-E6
 multiply their denominators up as ints and normalise once (in E1-E3 the
 stepwise reduction is cheaper than one gcd of the huge factorial products).
 The chain expressions are each coded independently, reading their own
@@ -36,11 +41,14 @@ disagreement with the other five rather than passing silently.
 from __future__ import annotations
 
 import math
+from collections import deque
 from contextvars import ContextVar
 from fractions import Fraction
+from itertools import accumulate, count, islice
+from operator import mul
 from typing import NamedTuple
 
-from .combinatorics import binomial, double_factorial, factorial, rising_factorial
+from .combinatorics import binomial, double_factorial, factorial, rising_factorials
 from .errors import SingularEntry, require_at_least
 from .matrix import ExactMatrix
 from .polynomial import Polynomial, T
@@ -244,48 +252,68 @@ def det_closed(s: int, t):
 # -- Gamma-product identities -------------------------------------------------
 
 
-def gamma_identity_left(i: int, j: int) -> tuple[Polynomial, Polynomial]:
-    """Both sides of the row-product identity, as polynomials in Q[t].
+def gamma_sides_left(i: int, j_max: int):
+    """Both sides of the row-product identity for j = 1..j_max, in turn, as
+    pairs (lhs, rhs) of polynomials in Q[t].
 
     lhs = prod_{k=1..j} ((2i-1)^2 t^2 - (2k)^2) = P(i, j)
     rhs = (-1)^j 4^j (1 - t(i - 1/2))_j (1 + t(i - 1/2))_j
 
     where (x)_j is the rising factorial -- the Gamma-ratio form of the same
-    product.  Both sides are built in Q[t] (the lhs from the same factors the
-    factor entries use, at p = t, q = 1).  The caller compares the two.
+    product.  Both sides are built in Q[t] as running prefixes, one factor
+    per j: the lhs from the same factors the factor entries use (at p = t,
+    q = 1), the rhs from the two rising factorials' prefixes
+    (``rising_factorials``), so each pair costs O(1) polynomial products.
+    The caller compares the two.
     """
-    require_at_least(1, i=i, j=j)
-    lhs = math.prod(_row_factors(i, range(1, j + 1), T * T, 1))
+    require_at_least(1, i=i)
+    require_at_least(0, j_max=j_max)
+    lhs = accumulate(_row_factors(i, range(1, j_max + 1), T * T, 1), mul)
     half_odd = Fraction(2 * i - 1, 2)
-    rhs = (
-        (-1) ** j * 4 ** j
-        * rising_factorial(Polynomial((1, -half_odd)), j)
-        * rising_factorial(Polynomial((1, half_odd)), j)
-    )
-    return lhs, rhs
+    falling = rising_factorials(Polynomial((1, -half_odd)), j_max)
+    rising = rising_factorials(Polynomial((1, half_odd)), j_max)
+    rhs = ((-4) ** j * a * b for j, a, b in zip(count(), falling, rising))
+    return zip(lhs, islice(rhs, 1, None))
 
 
-def gamma_identity_right(j: int, l: int) -> tuple[Polynomial, Polynomial]:
-    """Both sides of the column-product identity, as polynomials in Q[t].
+def gamma_sides_right(l: int, j_max: int):
+    """Both sides of the column-product identity for j = 1..j_max, in turn,
+    as pairs (lhs, rhs) of polynomials in Q[t].
 
     lhs = prod_{k=1..j} ((2k-1)^2 t^2 - (2l)^2) = Q(l, j)
     rhs = 4^j t^(2j) (1/2 + l/t)_j (1/2 - l/t)_j
 
     The t^(2j) factor clears the poles of l/t.  With u = 1/t the rhs is
     t^(2j) f(1/t) for the polynomial f(u) = 4^j (1/2 + l u)_j (1/2 - l u)_j,
-    which is built in Q[u] and read backwards.
+    which is built in Q[u] and read backwards.  Both sides are running
+    prefixes, one factor per j, as in ``gamma_sides_left``.
     """
-    require_at_least(1, j=j, l=l)
-    lhs = math.prod(_column_factors(l, range(1, j + 1), T * T, 1))
+    require_at_least(1, l=l)
+    require_at_least(0, j_max=j_max)
+    lhs = accumulate(_column_factors(l, range(1, j_max + 1), T * T, 1), mul)
     half = Fraction(1, 2)
-    f = (
-        4 ** j
-        * rising_factorial(Polynomial((half, l)), j)
-        * rising_factorial(Polynomial((half, -l)), j)
-    )
+    plus = rising_factorials(Polynomial((half, l)), j_max)
+    minus = rising_factorials(Polynomial((half, -l)), j_max)
     # f has degree exactly 2j (leading coefficient (-4 l^2)^j, nonzero as
     # l >= 1), so t^(2j) f(1/t) is f's coefficient list reversed.
-    return lhs, Polynomial(f.coeffs[::-1])
+    rhs = (Polynomial((4 ** j * a * b).coeffs[::-1]) for j, a, b in zip(count(), plus, minus))
+    return zip(lhs, islice(rhs, 1, None))
+
+
+def gamma_identity_left(i: int, j: int) -> tuple[Polynomial, Polynomial]:
+    """The j-th pair of ``gamma_sides_left(i, .)``: both sides of the
+    row-product identity P(i, j) = (-1)^j 4^j (1 - t(i - 1/2))_j
+    (1 + t(i - 1/2))_j in Q[t]."""
+    require_at_least(1, i=i, j=j)
+    return deque(gamma_sides_left(i, j), maxlen=1).pop()
+
+
+def gamma_identity_right(j: int, l: int) -> tuple[Polynomial, Polynomial]:
+    """The j-th pair of ``gamma_sides_right(l, .)``: both sides of the
+    column-product identity Q(l, j) = 4^j t^(2j) (1/2 + l/t)_j (1/2 - l/t)_j
+    in Q[t]."""
+    require_at_least(1, j=j, l=l)
+    return deque(gamma_sides_right(l, j), maxlen=1).pop()
 
 
 # -- the t = 1 simplification chain -------------------------------------------

@@ -10,6 +10,9 @@ n < 0, since 1/Gamma vanishes at the nonpositive integers; ``entry_L`` and
 from __future__ import annotations
 
 import math
+from collections import deque
+from itertools import accumulate
+from operator import mul
 
 from .errors import DomainError, require_at_least
 
@@ -39,16 +42,22 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def rising_factorial(a, n: int):
-    """The product a(a+1)...(a+n-1) in a's ring; the empty product is 1.
+def rising_factorials(a, n: int):
+    """The prefixes (a)_0, (a)_1, ..., (a)_n of the rising factorial, one
+    factor at a time: (a)_m = a(a+1)...(a+m-1) in a's ring, and (a)_0 is
+    the empty product 1.
 
     Works for any exact element (Fraction, Polynomial or RationalFunction);
     this is how every Gamma-function ratio with integer offset is computed
-    here -- as a finite product, never through floating point.
+    here -- as a finite product, never through floating point.  n is
+    checked when this is called, not when the first prefix is read.
     """
     if not (isinstance(n, int) and n >= 0):
         require_at_least(0, n=n)
-    result = a ** 0
-    for m in range(n):
-        result = result * (a + m)
-    return result
+    return accumulate((a + m for m in range(n)), mul, initial=a ** 0)
+
+
+def rising_factorial(a, n: int):
+    """The product a(a+1)...(a+n-1) in a's ring: the last of
+    ``rising_factorials(a, n)``."""
+    return deque(rising_factorials(a, n), maxlen=1).pop()

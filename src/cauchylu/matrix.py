@@ -83,6 +83,8 @@ class ExactMatrix:
     def at(self, i: int, l: int):
         """Entry at 1-based (row i, column l)."""
         n_rows, n_cols = self.shape
+        if not (isinstance(i, int) and isinstance(l, int)):
+            require_at_least(None, i=i, l=l)
         if not (1 <= i <= n_rows and 1 <= l <= n_cols):
             raise DomainError(f"index ({i}, {l}) outside {self.shape}")
         return self._rows[i - 1][l - 1]
@@ -239,6 +241,8 @@ class LUFactors(NamedTuple):
 
 
 def _require_square(m: ExactMatrix) -> int:
+    if not isinstance(m, ExactMatrix):
+        raise DomainError(f"operation needs an ExactMatrix, got {type(m).__name__}")
     n_rows, n_cols = m.shape
     if n_rows != n_cols:
         raise DomainError(f"operation needs a square matrix, got {m.shape}")

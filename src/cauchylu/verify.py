@@ -24,8 +24,9 @@ failure in one abort another, and aggregates the reports.  A suite that
 raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
 that report in the suite's place.  Bad arguments -- a negative bound, an
-unknown mode, no t samples -- raise DomainError before any check runs (a
-bound of 0 still means skip); VerifyConfig rejects them when it is built.
+unknown mode, no t samples, t samples that are not iterable -- raise
+DomainError before any check runs (a bound of 0 still means skip);
+VerifyConfig rejects them when it is built.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -197,7 +198,11 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     In numeric mode the indices also name the t.
     """
     if t_samples is not None:
-        t_samples = list(t_samples)
+        try:
+            samples = iter(t_samples)
+        except TypeError:
+            raise DomainError(f"t_samples must be iterable, got {t_samples!r}") from None
+        t_samples = list(samples)
         n_samples = len(t_samples)
     require_at_least(0, s_max=s_max)
     require_at_least(1, samples=n_samples)
@@ -258,9 +263,11 @@ def verify_lu_product(
         target = build_matrix(s_max, t)
         # each factor against its rows with the other triangle read as 0;
         # the product is taken of those triangles, so an entry off them
-        # is named by its factor check, at a size no larger
-        tri_lower = [row[: i + 1] + (0,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]
-        tri_upper = [(0,) * i + row[i:] for i, row in enumerate(upper.rows)]
+        # is named by its factor check, at a size no larger.  The 0 is the
+        # field's, so neither triangle is lifted into the field again.
+        zero = type(target.rows[0][0])(0)
+        tri_lower = [row[: i + 1] + (zero,) * (s_max - i - 1) for i, row in enumerate(lower.rows)]
+        tri_upper = [(zero,) * i + row[i:] for i, row in enumerate(upper.rows)]
         product = ExactMatrix(tri_lower) @ ExactMatrix(tri_upper)
         return [
             ({"factor": "L"}, lower.rows, tri_lower),
@@ -300,19 +307,23 @@ def verify_gamma_identities(index_max: int = 8) -> VerificationReport:
 
     Exact polynomial equality in Q[t] of the literal product against its
     rising-factorial form, for the row identity on (i, j) and the column
-    identity on (j, l), every index running over 1..index_max.
+    identity on (j, l), every index running over 1..index_max.  Each side
+    is read from a running prefix (``gamma_sides_left``/``gamma_sides_right``),
+    one stream per i or l, so a check costs O(1) polynomial products; the
+    checks still run i, then j for the row identity and j, then l for the
+    column identity.
     """
     require_at_least(0, index_max=index_max)
     indices = range(1, index_max + 1)
 
     def checks():
         for i in indices:
-            for j in indices:
-                lhs, rhs = closed_form.gamma_identity_left(i, j)
+            for j, (lhs, rhs) in zip(indices, closed_form.gamma_sides_left(i, index_max)):
                 yield _differ({"identity": "left", "i": i, "j": j}, lhs, rhs)
+        # one prefix stream per l, advanced in lockstep: j outer, l inner
+        columns = [closed_form.gamma_sides_right(l, index_max) for l in indices]
         for j in indices:
-            for l in indices:
-                lhs, rhs = closed_form.gamma_identity_right(j, l)
+            for l, (lhs, rhs) in zip(indices, map(next, columns)):
                 yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
 
     bounds = {"i_max": index_max, "j_max": index_max, "l_max": index_max}

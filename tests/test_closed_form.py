@@ -1,6 +1,7 @@
 """Closed-form factor entries, Gamma-product identities, determinant, chain."""
 
 import collections
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -457,6 +458,45 @@ def test_gamma_right_rhs_normalizes_to_polynomial():
             _, rhs = gamma_identity_right(j, l)
             assert isinstance(rhs, Polynomial)
             assert rhs.degree == 2 * j
+
+
+def reference_gamma_left(i, j):
+    """P(i, j) and its rising-factorial form, each multiplied out afresh."""
+    h = Fraction(2 * i - 1, 2)
+    lhs = math.prod((2 * i - 1) ** 2 * T**2 - (2 * k) ** 2 for k in range(1, j + 1))
+    rhs = (-4) ** j * rising_factorial(1 - h * T, j) * rising_factorial(1 + h * T, j)
+    return lhs, rhs
+
+
+def reference_gamma_right(j, l):
+    """Q(l, j) and its rising-factorial form, t^(2j) f(1/t) read off f."""
+    lhs = math.prod((2 * k - 1) ** 2 * T**2 - (2 * l) ** 2 for k in range(1, j + 1))
+    half = Fraction(1, 2)
+    f = 4**j * rising_factorial(half + l * T, j) * rising_factorial(half - l * T, j)
+    return lhs, Polynomial(f.coeffs[::-1])
+
+
+def test_gamma_prefix_sides_equal_each_pair_and_the_reference():
+    for index in range(1, 13):
+        left = list(closed_form.gamma_sides_left(index, 12))
+        right = list(closed_form.gamma_sides_right(index, 12))
+        assert len(left) == len(right) == 12
+        for j, (row, column) in enumerate(zip(left, right), start=1):
+            assert row == gamma_identity_left(index, j) == reference_gamma_left(index, j)
+            assert column == gamma_identity_right(j, index) == reference_gamma_right(j, index)
+            assert row[0] == row[1] and column[0] == column[1]
+
+
+def test_gamma_prefix_sides_check_their_bounds_when_called():
+    assert list(closed_form.gamma_sides_left(3, 0)) == []
+    for call in (
+        lambda: closed_form.gamma_sides_left(0, 3),
+        lambda: closed_form.gamma_sides_right(2, -1),
+        lambda: closed_form.gamma_sides_right(2.0, 3),
+        lambda: gamma_identity_left(1, 0),
+    ):
+        with pytest.raises(DomainError):
+            call()
 
 
 def field_gamma_right_rhs(j, l):

@@ -16,6 +16,7 @@ from cauchylu import (
     factorial,
     rising_factorial,
 )
+from cauchylu.combinatorics import rising_factorials
 
 
 @pytest.mark.parametrize("n, expected", [(0, 1), (5, 120), (10, 3628800)])
@@ -76,6 +77,27 @@ def test_non_int_counts_are_domain_errors(call):
 def test_rising_factorial_empty_product():
     assert rising_factorial(Fraction(9, 7), 0) == 1
     assert rising_factorial(RationalFunction(Polynomial((0, 1))), 0) == 1
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        Fraction(1, 2),
+        Fraction(-3),
+        Polynomial((1, Fraction(-5, 2))),
+        RationalFunction(Polynomial((0, 1))),
+    ],
+)
+def test_rising_factorials_are_the_prefixes(a):
+    assert list(rising_factorials(a, 6)) == [rising_factorial(a, m) for m in range(7)]
+    assert list(rising_factorials(a, 0)) == [1]
+
+
+def test_rising_factorials_check_the_count_when_called():
+    with pytest.raises(DomainError):
+        rising_factorials(Fraction(1), -1)
+    with pytest.raises(DomainError, match="must be an int"):
+        rising_factorials(Fraction(1), 2.0)
 
 
 def test_rising_factorial_half():

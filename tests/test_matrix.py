@@ -209,6 +209,26 @@ def test_at_is_one_based():
         m.at(1, 3)
 
 
+@pytest.mark.parametrize("i, l", [(1.5, 1), ("1", 1), (1, 2.0), (None, 1)])
+def test_at_refuses_indices_that_are_not_ints(i, l):
+    with pytest.raises(DomainError, match="must be an int"):
+        build_matrix(2, 1).at(i, l)
+
+
+@pytest.mark.parametrize(
+    "kernel, m",
+    [
+        pytest.param(lu_doolittle, 5, id="lu_doolittle-int"),
+        pytest.param(lu_doolittle, [[1]], id="lu_doolittle-list"),
+        pytest.param(det_elimination, [[1]], id="det_elimination-list"),
+        pytest.param(det_elimination, None, id="det_elimination-None"),
+    ],
+)
+def test_kernels_refuse_what_is_not_a_matrix(kernel, m):
+    with pytest.raises(DomainError, match="needs an ExactMatrix"):
+        kernel(m)
+
+
 def test_equality_is_by_entries_and_never_with_other_types():
     m = ExactMatrix([[1, 2], [3, 4]])
     assert m == ExactMatrix([[Fraction(1), 2], [3, Fraction(8, 2)]])

@@ -22,6 +22,7 @@ from cauchylu.verify import (
     verify_gamma_identities,
     verify_lu_product,
 )
+import cauchylu.matrix as matrix_mod
 import cauchylu.verify as verify_mod
 
 
@@ -259,13 +260,13 @@ def test_two_broken_chain_expressions_name_the_first(monkeypatch):
 
 
 def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
-    original = closed_form.gamma_identity_left
+    original = closed_form.gamma_sides_left
 
-    def missing_sign(i, j):
-        lhs, rhs = original(i, j)
-        return lhs, rhs * (-1) ** j
+    def missing_sign(i, j_max):
+        for j, (lhs, rhs) in enumerate(original(i, j_max), start=1):
+            yield lhs, rhs * (-1) ** j
 
-    monkeypatch.setattr(closed_form, "gamma_identity_left", missing_sign)
+    monkeypatch.setattr(closed_form, "gamma_sides_left", missing_sign)
     report = verify_gamma_identities(1)
     assert not report.passed
     assert report.counterexample is not None
@@ -274,13 +275,13 @@ def test_fault_injected_gamma_sign_fails_at_one(monkeypatch):
 
 
 def test_fault_injected_gamma_right_identity_is_named(monkeypatch):
-    original = closed_form.gamma_identity_right
+    original = closed_form.gamma_sides_right
 
-    def off_by_one(j, l):
-        lhs, rhs = original(j, l)
-        return lhs, rhs + 1
+    def off_by_one(l, j_max):
+        for lhs, rhs in original(l, j_max):
+            yield lhs, rhs + 1
 
-    monkeypatch.setattr(closed_form, "gamma_identity_right", off_by_one)
+    monkeypatch.setattr(closed_form, "gamma_sides_right", off_by_one)
     report = verify_gamma_identities(1)
     assert not report.passed
     assert report.counterexample.indices == {"identity": "right", "j": 1, "l": 1}
@@ -316,6 +317,49 @@ def test_fault_in_shared_right_product_fails_gamma_and_lu_product(monkeypatch):
     product = verify_lu_product(2, "symbolic")
     assert not product.passed
     assert product.counterexample.indices["s"] == 1
+
+
+@pytest.mark.parametrize(
+    "name, faults, expected",
+    [
+        ("_column_factors", {(2, 3)}, {"identity": "right", "j": 3, "l": 2}),
+        ("_row_factors", {(4, 2)}, {"identity": "left", "i": 4, "j": 2}),
+        # j outer, l inner: (j=2, l=4) comes before (j=3, l=2)
+        ("_column_factors", {(2, 3), (4, 2)}, {"identity": "right", "j": 2, "l": 4}),
+        # i outer, j inner: (i=2, j=4) comes before (i=4, j=2)
+        ("_row_factors", {(4, 2), (2, 4)}, {"identity": "left", "i": 2, "j": 4}),
+    ],
+)
+def test_fault_at_a_later_index_is_named_there(monkeypatch, name, faults, expected):
+    # Factor k of the product for one row or column index is doubled: every
+    # prefix before it is right, so that index's running sides first differ
+    # at j = k, and no other index's sides differ.
+    original = getattr(closed_form, name)
+
+    def faulty(index, ks, pp, qq):
+        factors = original(index, ks, pp, qq)
+        return (f * 2 if (index, k) in faults else f for k, f in zip(ks, factors))
+
+    monkeypatch.setattr(closed_form, name, faulty)
+    found = verify_gamma_identities(5).counterexample
+    assert found.indices == expected
+    if name == "_column_factors":
+        lhs, rhs = closed_form.gamma_identity_right(expected["j"], expected["l"])
+    else:
+        lhs, rhs = closed_form.gamma_identity_left(expected["i"], expected["j"])
+    assert (found.lhs, found.rhs) == (serialize_value(lhs), serialize_value(rhs))
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+def test_lu_product_lifts_no_triangle(monkeypatch, mode):
+    # The triangles are padded with the field's own zero, so ExactMatrix
+    # takes both as they are and the product needs no common field.
+    def refuse(*args):
+        raise AssertionError("an entry was lifted")
+
+    monkeypatch.setattr(matrix_mod, "_lifted", refuse)
+    t_samples = [Fraction(37, 11)] if mode == "numeric" else None
+    assert verify_lu_product(4, mode, t_samples=t_samples).passed
 
 
 def test_fault_injected_entry_L_names_factor_L(monkeypatch):
@@ -434,6 +478,12 @@ def test_run_all_survives_suite_errors(monkeypatch):
         ),
         pytest.param(
             lambda: verify_factors_match(2, "numeric", t_samples=[]), id="factors-empty-t_samples"
+        ),
+        pytest.param(
+            lambda: verify_lu_product(2, "numeric", t_samples=5), id="lu_product-t_samples-int"
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, "numeric", t_samples=5), id="factors-t_samples-int"
         ),
         pytest.param(lambda: verify_gamma_identities(-1), id="gamma-negative-bound"),
         pytest.param(lambda: verify_chain(-1), id="chain-negative-s_max"),
