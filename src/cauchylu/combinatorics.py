@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
 from .errors import DomainError, require_at_least
+from .polynomial import Polynomial
+from .ratfunc import RationalFunction
 
 
 def factorial(n: int) -> int:
@@ -47,13 +50,16 @@ def rising_factorials(a, n: int):
     factor at a time: (a)_m = a(a+1)...(a+m-1) in a's ring, and (a)_0 is
     the empty product 1.
 
-    Works for any exact element (Fraction, Polynomial or RationalFunction);
-    this is how every Gamma-function ratio with integer offset is computed
-    here -- as a finite product, never through floating point.  n is
+    a is an exact element: an int, Fraction, Polynomial or RationalFunction;
+    any other base, a float or complex included, raises DomainError.  This
+    is how every Gamma-function ratio with integer offset is computed here
+    -- as a finite product, never through floating point.  a and n are
     checked when this is called, not when the first prefix is read.
     """
     if not (isinstance(n, int) and n >= 0):
         require_at_least(0, n=n)
+    if not isinstance(a, (int, Fraction, Polynomial, RationalFunction)):
+        raise DomainError(f"rising factorial needs an exact base, got {a!r}")
     return accumulate((a + m for m in range(n)), mul, initial=a ** 0)
 
 

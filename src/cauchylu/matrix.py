@@ -29,13 +29,8 @@ determinant it is checked against.
 Over Fractions the elimination keeps its trailing block as
 A = R * B * C: diagonal scales R (rows) and C (columns) of positive
 rationals, and B of int pairs in lowest terms, on which the updates run.
-Before each step every trailing row and column of B gives its content, the
-gcd of its numerators over the gcd of its denominators, to R or C.  Every
-Schur complement of this Cauchy matrix is Cauchy-like, so these contents
-are the row and column generators that would otherwise sit in every pair.
-Dividing a line by its content makes its entries smaller.  Clearing a line
-to ints over the lcm of its denominators makes them larger, since that lcm
-collects the factors of the whole trailing block, and was measured slower.
+Before each step every trailing row and column of B gives its content to
+R or C (see ``det_elimination``).
 """
 
 from __future__ import annotations
@@ -61,7 +56,10 @@ class ExactMatrix:
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        data = tuple(tuple(row) for row in rows)
+        try:
+            data = tuple(tuple(row) for row in rows)
+        except TypeError:
+            raise DomainError("matrix needs an iterable of rows of entries") from None
         if not data or not data[0]:
             raise DomainError("matrix needs at least one row and one column")
         width = len(data[0])
@@ -462,8 +460,11 @@ def det_elimination(m: ExactMatrix):
     s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at s = 80.
 
     Row swaps carry R_r with the row.  No scale is zero, so the zero tests,
-    pivots and swaps are those of a loop over Fractions.  The determinant
-    is sign * prod_k R_k C_k B[k][k], normalised once.
+    pivots and swaps are those of a loop over Fractions.  Every row below
+    the pivot is updated, one with a zero in the pivot column too: no Schur
+    complement of this family has a zero entry, so a test for one would
+    never fire.  The determinant is sign * prod_k R_k C_k B[k][k],
+    normalised once.
     """
     n = _require_square(m)
     field = type(m.rows[0][0])
@@ -488,8 +489,7 @@ def det_elimination(m: ExactMatrix):
             else:
                 return field(0)
         for r in range(k + 1, n):
-            if a[r][0][k]:
-                update(a[k], a[r], k)
+            update(a[k], a[r], k)
     det = a[0][0][0] if sign == 1 else -a[0][0][0]
     for k in range(1, n):
         det = det * a[k][0][k]
@@ -504,39 +504,32 @@ def _set_contents_aside(a, cols, k):
     """Move the content of each trailing row a[r][k:], r >= k, into the
     row's scale, then that of each trailing column into cols[c].
 
-    The content of a line of pairs n/d is gcd(n...) / gcd(d...).  Dividing
-    each entry by it gives (n/gn) / (d/gd), still in lowest terms.  A zero
-    entry is 0/1, so a line with a zero takes out no denominator; an
-    all-zero line has no content and keeps its entries.  A scale is
-    multiplied by its content with Fraction's cross-cancellation.  In a
-    generic matrix a row's denominators share the last pivot's minor, which
-    the next step's numerators give back, and reduced scales cancel it
-    where one running product would grow by O(s^3) bits.
+    The content of a line of pairs n/d is gcd(n...) / gcd(d...), and every
+    line is divided by it, a content of 1 too: (n/gn) / (d/gd) is still in
+    lowest terms.  A zero entry is 0/1, so a line with a zero takes out no
+    denominator; an all-zero line has content 1.  A scale is multiplied by
+    its content with Fraction's cross-cancellation.  In a generic matrix a
+    row's denominators share the last pivot's minor, which the next step's
+    numerators give back, and reduced scales cancel it where one running
+    product would grow by O(s^3) bits.
     """
     block = a[k:]
     tails_n, tails_d = [], []
     for nums, dens, scale in block:
         tn, td = nums[k:], dens[k:]
-        gn, gd = gcd(*tn), gcd(*td)
-        if gn > 1:
-            nums[k:] = tn = list(map(floordiv, tn, repeat(gn, len(tn))))
-        if gd > 1:
-            dens[k:] = td = list(map(floordiv, td, repeat(gd, len(td))))
-        if gn > 1 or gd > 1:
-            _scale_by(scale, gn or 1, gd)
+        gn, gd = gcd(*tn) or 1, gcd(*td)
+        nums[k:] = tn = list(map(floordiv, tn, repeat(gn, len(tn))))
+        dens[k:] = td = list(map(floordiv, td, repeat(gd, len(td))))
+        _scale_by(scale, gn, gd)
         tails_n.append(tn)
         tails_d.append(td)
     col_n = [gcd(*col) or 1 for col in zip(*tails_n)]
     col_d = [gcd(*col) for col in zip(*tails_d)]
-    if any(g > 1 for g in col_n):
-        for (nums, _, _), tn in zip(block, tails_n):
-            nums[k:] = map(floordiv, tn, col_n)
-    if any(g > 1 for g in col_d):
-        for (_, dens, _), td in zip(block, tails_d):
-            dens[k:] = map(floordiv, td, col_d)
+    for (nums, dens, _), tn, td in zip(block, tails_n, tails_d):
+        nums[k:] = map(floordiv, tn, col_n)
+        dens[k:] = map(floordiv, td, col_d)
     for scale, gn, gd in zip(cols[k:], col_n, col_d):
-        if gn > 1 or gd > 1:
-            _scale_by(scale, gn, gd)
+        _scale_by(scale, gn, gd)
 
 
 def _scale_by(scale, gn, gd):
@@ -553,7 +546,7 @@ def _pair_update(pivot_row, row, k):
     The multiplier is reduced once.  Each update forms the product f * b
     uncancelled, subtracts it over the gcd of the two denominators
     (Henrici, JACM 3 (1956) 6-9) and reduces the result by one more gcd, so
-    a zero comes out as 0/1.
+    a zero comes out as 0/1.  Every c is updated, where the product is 0 too.
     """
     (kn, kd, _), (rn, rd, _) = pivot_row, row
     pn, pd = kn[k], kd[k]
@@ -563,10 +556,7 @@ def _pair_update(pivot_row, row, k):
     if fd < 0:
         fn, fd = -fn, -fd
     for c in range(k + 1, len(kn)):
-        bn = kn[c]
-        if not bn:
-            continue
-        qn, qd = fn * bn, fd * kd[c]
+        qn, qd = fn * kn[c], fd * kd[c]
         xd = rd[c]
         g = gcd(xd, qd)
         s = xd // g
@@ -576,9 +566,8 @@ def _pair_update(pivot_row, row, k):
 
 
 def _field_update(pivot_row, row, k):
-    """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], in the field."""
+    """row[c] -= f * pivot_row[c] for every c > k, f = row[k] / pivot_row[k], in the field."""
     pivots, values = pivot_row[0], row[0]
     f = values[k] / pivots[k]
     for c in range(k + 1, len(values)):
-        if pivots[c]:
-            values[c] = values[c] - f * pivots[c]
+        values[c] = values[c] - f * pivots[c]

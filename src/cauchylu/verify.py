@@ -24,9 +24,10 @@ failure in one abort another, and aggregates the reports.  A suite that
 raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
 that report in the suite's place.  Bad arguments -- a negative bound, an
-unknown mode, no t samples, t samples that are not iterable -- raise
-DomainError before any check runs (a bound of 0 still means skip);
-VerifyConfig rejects them when it is built.
+unknown mode, no t samples, t samples that are not iterable, a numeric
+sample that is not an int or Fraction, a config that is not a VerifyConfig
+-- raise DomainError before any check runs (a bound of 0 still means skip);
+VerifyConfig rejects its own when it is built.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -208,6 +209,10 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     require_at_least(1, samples=n_samples)
     if mode not in ("symbolic", "numeric"):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
+    if mode == "numeric":
+        for t in t_samples or ():
+            if not isinstance(t, (int, Fraction)):
+                raise DomainError(f"numeric t samples must be ints or Fractions, got {t!r}")
     accepted, discarded = [], []
 
     def builds():
@@ -363,9 +368,13 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
     """Run every suite with per-suite seeded sampling; nothing aborts early.
 
     A suite that raises (e.g. RetriesExhausted) is reported as failed with
-    the error message; the remaining suites still run.
+    the error message; the remaining suites still run.  Only None selects
+    the default config; anything else that is not a VerifyConfig raises
+    DomainError before any suite runs.
     """
-    cfg = config or VerifyConfig()
+    cfg = VerifyConfig() if config is None else config
+    if not isinstance(cfg, VerifyConfig):
+        raise DomainError(f"run_all needs a VerifyConfig or None, got {cfg!r}")
 
     def suite_rng(name: str) -> random.Random:
         return random.Random(f"{cfg.seed}:{name}")

@@ -318,6 +318,21 @@ def test_verify_failure_exits_one_with_empty_stderr(capsys, monkeypatch):
     assert out.endswith("\n1/6 suites passed or skipped\n")
 
 
+def test_verify_errored_suite_text_exits_one(capsys, monkeypatch):
+    from cauchylu import verify as verify_mod
+
+    # t = 2 zeroes the entry (1, 1) of every matrix, so no sample is accepted
+    monkeypatch.setattr(verify_mod, "_sample_rational", lambda rng: Fraction(2))
+    code, out, err = run_cli(capsys, "verify", *FAST_VERIFY)
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[1].startswith("[FAIL] lu_product (numeric; s_max=3)")
+    assert lines[2] == "        error: no acceptable sample found in 100 attempts"
+    assert lines.count("        error: no acceptable sample found in 100 attempts") == 2
+    assert lines[-1] == "4/6 suites passed or skipped"
+
+
 @pytest.mark.parametrize(
     "flag",
     [

@@ -74,6 +74,20 @@ def test_non_int_counts_are_domain_errors(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: rising_factorial(1.5, 2), id="float-base"),
+        pytest.param(lambda: rising_factorial(2 + 0j, 2), id="complex-base"),
+        pytest.param(lambda: rising_factorials("a", 0), id="text-base"),
+        pytest.param(lambda: rising_factorials(None, 3), id="none-base"),
+    ],
+)
+def test_bases_that_are_not_exact_are_domain_errors(call):
+    with pytest.raises(DomainError, match="exact base"):
+        call()
+
+
 def test_rising_factorial_empty_product():
     assert rising_factorial(Fraction(9, 7), 0) == 1
     assert rising_factorial(RationalFunction(Polynomial((0, 1))), 0) == 1

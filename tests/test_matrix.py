@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,26 @@ def test_at_refuses_indices_that_are_not_ints(i, l):
 def test_kernels_refuse_what_is_not_a_matrix(kernel, m):
     with pytest.raises(DomainError, match="needs an ExactMatrix"):
         kernel(m)
+
+
+@pytest.mark.parametrize(
+    "rows", [5, [5], [[1], 5], None], ids=["int", "list-of-int", "int-row", "None"]
+)
+def test_rows_that_are_not_iterables_of_entries_are_refused(rows):
+    with pytest.raises(DomainError, match="iterable of rows of entries"):
+        ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[], []]], ids=["no-rows", "empty-row", "empty-rows"])
+def test_empty_matrices_are_refused(rows):
+    with pytest.raises(DomainError, match="at least one row and one column"):
+        ExactMatrix(rows)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]])
+def test_ragged_rows_are_refused(rows):
+    with pytest.raises(DomainError, match="ragged rows"):
+        ExactMatrix(rows)
 
 
 def test_equality_is_by_entries_and_never_with_other_types():
@@ -862,6 +883,57 @@ def test_symbolic_det_elimination_equals_closed_form(s):
 def test_determinant_is_multilinear_in_rows(m, c):
     scaled = ExactMatrix([tuple(c * x for x in row) if i == 0 else row for i, row in enumerate(m.rows)])
     assert det_elimination(scaled) == c * det_elimination(m)
+
+
+# -- det_elimination on zero-heavy input -----------------------------------
+#
+# No Schur complement of the family has a zero entry, so these matrices are
+# where the elimination updates by an exact zero: a zero below the pivot
+# (upper triangular, permutation) or beside it (lower triangular).
+
+
+def _zero_heavy(kind, n, field):
+    """An n x n identity, permutation, triangular or zero-row matrix over
+    ``field`` (Fraction or RationalFunction), with its known determinant."""
+    rng = random.Random(n)
+    one = field(1)
+    zero = one - one
+    if kind == "identity":
+        return ExactMatrix([[one if i == j else zero for j in range(n)] for i in range(n)]), one
+    if kind == "permutation":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        rows = [[one if perm[i] == j else zero for j in range(n)] for i in range(n)]
+        return ExactMatrix(rows), (-1) ** inversions
+
+    def entry():  # never zero
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        if field is Fraction:
+            return x
+        return (x * SYMBOLIC_T + rng.randint(1, 9)) / (SYMBOLIC_T + rng.randint(1, 9))
+
+    rows = [[entry() if j >= i else zero for j in range(n)] for i in range(n)]
+    det = prod((rows[i][i] for i in range(n)), start=one)
+    if kind == "lower":
+        rows = [list(col) for col in zip(*rows)]
+    elif kind == "zero-row":
+        rows[n // 2] = [zero] * n
+        det = zero
+    return ExactMatrix(rows), det
+
+
+@pytest.mark.parametrize("kind", ["identity", "permutation", "upper", "lower", "zero-row"])
+@pytest.mark.parametrize(
+    "field, n",
+    [(Fraction, 20), (Fraction, 30), (RationalFunction, 20), (RationalFunction, 30)],
+    ids=["q-20", "q-30", "qt-20", "qt-30"],
+)
+def test_det_elimination_on_zero_heavy_matrices(kind, field, n):
+    m, expected = _zero_heavy(kind, n, field)
+    det = det_elimination(m)
+    assert type(det) is field
+    assert det == expected
 
 
 # -- det_elimination on reduced int pairs against the field loop -------------

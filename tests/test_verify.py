@@ -524,6 +524,60 @@ def test_sizes_that_are_not_ints_raise_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: run_all(5), id="run_all-int"),
+        pytest.param(lambda: run_all(0), id="run_all-zero"),
+        pytest.param(lambda: run_all((0, 1, 1, 1, 1, 1, 1, 1)), id="run_all-plain-tuple"),
+        pytest.param(
+            lambda: verify_lu_product(2, "numeric", t_samples=[SYMBOLIC_T]), id="lu_product-symbolic-t"
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, "numeric", t_samples=[SYMBOLIC_T]), id="factors-symbolic-t"
+        ),
+        pytest.param(
+            lambda: verify_lu_product(2, "numeric", t_samples=[Fraction(1), 1.5]), id="lu_product-float-t"
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, "numeric", t_samples=["1/2"]), id="factors-text-t"
+        ),
+    ],
+)
+def test_configs_and_numeric_samples_of_the_wrong_type_raise_domain_error(call, monkeypatch):
+    def no_checks(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify_mod, "_run", no_checks)
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_run_all_of_none_runs_the_default_config(monkeypatch):
+    calls = []
+
+    def recording(name):
+        def suite(*args, **kwargs):
+            kwargs.pop("rng", None)
+            calls.append((name, args, kwargs))
+
+        return suite
+
+    for name in ("verify_lu_product", "verify_factors_match", "verify_gamma_identities", "verify_chain"):
+        monkeypatch.setattr(verify_mod, name, recording(name))
+    run_all(None)
+    default = VerifyConfig()
+    samples = {"n_samples": default.n_t_samples}
+    assert calls == [
+        ("verify_lu_product", (default.s_max_symbolic, "symbolic"), {}),
+        ("verify_lu_product", (default.s_max_numeric, "numeric"), samples),
+        ("verify_factors_match", (default.s_max_symbolic, "symbolic"), {}),
+        ("verify_factors_match", (default.s_max_factors_numeric, "numeric"), samples),
+        ("verify_gamma_identities", (default.gamma_max,), {}),
+        ("verify_chain", (default.chain_max, default.chain_elimination_cap), {}),
+    ]
+
+
 def test_zero_elimination_cap_and_negative_seed_are_accepted():
     assert verify_chain(1, elimination_cap=0).passed
     assert VerifyConfig(seed=-3, s_max_symbolic=0).s_max_symbolic == 0
