@@ -25,9 +25,10 @@ raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
 that report in the suite's place.  Bad arguments -- a negative bound, an
 unknown mode, no t samples, t samples that are not iterable, a numeric
-sample that is not an int or Fraction, a config that is not a VerifyConfig
--- raise DomainError before any check runs (a bound of 0 still means skip);
-VerifyConfig rejects its own when it is built.
+sample that is not an int or Fraction, t samples or an rng in symbolic
+mode, a config that is not a VerifyConfig -- raise DomainError before any
+check runs (a bound of 0 still means skip); VerifyConfig rejects its own
+when it is built.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -185,18 +186,20 @@ def _border(rows, s: int) -> list:
 def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     """Compare the sides ``build(t)`` assembles at s_max, one border at a time.
 
-    ``build(t)`` lists (label, lhs, rhs), each side an s_max-by-s_max table
-    of rows.  It runs once at the symbolic t, or once per numeric sample t:
-    the provided ``t_samples`` first, then draws from ``rng``.  Each sample
-    is recorded, as text, as accepted or, when ``build(t)`` raises
-    SingularEntry/ZeroPivot, as discarded, and then a fresh one takes its
-    place.  For each size s = 1..s_max and each side in turn, the border of
-    the leading s-by-s block (``_border``) is gathered on both sides as one
-    list, and the two lists are compared with one ``!=``; only when they
-    differ is the first differing entry looked up.  So entries are met by
-    size s = max(i, l), then side, then row-major: the first difference is
-    the one a check of each leading s-by-s block in turn would find first.
-    In numeric mode the indices also name the t.
+    ``build(t)`` lists (label, lhs, rhs), each side a table of rows.  It
+    runs once at the symbolic t, which takes no ``t_samples`` or ``rng``, or
+    once per numeric sample t: the provided ``t_samples`` first, then draws
+    from ``rng``.  Each sample is recorded, as text, as accepted or, when
+    ``build(t)`` raises SingularEntry/ZeroPivot, as discarded, and then a
+    fresh one takes its place.  A side that is not s_max by s_max fails
+    first, its indices marked ``"check": "shape"`` and both sides' shapes as
+    lhs and rhs.  Then for each size s = 1..s_max and each side in turn, the
+    border of the leading s-by-s block (``_border``) is gathered on both
+    sides as one list, and the two lists are compared with one ``!=``; only
+    when they differ is the first differing entry looked up.  So entries are
+    met by size s = max(i, l), then side, then row-major: the first
+    difference is the one a check of each leading s-by-s block in turn would
+    find first.  In numeric mode the indices also name the t.
     """
     if t_samples is not None:
         try:
@@ -209,10 +212,11 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     require_at_least(1, samples=n_samples)
     if mode not in ("symbolic", "numeric"):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
-    if mode == "numeric":
-        for t in t_samples or ():
-            if not isinstance(t, (int, Fraction)):
-                raise DomainError(f"numeric t samples must be ints or Fractions, got {t!r}")
+    if mode == "symbolic" and (t_samples is not None or rng is not None):
+        raise DomainError("symbolic mode takes no t_samples or rng")
+    for t in t_samples or ():
+        if not isinstance(t, (int, Fraction)):
+            raise DomainError(f"numeric t samples must be ints or Fractions, got {t!r}")
     accepted, discarded = [], []
 
     def builds():
@@ -236,6 +240,10 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
 
     def checks():
         for base, sides in builds():
+            for label, lhs, rhs in sides:
+                shapes = [f"{len(rows)}x{len(rows[0])}" for rows in (lhs, rhs)]
+                if shapes != [f"{s_max}x{s_max}"] * 2:
+                    yield Counterexample({"s": s_max, **base, **label, "check": "shape"}, *shapes)
             for s in range(1, s_max + 1):
                 for label, lhs, rhs in sides:
                     left, right = _border(lhs, s), _border(rhs, s)
@@ -316,20 +324,28 @@ def verify_gamma_identities(index_max: int = 8) -> VerificationReport:
     is read from a running prefix (``gamma_sides_left``/``gamma_sides_right``),
     one stream per i or l, so a check costs O(1) polynomial products; the
     checks still run i, then j for the row identity and j, then l for the
-    column identity.
+    column identity.  A stream that ends before j = index_max fails at the
+    first missing j, marked ``"check": "length"``, with the number of pairs
+    it gave as lhs and index_max as rhs.
     """
     require_at_least(0, index_max=index_max)
     indices = range(1, index_max + 1)
 
+    def check(where, pair):
+        if pair is None:
+            return Counterexample({**where, "check": "length"}, str(where["j"] - 1), str(index_max))
+        return _differ(where, *pair)
+
     def checks():
         for i in indices:
-            for j, (lhs, rhs) in zip(indices, closed_form.gamma_sides_left(i, index_max)):
-                yield _differ({"identity": "left", "i": i, "j": j}, lhs, rhs)
+            row = closed_form.gamma_sides_left(i, index_max)
+            for j in indices:
+                yield check({"identity": "left", "i": i, "j": j}, next(row, None))
         # one prefix stream per l, advanced in lockstep: j outer, l inner
         columns = [closed_form.gamma_sides_right(l, index_max) for l in indices]
         for j in indices:
-            for l, (lhs, rhs) in zip(indices, map(next, columns)):
-                yield _differ({"identity": "right", "j": j, "l": l}, lhs, rhs)
+            for l, column in zip(indices, columns):
+                yield check({"identity": "right", "j": j, "l": l}, next(column, None))
 
     bounds = {"i_max": index_max, "j_max": index_max, "l_max": index_max}
     return _run(SUITE_GAMMA, bounds, "symbolic", index_max < 1, checks())

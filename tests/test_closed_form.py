@@ -87,6 +87,8 @@ def test_entry_L_zero_numerator_is_fine():
 def test_entry_L_rejects_bad_indices():
     with pytest.raises(DomainError):
         entry_L(0, 1, SYMBOLIC_T)
+    with pytest.raises(DomainError):  # and entry_U, also below the diagonal
+        entry_U(2, 0, 1)
 
 
 # -- entry_U -----------------------------------------------------------------
@@ -489,8 +491,10 @@ def test_gamma_prefix_sides_equal_each_pair_and_the_reference():
 
 def test_gamma_prefix_sides_check_their_bounds_when_called():
     assert list(closed_form.gamma_sides_left(3, 0)) == []
+    assert list(closed_form.gamma_sides_right(2, 0)) == []
     for call in (
         lambda: closed_form.gamma_sides_left(0, 3),
+        lambda: closed_form.gamma_sides_right(0, 3),
         lambda: closed_form.gamma_sides_right(2, -1),
         lambda: closed_form.gamma_sides_right(2.0, 3),
         lambda: gamma_identity_left(1, 0),
@@ -575,6 +579,8 @@ def test_symbolic_det_closed_needs_no_gcdheu_point(monkeypatch):
 def test_det_closed_rejects_negative_size():
     with pytest.raises(DomainError):
         det_closed(-1, 1)
+    with pytest.raises(DomainError):  # det_t1 starts at s = 1
+        det_t1(0)
 
 
 @pytest.mark.parametrize(

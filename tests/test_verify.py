@@ -4,6 +4,7 @@ fault-injection meta-tests (a checker that cannot fail is untrustworthy)."""
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -350,6 +351,44 @@ def test_fault_at_a_later_index_is_named_there(monkeypatch, name, faults, expect
     assert (found.lhs, found.rhs) == (serialize_value(lhs), serialize_value(rhs))
 
 
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("gamma_sides_left", {"identity": "left", "i": 1, "j": 8, "check": "length"}),
+        ("gamma_sides_right", {"identity": "right", "j": 8, "l": 1, "check": "length"}),
+    ],
+)
+def test_gamma_stream_cut_short_is_named_at_its_first_missing_index(monkeypatch, name, expected):
+    # Each stream stops one pair early; pairing it with the index range by
+    # zip, or advancing the columns by map(next, ...), would stop with it.
+    original = getattr(closed_form, name)
+    monkeypatch.setattr(closed_form, name, lambda index, j_max: islice(original(index, j_max), j_max - 1))
+    report = verify_gamma_identities(8)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {"indices": expected, "lhs": "7", "rhs": "8"}
+
+
+@pytest.mark.parametrize("suite", [verify_lu_product, verify_factors_match])
+@pytest.mark.parametrize(
+    "t_samples, base", [(None, {}), ([Fraction(1)], {"t": "1"})], ids=["symbolic", "t=1"]
+)
+def test_table_of_the_wrong_shape_fails_before_any_border(monkeypatch, suite, t_samples, base):
+    # Factors one column too wide: every leading block is right, so the
+    # borders alone would pass.
+    monkeypatch.setattr(
+        closed_form,
+        "_build",
+        lambda s, t, entry: ExactMatrix([[entry(a, b, t) for b in range(1, s + 2)] for a in range(1, s + 1)]),
+    )
+    report = suite(4, "symbolic" if t_samples is None else "numeric", t_samples=t_samples)
+    assert not report.passed
+    assert report.counterexample.to_dict() == {
+        "indices": {"s": 4, **base, "factor": "L", "check": "shape"},
+        "lhs": "4x5",
+        "rhs": "4x4",
+    }
+
+
 @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
 def test_lu_product_lifts_no_triangle(monkeypatch, mode):
     # The triangles are padded with the field's own zero, so ExactMatrix
@@ -484,6 +523,19 @@ def test_run_all_survives_suite_errors(monkeypatch):
         ),
         pytest.param(
             lambda: verify_factors_match(2, "numeric", t_samples=5), id="factors-t_samples-int"
+        ),
+        pytest.param(
+            lambda: verify_lu_product(2, "symbolic", t_samples=[1.5, "x"]),
+            id="lu_product-symbolic-t_samples",
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, t_samples=[Fraction(1)]), id="factors-symbolic-t_samples"
+        ),
+        pytest.param(
+            lambda: verify_lu_product(2, "symbolic", rng=random.Random(0)), id="lu_product-symbolic-rng"
+        ),
+        pytest.param(
+            lambda: verify_factors_match(2, "symbolic", rng=random.Random(0)), id="factors-symbolic-rng"
         ),
         pytest.param(lambda: verify_gamma_identities(-1), id="gamma-negative-bound"),
         pytest.param(lambda: verify_chain(-1), id="chain-negative-s_max"),
