@@ -57,9 +57,10 @@ def test_elimination_determinant_at_numeric_cap():
     """Elimination determinant at the numeric CLI cap matches the closed form
 
     Tier-1 runs the det oracle to s = 40.  At s = 80, t = 1 grows the contents
-    elimination sets aside least, t = 3/49 (p < q) and t = 37/11 (p > q) most."""
-    for t in (F(37, 11), F(1), F(3, 49)):
-        assert det_elimination(family(80, t)[2]) == det_closed(80, t), t
+    elimination sets aside least, t = 3/49 (p < q) and t = 37/11 (p > q) most;
+    9876543211/1234567891 has the 10 digits in p and q that ``--t`` accepts."""
+    for t in (F(37, 11), F(1), F(3, 49), F(9876543211, 1234567891)):
+        assert det_elimination(build_matrix(80, t)) == det_closed(80, t), t
 
 
 def test_content_balanced_products():

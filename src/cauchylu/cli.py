@@ -38,23 +38,26 @@ from .verify import VerifyConfig, run_all
 # best of 3): ``det --symbolic``, which runs the elimination oracle at every
 # size, takes 0.40 s at s=16 and 1.2 s at s=20, and ``lu --symbolic
 # --compare`` 0.25 s and 0.63 s, so ``det_elimination`` rather than
-# Doolittle bounds any higher symbolic cap.  ``det --s 80`` takes 0.44-0.69 s.
+# Doolittle bounds any higher symbolic cap.  ``det --s 80`` takes 0.11 s at
+# t = 1 and 0.19-0.20 s at t = 37/11, 3/49 and 49/3.
 S_CAP_SYMBOLIC = 16
 S_CAP_NUMERIC = 80
 S_CAP_CHAIN = 100
 S_CAP_BENCH = 30
 # The most decimal digits --t accepts in p or q, for t = p/q in lowest terms.
 # Numeric work grows with them.  At the numeric cap s = 80, through ``main``
-# (Python 3.11, 2-vCPU Xeon, best of 3), ``det`` and ``lu --compare`` take
-# 0.74 and 0.74 s with 2-digit p and q, and 3.3 and 4.4 s with 10 digits.
+# (Python 3.11, 2-vCPU Xeon, CPU time, best of 3), ``det`` and ``lu --compare``
+# take 0.20 and 0.42 s at t = 37/11, and 1.8 and 3.3 s at the 10-digit
+# t = 9876543211/1234567891.
 T_DIGITS_CAP = 10
 # The largest --gamma-max and --samples verify accepts; its size flags take
 # the S_CAP_* above.  Through ``main`` (Python 3.11, 2-vCPU Xeon, CPU time,
 # best of 3) with the other suites off, --gamma-max 20, 24, 28 and 32 take
 # 0.06, 0.11, 0.17 and 0.28 s; the Gamma suite alone at 40 takes 0.86 s.
-# With every verify flag at its cap the run takes 60 s: 25 and 24 s for the
-# two numeric suites at s = 80 (about 0.5 s per t sample each), 9.9 s for
-# the chain to 100 with elimination to 80 and 0.5 s for the Gamma grid.
+# With every verify flag at its cap the run takes 43 s (one run): 18 and
+# 20 s for the two numeric suites at s = 80 (about 0.4 s per t sample each),
+# 3.6 s for the chain to 100 with elimination to 80, 0.3 s for the Gamma
+# grid and 0.3 s for the two symbolic suites at s = 16.
 GAMMA_CAP = 32
 SAMPLES_CAP = 50
 # Each verify flag, by the VerifyConfig field it sets: its argparse dest (the

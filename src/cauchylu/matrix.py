@@ -28,9 +28,9 @@ determinant it is checked against.
 
 Over Fractions the elimination keeps its trailing block as
 A = R * B * C: diagonal scales R (rows) and C (columns) of positive
-rationals, and B of int pairs in lowest terms, on which the updates run.
+rationals, and B of int pairs, not reduced, on which the updates run.
 Before each step every trailing row and column of B gives its content to
-R or C (see ``det_elimination``).
+R or C (see ``det_elimination``); that is the only reducing B gets.
 """
 
 from __future__ import annotations
@@ -433,12 +433,12 @@ def det_elimination(m: ExactMatrix):
     row is its entries and None, updated in the field (``_field_update``).
 
     A Fraction row is the numerators and the positive denominators of its
-    entries in lowest terms, and the row's scale R_r; beside the rows are
-    the column scales C_c.  The trailing block is kept as
+    entries, not reduced, and the row's scale R_r; beside the rows are the
+    column scales C_c.  The trailing block is kept as
 
         A[r][c] = R_r * B[r][c] * C_c,
 
-    with R_r, C_c positive reduced int pairs and B the pairs.  The update
+    with R_r, C_c positive int pairs and B the pairs.  The update
     commutes with the scaling,
 
         A[r][c] - A[r][k] A[k][c] / A[k][k]
@@ -451,9 +451,13 @@ def det_elimination(m: ExactMatrix):
     S[r][c] = u_r v_c / (x_c - y_r) (Gohberg, Kailath, Olshevsky, Math. Comp.
     64 (1995) 1557-1576), so without this each pair carries its row's u_r
     and its column's v_c: at s = 40, t = 37/11 they reached 1100 bits by
-    step 38, and with the contents aside no pair passes 126 bits.  A content
-    divides every entry of its line, so the pairs shrink and stay in lowest
-    terms.  That is not the rejected clearing of each row to ints over the
+    step 38, and with the contents aside no pair passes 79 bits.  A content
+    divides every entry of its line, so the pairs shrink.  It is the only
+    reducing they get: ``_pair_update`` takes no gcd per entry, so a
+    determinant makes O(n^2) gcd calls, one per line and step, where
+    reducing each updated pair would make O(n^3), and the pairs stay
+    smaller than reduced ones did (85 bits at most at s = 80, against
+    208).  That is not the rejected clearing of each row to ints over the
     lcm of its denominators, which multiplies every entry up: a Schur
     complement row's lcm collects the factors (x_c - y_m) of the whole
     trailing block, and clearing ran 3 to 9 times slower than the pairs at
@@ -505,13 +509,14 @@ def _set_contents_aside(a, cols, k):
     row's scale, then that of each trailing column into cols[c].
 
     The content of a line of pairs n/d is gcd(n...) / gcd(d...), and every
-    line is divided by it, a content of 1 too: (n/gn) / (d/gd) is still in
-    lowest terms.  A zero entry is 0/1, so a line with a zero takes out no
-    denominator; an all-zero line has content 1.  A scale is multiplied by
-    its content with Fraction's cross-cancellation.  In a generic matrix a
+    line is divided by it, a content of 1 too.  The pairs are not reduced,
+    so gn and gd may share a factor, and a pair may keep one its line does
+    not share.  A zero entry is 0/d, and its d counts in gd like any other;
+    an all-zero line has numerator content 1.  A scale is multiplied by its
+    content with Fraction's cross-cancellation.  In a generic matrix a
     row's denominators share the last pivot's minor, which the next step's
-    numerators give back, and reduced scales cancel it where one running
-    product would grow by O(s^3) bits.
+    numerators give back, and cross-cancelled scales cancel it where one
+    running product would grow by O(s^3) bits.
     """
     block = a[k:]
     tails_n, tails_d = [], []
@@ -533,7 +538,9 @@ def _set_contents_aside(a, cols, k):
 
 
 def _scale_by(scale, gn, gd):
-    """scale *= gn / gd, on a reduced pair of positive ints."""
+    """scale *= gn / gd, on a pair of positive ints, with Fraction's
+    cross-cancellation; gn and gd may share a factor, so the scale may not
+    be reduced."""
     sn, sd = scale
     g1, g2 = gcd(sn, gd), gcd(gn, sd)
     scale[0], scale[1] = sn // g1 * (gn // g2), sd // g2 * (gd // g1)
@@ -541,12 +548,12 @@ def _scale_by(scale, gn, gd):
 
 def _pair_update(pivot_row, row, k):
     """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], on
-    reduced int pairs (numerators, positive denominators in lowest terms).
+    int pairs (numerators, positive denominators), not reduced.
 
-    The multiplier is reduced once.  Each update forms the product f * b
-    uncancelled, subtracts it over the gcd of the two denominators
-    (Henrici, JACM 3 (1956) 6-9) and reduces the result by one more gcd, so
-    a zero comes out as 0/1.  Every c is updated, where the product is 0 too.
+    The multiplier is cross-cancelled once.  Each update is n/d - f * b over
+    the product of the denominators, with no gcd: ``_set_contents_aside``
+    does the reducing, once per line and step, so a zero comes out as 0/d.
+    Every c is updated, where the product is 0 too.
     """
     (kn, kd, _), (rn, rd, _) = pivot_row, row
     pn, pd = kn[k], kd[k]
@@ -556,13 +563,8 @@ def _pair_update(pivot_row, row, k):
     if fd < 0:
         fn, fd = -fn, -fd
     for c in range(k + 1, len(kn)):
-        qn, qd = fn * kn[c], fd * kd[c]
-        xd = rd[c]
-        g = gcd(xd, qd)
-        s = xd // g
-        num, den = rn[c] * (qd // g) - qn * s, s * qd
-        g = gcd(num, den)
-        rn[c], rd[c] = num // g, den // g
+        qd, xd = fd * kd[c], rd[c]
+        rn[c], rd[c] = rn[c] * qd - fn * kn[c] * xd, xd * qd
 
 
 def _field_update(pivot_row, row, k):

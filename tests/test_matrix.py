@@ -1034,7 +1034,7 @@ def test_numeric_det_elimination_runs_no_fraction_arithmetic(monkeypatch):
 
 def test_numeric_det_elimination_keeps_pairs_small(monkeypatch):
     """With each trailing line's content set aside, every pair the update
-    writes at s = 40, t = 37/11 stays below 200 bits (112 at most); with
+    writes at s = 40, t = 37/11 stays below 200 bits (79 at most); with
     the contents left in, the pairs carry the Cauchy generators of their
     row and column and grow to about 1100 bits by step 38."""
     largest = []
@@ -1052,3 +1052,52 @@ def test_numeric_det_elimination_keeps_pairs_small(monkeypatch):
     assert max(largest) < 200
     monkeypatch.undo()
     assert det == det_closed(40, t)
+
+
+def test_numeric_det_elimination_takes_no_gcd_per_entry(monkeypatch):
+    """The pairs are reduced only through the contents set aside, one gcd
+    call per line and step: at s = 40, t = 37/11 that is 8120 calls, under
+    6 n^2 = 9600, where two gcds per updated entry made 49200."""
+    t = Fraction(37, 11)
+    m = build_matrix(40, t)
+    calls = []
+    gcd = matrix_mod.gcd
+
+    def counting(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(matrix_mod, "gcd", counting)
+    det = det_elimination(m)
+    monkeypatch.undo()
+    assert len(calls) < 6 * 40**2
+    assert det == det_closed(40, t)
+
+
+@pytest.mark.parametrize(
+    "rows, pivots",
+    [
+        # 1/2 - (1/2) * 1 leaves 0/4 at (2, 2); the row's content takes it to
+        # 0/2, and row 3 is swapped in.
+        ([[1, 1, 1], [Fraction(1, 2), Fraction(1, 2), 3], [1, 2, 5]], [(1, 1), (0, 2), (1, 1)]),
+        # The same zero, and row 3 leaves 0/3 below it: singular.
+        ([[1, 1, 1], [Fraction(1, 2), Fraction(1, 2), 3], [Fraction(1, 3), Fraction(1, 3), 4]], [(1, 1), (0, 2)]),
+    ],
+)
+def test_unreduced_zero_pivot_is_a_zero(monkeypatch, rows, pivots):
+    """An update leaves a zero as 0/d, d != 1, and a pivot that is 0/d still
+    calls for a row swap, or makes the determinant the exact zero."""
+    m = ExactMatrix(rows)
+    seen = []
+    set_aside = matrix_mod._set_contents_aside
+
+    def recording(a, cols, k):
+        set_aside(a, cols, k)
+        seen.append((a[k][0][k], a[k][1][k]))
+
+    monkeypatch.setattr(matrix_mod, "_set_contents_aside", recording)
+    det = det_elimination(m)
+    monkeypatch.undo()
+    assert seen == pivots
+    assert type(det) is Fraction
+    assert det == right_looking_det(m)
