@@ -13,7 +13,7 @@ import pytest
 
 from cauchylu import SYMBOLIC_T as T, DomainError, ExactMatrix, binomial, build_L, build_matrix
 from cauchylu import build_U, det_closed, det_elimination, entry_L, entry_U, factorial
-from cauchylu import lu_doolittle, parse_value, rising_factorial, run_all, serialize_value
+from cauchylu import Polynomial, lu_doolittle, parse_value, rising_factorial, run_all, serialize_value
 
 
 @functools.cache
@@ -160,11 +160,12 @@ def test_printed_values_parse_back():
     "case",
     [(parse_value, "t^" + "9" * 12), (factorial, 2.5), (binomial, 5, 2.5), (parse_value, 5),
      (parse_value, b"1"), (build_matrix(2, 1).at, 1.5, 1), (lu_doolittle, 5), (det_elimination, [[1]]),
-     (rising_factorial, 1.5, 2), (ExactMatrix, 5), (run_all, 5)],
+     (rising_factorial, 1.5, 2), (ExactMatrix, 5), (Polynomial, 5), (run_all, 5)],
     ids=lambda case: case[0].__name__,
 )
 def test_bad_input_is_a_domain_error(case):
-    """Non-int counts and indices, inexact bases, non-matrices, non-configs and non-text parser input are DomainErrors
+    """Non-int counts and indices, inexact bases, non-matrices, non-configs, non-iterable coefficients and
+    non-text parser input are DomainErrors
 
     The package's own DomainError, not a bare TypeError or AttributeError.
     The first case is a printed power past the parse cap: Polynomial is

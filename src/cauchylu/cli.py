@@ -164,7 +164,7 @@ def cmd_det(args) -> Result:
 
 
 def cmd_lu(args) -> Result:
-    t, payload = _case(args, args.symbolic or args.t is None)
+    t, payload = _case(args, args.t is None)
     lower = build_L(args.s, t)
     upper = build_U(args.s, t)
     payload.update(L=_matrix_lists(lower), U=_matrix_lists(upper))

@@ -26,11 +26,8 @@ It shares none of that arithmetic with ``lu_doolittle``, so each can check
 the other: an error in the compact kernel cannot repeat itself in the
 determinant it is checked against.
 
-Over Fractions the elimination keeps its trailing block as
-A = R * B * C: diagonal scales R (rows) and C (columns) of positive
-rationals, and B of int pairs, not reduced, on which the updates run.
-Before each step every trailing row and column of B gives its content to
-R or C (see ``det_elimination``); that is the only reducing B gets.
+Over Fractions the elimination runs on int pairs, not reduced, whose
+row and column contents are set aside as scales (see ``det_elimination``).
 """
 
 from __future__ import annotations
@@ -432,14 +429,14 @@ def det_elimination(m: ExactMatrix):
     the diagonal; the field picks only the row update.  A RationalFunction
     row is its entries and None, updated in the field (``_field_update``).
 
-    A Fraction row is the numerators and the positive denominators of its
-    entries, not reduced, and the row's scale R_r; beside the rows are the
+    A Fraction row is the numerators and the denominators of its entries,
+    int pairs not reduced, and the row's scale R_r; beside the rows are the
     column scales C_c.  The trailing block is kept as
 
         A[r][c] = R_r * B[r][c] * C_c,
 
-    with R_r, C_c positive int pairs and B the pairs.  The update
-    commutes with the scaling,
+    with R_r, C_c positive int pairs and B the pairs, whose denominators
+    are nonzero, of either sign.  The update commutes with the scaling,
 
         A[r][c] - A[r][k] A[k][c] / A[k][k]
             = R_r C_c (B[r][c] - B[r][k] B[k][c] / B[k][k]),
@@ -451,17 +448,8 @@ def det_elimination(m: ExactMatrix):
     S[r][c] = u_r v_c / (x_c - y_r) (Gohberg, Kailath, Olshevsky, Math. Comp.
     64 (1995) 1557-1576), so without this each pair carries its row's u_r
     and its column's v_c: at s = 40, t = 37/11 they reached 1100 bits by
-    step 38, and with the contents aside no pair passes 79 bits.  A content
-    divides every entry of its line, so the pairs shrink.  It is the only
-    reducing they get: ``_pair_update`` takes no gcd per entry, so a
-    determinant makes O(n^2) gcd calls, one per line and step, where
-    reducing each updated pair would make O(n^3), and the pairs stay
-    smaller than reduced ones did (85 bits at most at s = 80, against
-    208).  That is not the rejected clearing of each row to ints over the
-    lcm of its denominators, which multiplies every entry up: a Schur
-    complement row's lcm collects the factors (x_c - y_m) of the whole
-    trailing block, and clearing ran 3 to 9 times slower than the pairs at
-    s = 40 (t = 37/11, 49/3, 3/49) and 12 times slower at s = 80.
+    step 38, and with the contents aside no pair passes 79 bits.  That is
+    the only reducing the pairs get, one gcd per line and step.
 
     Row swaps carry R_r with the row.  No scale is zero, so the zero tests,
     pivots and swaps are those of a loop over Fractions.  Every row below
@@ -508,60 +496,50 @@ def _set_contents_aside(a, cols, k):
     """Move the content of each trailing row a[r][k:], r >= k, into the
     row's scale, then that of each trailing column into cols[c].
 
-    The content of a line of pairs n/d is gcd(n...) / gcd(d...), and every
-    line is divided by it, a content of 1 too.  The pairs are not reduced,
-    so gn and gd may share a factor, and a pair may keep one its line does
-    not share.  A zero entry is 0/d, and its d counts in gd like any other;
-    an all-zero line has numerator content 1.  A scale is multiplied by its
-    content with Fraction's cross-cancellation.  In a generic matrix a
-    row's denominators share the last pivot's minor, which the next step's
-    numerators give back, and cross-cancelled scales cancel it where one
-    running product would grow by O(s^3) bits.
+    The content of a line of pairs n/d is gcd(n...) / gcd(d...), positive,
+    and every line is divided by it, a content of 1 too.  The pairs are not
+    reduced, so the two gcds may share a factor, and a pair may keep one
+    its line does not share.  A zero entry is 0/d, and its d counts like
+    any other; an all-zero line has numerator content 1.  Each scale takes
+    its content through ``_cross``: in a generic matrix a row's
+    denominators share the last pivot's minor, which the next step's
+    numerators give back, and the cross-cancellation removes it.
     """
     block = a[k:]
     tails_n, tails_d = [], []
     for nums, dens, scale in block:
         tn, td = nums[k:], dens[k:]
         gn, gd = gcd(*tn) or 1, gcd(*td)
-        nums[k:] = tn = list(map(floordiv, tn, repeat(gn, len(tn))))
-        dens[k:] = td = list(map(floordiv, td, repeat(gd, len(td))))
-        _scale_by(scale, gn, gd)
-        tails_n.append(tn)
-        tails_d.append(td)
+        scale[:] = _cross(*scale, gn, gd)
+        tails_n.append(list(map(floordiv, tn, repeat(gn))))
+        tails_d.append(list(map(floordiv, td, repeat(gd))))
     col_n = [gcd(*col) or 1 for col in zip(*tails_n)]
     col_d = [gcd(*col) for col in zip(*tails_d)]
     for (nums, dens, _), tn, td in zip(block, tails_n, tails_d):
         nums[k:] = map(floordiv, tn, col_n)
         dens[k:] = map(floordiv, td, col_d)
     for scale, gn, gd in zip(cols[k:], col_n, col_d):
-        _scale_by(scale, gn, gd)
+        scale[:] = _cross(*scale, gn, gd)
 
 
-def _scale_by(scale, gn, gd):
-    """scale *= gn / gd, on a pair of positive ints, with Fraction's
-    cross-cancellation; gn and gd may share a factor, so the scale may not
-    be reduced."""
-    sn, sd = scale
-    g1, g2 = gcd(sn, gd), gcd(gn, sd)
-    scale[0], scale[1] = sn // g1 * (gn // g2), sd // g2 * (gd // g1)
+def _cross(n, d, gn, gd):
+    """The int pair (n/d) * (gn/gd), d and gd nonzero, with Fraction's
+    cross-cancellation: n and gd lose their gcd, and so do gn and d.  The
+    result is reduced only as far as the factors were."""
+    g1, g2 = gcd(n, gd), gcd(gn, d)
+    return n // g1 * (gn // g2), d // g2 * (gd // g1)
 
 
 def _pair_update(pivot_row, row, k):
     """row[c] -= f * pivot_row[c] for c > k, f = row[k] / pivot_row[k], on
-    int pairs (numerators, positive denominators), not reduced.
+    int pairs (numerators, nonzero denominators of either sign), not reduced.
 
-    The multiplier is cross-cancelled once.  Each update is n/d - f * b over
-    the product of the denominators, with no gcd: ``_set_contents_aside``
-    does the reducing, once per line and step, so a zero comes out as 0/d.
+    The multiplier is one ``_cross``.  Each update is n/d - f * b over the
+    product of the denominators, with no gcd, so a zero comes out as 0/d.
     Every c is updated, where the product is 0 too.
     """
     (kn, kd, _), (rn, rd, _) = pivot_row, row
-    pn, pd = kn[k], kd[k]
-    fn, fd = rn[k], rd[k]
-    g1, g2 = gcd(fn, pn), gcd(pd, fd)
-    fn, fd = fn // g1 * (pd // g2), fd // g2 * (pn // g1)
-    if fd < 0:
-        fn, fd = -fn, -fd
+    fn, fd = _cross(rn[k], rd[k], kd[k], kn[k])
     for c in range(k + 1, len(kn)):
         qd, xd = fd * kd[c], rd[c]
         rn[c], rd[c] = rn[c] * qd - fn * kn[c] * xd, xd * qd

@@ -52,7 +52,10 @@ POWER_CAP = 100_000
 
 def _as_ints(coeffs: Iterable[int | Fraction]) -> tuple[list[int], int]:
     """(ints, den) with coeffs[k] == ints[k] / den; refuses inexact values."""
-    cs = list(coeffs)
+    try:
+        cs = list(coeffs)
+    except TypeError:
+        raise DomainError(f"coefficients must be iterable, got {coeffs!r}") from None
     den = 1
     for c in cs:
         if isinstance(c, int):
@@ -304,7 +307,7 @@ class Polynomial:
         return bool(self._nums)
 
     def __repr__(self):
-        return f"Polynomial.parse({str(self)!r})"
+        return f"parse_polynomial({str(self)!r})"
 
     def __str__(self):
         """Sparse descending form, e.g. '9*t^2 - 4' or '3/2*t^3 + t - 1/2'."""
@@ -328,10 +331,6 @@ class Polynomial:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-    @staticmethod
-    def parse(text: str) -> Polynomial:
-        return parse_polynomial(text)
 
 
 def _int_cofactors(a, b):

@@ -168,17 +168,13 @@ class RationalFunction:
         return not self._num.is_zero
 
     def __repr__(self):
-        return f"RationalFunction.parse({str(self)!r})"
+        return f"parse_ratfunc({str(self)!r})"
 
     def __str__(self):
         """'(num)/(den)' in canonical form; bare polynomial when den is 1."""
         if self._den == 1:
             return str(self._num)
         return f"({self._num})/({self._den})"
-
-    @staticmethod
-    def parse(text: str) -> RationalFunction:
-        return parse_ratfunc(text)
 
 
 def _scale_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:

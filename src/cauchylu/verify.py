@@ -25,10 +25,10 @@ raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
 that report in the suite's place.  Bad arguments -- a negative bound, an
 unknown mode, no t samples, t samples that are not iterable, a numeric
-sample that is not an int or Fraction, t samples or an rng in symbolic
-mode, a config that is not a VerifyConfig -- raise DomainError before any
-check runs (a bound of 0 still means skip); VerifyConfig rejects its own
-when it is built.
+sample that is not an int or Fraction, an rng that is not a
+random.Random, t samples or an rng in symbolic mode, a config that is not
+a VerifyConfig -- raise DomainError before any check runs (a bound of 0
+still means skip); VerifyConfig rejects its own when it is built.
 
 Numeric t samples are drawn as fractions p/q with 1 <= p, q <= 50 and
 rejection-sampled past the bad set (vanishing entry denominators, vanishing
@@ -214,6 +214,8 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     if mode == "symbolic" and (t_samples is not None or rng is not None):
         raise DomainError("symbolic mode takes no t_samples or rng")
+    if not (rng is None or isinstance(rng, random.Random)):
+        raise DomainError(f"rng must be a random.Random, got {rng!r}")
     for t in t_samples or ():
         if not isinstance(t, (int, Fraction)):
             raise DomainError(f"numeric t samples must be ints or Fractions, got {t!r}")

@@ -1082,11 +1082,15 @@ def test_numeric_det_elimination_takes_no_gcd_per_entry(monkeypatch):
         ([[1, 1, 1], [Fraction(1, 2), Fraction(1, 2), 3], [1, 2, 5]], [(1, 1), (0, 2), (1, 1)]),
         # The same zero, and row 3 leaves 0/3 below it: singular.
         ([[1, 1, 1], [Fraction(1, 2), Fraction(1, 2), 3], [Fraction(1, 3), Fraction(1, 3), 4]], [(1, 1), (0, 2)]),
+        # A negative pivot gives the multiplier a negative denominator, and
+        # the pairs keep its sign: the second pivot is -4/-2.
+        ([[-1, 1, 1], [Fraction(1, 2), Fraction(1, 2), 3], [1, 2, 5]], [(-1, 1), (-4, -2), (-1, 1)]),
     ],
 )
 def test_unreduced_zero_pivot_is_a_zero(monkeypatch, rows, pivots):
     """An update leaves a zero as 0/d, d != 1, and a pivot that is 0/d still
-    calls for a row swap, or makes the determinant the exact zero."""
+    calls for a row swap, or makes the determinant the exact zero.  A
+    denominator may be negative; the determinant is normalised once."""
     m = ExactMatrix(rows)
     seen = []
     set_aside = matrix_mod._set_contents_aside

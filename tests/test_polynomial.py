@@ -40,6 +40,11 @@ def test_float_coefficients_rejected():
         Polynomial((0.5,))
 
 
+def test_coefficients_that_are_not_iterable_rejected():
+    with pytest.raises(DomainError, match="iterable"):
+        Polynomial(5)
+
+
 @pytest.mark.parametrize(
     "coeffs, den", [([0.5], 1), ([Fraction(1, 2)], 2)], ids=["float-over-1", "fraction-over-2"]
 )

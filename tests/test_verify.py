@@ -594,6 +594,8 @@ def test_sizes_that_are_not_ints_raise_domain_error(call):
         pytest.param(
             lambda: verify_factors_match(2, "numeric", t_samples=["1/2"]), id="factors-text-t"
         ),
+        pytest.param(lambda: verify_lu_product(2, "numeric", rng=5), id="lu_product-int-rng"),
+        pytest.param(lambda: verify_factors_match(2, "numeric", rng=5), id="factors-int-rng"),
     ],
 )
 def test_configs_and_numeric_samples_of_the_wrong_type_raise_domain_error(call, monkeypatch):
