@@ -17,11 +17,12 @@ multiplied by q^2, the powers of q cancel, and an entry is one ratio of ring
 products, normalised once.  Each docstring shows the displayed formula and
 its cleared ring form side by side.
 
-The products are kept as running prefixes in a ``_Products`` table.  One
-build_L or build_U call shares one table across all its entries, so each
-product grows one factor at a time instead of being multiplied out again
-for every entry; the table is dropped when the call returns.  An entry
-called on its own makes a table of its own.
+The products are kept as running prefixes in a ``_Products`` table and read
+through its one accessor, which also raises ``SingularEntry`` when a
+denominator product vanishes.  One build_L or build_U call shares one table
+across all its entries, so each product grows one factor at a time instead
+of being multiplied out again for every entry; the table is dropped when
+the call returns.  An entry called on its own makes a table of its own.
 
 Both Gamma identities are equalities of polynomials, so both sides are built
 in Q[t] and compared there, with no field operation.  ``gamma_sides_left``
@@ -72,39 +73,37 @@ def _column_factors(l: int, ks: range, pp, qq):
 class _Products:
     """The row and column products of one t, kept as running prefixes.
 
-    ``row(a, j)[k]`` is P(a, k) and ``column(l, j)[k]`` is Q(l, k), cleared
-    by q^(2k), for every k <= j; index 0 is the empty product 1.  A prefix
-    list grows one factor at a time, and only when an entry asks for a
-    longer product.  ``key`` is the object the table was made for: an entry
-    uses a build's table only when it is called with that very object.
+    ``_product(_row_factors, a, j)`` is P(a, j) and
+    ``_product(_column_factors, l, j)`` is Q(l, j), cleared by q^(2j).  One
+    dict keyed by (factors, index) holds each product's prefix list, index 0
+    the empty product 1; a list grows one factor at a time, and only when an
+    entry asks for a longer product.  Given an entry's position, a product
+    that vanishes raises ``SingularEntry`` there, naming its first vanishing
+    factor: the first k with a zero prefix (the ring has no zero divisors).
+    ``key`` is the object the table was made for: an entry uses a build's
+    table only when it is called with that very object.
     """
 
-    __slots__ = ("key", "t", "pp", "qq", "_rows", "_columns")
+    __slots__ = ("key", "t", "pp", "qq", "_lists")
 
     def __init__(self, key, t, p, q):
         self.key, self.t = key, t
         self.pp, self.qq = p * p, q * q
-        self._rows: dict[int, list] = {}
-        self._columns: dict[int, list] = {}
+        self._lists: dict[tuple, list] = {}
 
-    def row(self, a: int, j: int) -> list:
-        """P(a, 0), ..., P(a, j) and perhaps more."""
-        return self._prefixes(self._rows, _row_factors, a, j)
-
-    def column(self, l: int, j: int) -> list:
-        """Q(l, 0), ..., Q(l, j) and perhaps more."""
-        return self._prefixes(self._columns, _column_factors, l, j)
-
-    def _prefixes(self, lists: dict, factors, index: int, j: int) -> list:
-        prefixes = lists.get(index)
+    def _product(self, factors, index: int, j: int, where=None, note: str = ""):
+        prefixes = self._lists.get((factors, index))
         if prefixes is None:
-            prefixes = lists[index] = [1]
+            prefixes = self._lists[factors, index] = [1]
         if len(prefixes) <= j:
             product = prefixes[-1]
             for factor in factors(index, range(len(prefixes), j + 1), self.pp, self.qq):
                 product = product * factor
                 prefixes.append(product)
-        return prefixes
+        if where is None or prefixes[j]:
+            return prefixes[j]
+        k = next(k for k in range(1, j + 1) if not prefixes[k])
+        raise SingularEntry([where], t=self.t, note=f"denominator factor k={k}{note}")
 
 
 def _ring(t) -> _Products:
@@ -127,14 +126,6 @@ def _products(t) -> _Products:
     throwaway one."""
     table = _BUILD_TABLE.get()
     return table if table is not None and table.key is t else _ring(t)
-
-
-def _singular(prefixes: list, j: int, t, where: tuple[int, int], note: str = "") -> SingularEntry:
-    """The error for a product of j factors that vanished, naming its first
-    vanishing factor: the first k with prefixes[k] == 0 (the ring has no
-    zero divisors)."""
-    k = next(k for k in range(1, j + 1) if not prefixes[k])
-    return SingularEntry([where], t=t, note=f"denominator factor k={k}{note}")
 
 
 def entry_L(i: int, j: int, t):
@@ -167,10 +158,8 @@ def entry_L(i: int, j: int, t):
         return type(t)(0)
     if i == j:
         return type(t)(1)
-    den = table.row(i, j)[j]
-    if not den:
-        raise _singular(table.row(i, j), j, t, (i, j))
-    num = factorial(i + j - 2) * table.row(j, j)[j]
+    den = table._product(_row_factors, i, j, (i, j))
+    num = factorial(i + j - 2) * table._product(_row_factors, j, j)
     return type(t)(num, factorial(i - j) * factorial(2 * j - 2) * den)
 
 
@@ -200,12 +189,8 @@ def entry_U(j: int, l: int, t):
     t = table.t
     if l < j:  # 1/(l-j)! = 0
         return type(t)(0)
-    first = table.column(l, j)[j]
-    if not first:
-        raise _singular(table.column(l, j), j, t, (j, l), ", first product")
-    second = table.row(j, j - 1)[j - 1]
-    if not second:
-        raise _singular(table.row(j, j - 1), j - 1, t, (j, l), ", second product")
+    first = table._product(_column_factors, l, j, (j, l), ", first product")
+    second = table._product(_row_factors, j, j - 1, (j, l), ", second product")
     scale = (-1) ** j * 16 ** (j - 1) * factorial(2 * j - 2) * factorial(j + l - 1)
     num = table.pp ** (j - 1) * table.qq ** j * scale
     return type(t)(num, l * factorial(l - j) * first * second)

@@ -105,7 +105,7 @@ class ExactMatrix:
         Q(t) at s = 16 it has degree 30, where it had 244.
         """
         if not isinstance(other, ExactMatrix):
-            return NotImplemented
+            raise DomainError(f"matmul needs an ExactMatrix, got {type(other).__name__}")
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(self.shape, other.shape)
         rows, right = self._rows, other._rows

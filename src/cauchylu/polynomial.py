@@ -26,7 +26,8 @@ The public accessors (``coeffs``, ``leading``, ``content``) hand out
 
 Instances are immutable and hashable; a constant hashes as its value.
 Arithmetic coerces ``int`` and ``Fraction`` scalars to constant
-polynomials; floats are refused everywhere.
+polynomials; floats are refused everywhere: an inexact operand (float,
+complex, Decimal) of ``+ - *`` raises DomainError (``_unsupported``).
 
 ``T`` is the indeterminate itself, the building block for all symbolic work:
 
@@ -36,6 +37,7 @@ polynomials; floats are refused everywhere.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable
@@ -48,6 +50,16 @@ NEG_INFINITY = float("-inf")
 # The largest power ``parse_polynomial`` reads.  A Polynomial is dense, so
 # t^n costs a list of n + 1 coefficients; the CLI prints degrees up to 512.
 POWER_CAP = 100_000
+
+
+def _unsupported(other):
+    """What an arithmetic operator gives for an operand it cannot coerce:
+    NotImplemented, so another type may take the operation, or DomainError
+    for an inexact number (float, complex, Decimal), which no exact type
+    takes."""
+    if isinstance(other, (float, complex, Decimal)):
+        raise DomainError(f"not an exact operand: {other!r}")
+    return NotImplemented
 
 
 def _as_ints(coeffs: Iterable[int | Fraction]) -> tuple[list[int], int]:
@@ -169,10 +181,10 @@ class Polynomial:
         return Polynomial(out, _den=den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, 1)
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
@@ -180,16 +192,16 @@ class Polynomial:
         return Polynomial([-c for c in self._nums], _den=self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._combine(other, -1)
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other._combine(self, -1)
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return o._combine(self, -1)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -198,7 +210,7 @@ class Polynomial:
             if isinstance(other, Fraction):
                 n = other.numerator
                 return Polynomial([c * n for c in self._nums], _den=self._den * other.denominator)
-            return NotImplemented
+            return _unsupported(other)
         a, b = self._nums, other._nums
         if not a or not b:
             return Polynomial()

@@ -18,8 +18,10 @@ an inverted numerator) is rescaled.
 
 Canonical form makes equality a plain structural comparison and printing
 deterministic.  Arithmetic coerces ``int``, ``Fraction``, and ``Polynomial``
-operands.  ``SYMBOLIC_T`` is the indeterminate as a field element -- passing
-it as the scalar t switches the matrix and formula code into symbolic mode.
+operands, and refuses an inexact one (float, complex, Decimal) with
+DomainError.  ``SYMBOLIC_T`` is the indeterminate as a field element --
+passing it as the scalar t switches the matrix and formula code into
+symbolic mode.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, DomainError, PoleAtPoint
-from .polynomial import Polynomial, T, parse_polynomial
+from .polynomial import Polynomial, T, _unsupported, parse_polynomial
 
 
 class RationalFunction:
@@ -73,11 +75,11 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
         an, ad = self._num, self._den
-        bn, bd = other._num, other._den
+        bn, bd = o._num, o._den
         # Henrici's scheme: gcd work stays on the small common parts.
         d1, adr, bdr = ad.cofactors(bd)
         _, num, d1 = (an * bdr + bn * adr).cofactors(d1)
@@ -89,23 +91,23 @@ class RationalFunction:
         return RationalFunction._from_coprime(-self._num, self._den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return self + (-o)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return o + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
         an, ad = self._num, self._den
-        bn, bd = other._num, other._den
+        bn, bd = o._num, o._den
         _, an, bd = an.cofactors(bd)
         _, bn, ad = bn.cofactors(ad)
         return RationalFunction._from_coprime(an * bn, ad * bd)
@@ -118,16 +120,16 @@ class RationalFunction:
         return RationalFunction._from_coprime(self._den, self._num)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.invert()
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return self * o.invert()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.invert()
+        o = self._coerce(other)
+        if o is None:
+            return _unsupported(other)
+        return o * self.invert()
 
     def __pow__(self, n: int) -> RationalFunction:
         if not isinstance(n, int):

@@ -189,7 +189,7 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     ``build(t)`` lists (label, lhs, rhs), each side a table of rows.  It
     runs once at the symbolic t, which takes no ``t_samples`` or ``rng``, or
     once per numeric sample t: the provided ``t_samples`` first, then draws
-    from ``rng``.  Each sample is recorded, as text, as accepted or, when
+    from ``rng``.  Each sample is recorded, as printed, as accepted or, when
     ``build(t)`` raises SingularEntry/ZeroPivot, as discarded, and then a
     fresh one takes its place.  A side that is not s_max by s_max fails
     first, its indices marked ``"check": "shape"`` and both sides' shapes as
@@ -229,16 +229,17 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
         for _ in range(n_samples):
             for _ in range(MAX_SAMPLE_ATTEMPTS):
                 t = t_samples.pop(0) if t_samples else _sample_rational(draw)
+                text = serialize_value(t)
                 try:
                     built = build(t)
                 except (SingularEntry, ZeroPivot):
-                    discarded.append(str(t))
+                    discarded.append(text)
                     continue
-                accepted.append(str(t))
+                accepted.append(text)
                 break
             else:
                 raise RetriesExhausted(MAX_SAMPLE_ATTEMPTS)
-            yield {"t": str(t)}, built
+            yield {"t": text}, built
 
     def checks():
         for base, sides in builds():

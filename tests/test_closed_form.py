@@ -7,7 +7,7 @@ import threading
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cauchylu import (
@@ -206,6 +206,11 @@ index = st.integers(1, 7)
 
 
 @given(index, index, fraction_t)
+# Vanishing factors past k = 1: L's "denominator factor k=2", U's "k=2,
+# first product" and U's "k=2, second product".
+@example(3, 2, Fraction(4, 5))
+@example(2, 2, Fraction(4, 3))
+@example(3, 3, Fraction(4, 5))
 def test_entries_equal_field_form_numeric(a, b, t):
     assert _outcome(entry_L, a, b, t) == _outcome(field_entry_L, a, b, t)
     assert _outcome(entry_U, a, b, t) == _outcome(field_entry_U, a, b, t)

@@ -223,6 +223,8 @@ def test_at_refuses_indices_that_are_not_ints(i, l):
         pytest.param(lu_doolittle, [[1]], id="lu_doolittle-list"),
         pytest.param(det_elimination, [[1]], id="det_elimination-list"),
         pytest.param(det_elimination, None, id="det_elimination-None"),
+        pytest.param(ExactMatrix([[1]]).matmul, 5, id="matmul-int"),
+        pytest.param(lambda m: ExactMatrix([[1]]) @ m, [[1]], id="matmul-operator-list"),
     ],
 )
 def test_kernels_refuse_what_is_not_a_matrix(kernel, m):

@@ -1,5 +1,7 @@
 """Rational-function field contracts: canonical form, arithmetic, evaluation."""
 
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -75,6 +77,25 @@ def test_zero_denominator_rejected():
 def test_inexact_operand_rejected_by_name(num, den):
     with pytest.raises(DomainError, match=r"from 0\.5$"):
         RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("inexact", [1.5, 1.5j, Decimal("1.5")], ids=["float", "complex", "Decimal"])
+@pytest.mark.parametrize(
+    "value", [Polynomial((1, 2)), SYMBOLIC_T], ids=["Polynomial", "RationalFunction"]
+)
+def test_inexact_arithmetic_operand_is_a_domain_error(value, inexact):
+    # Both operand orders of + - * (and /, which only a RationalFunction
+    # has) refuse an inexact number by name.  == with it stays False, and an
+    # operand of another exact type still reaches that type's operator.
+    ops = [operator.add, operator.sub, operator.mul]
+    if isinstance(value, RationalFunction):
+        ops.append(operator.truediv)
+    for op in ops:
+        for a, b in ((value, inexact), (inexact, value)):
+            with pytest.raises(DomainError, match="not an exact operand"):
+                op(a, b)
+    assert value != inexact
+    assert Polynomial((1, 2)) + SYMBOLIC_T == RationalFunction(3 * T + 1)
 
 
 def test_division_by_zero_function_raises():

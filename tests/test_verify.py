@@ -12,7 +12,7 @@ from cauchylu import closed_form
 from cauchylu.closed_form import ChainValues
 from cauchylu.combinatorics import binomial, factorial
 from cauchylu.errors import DomainError, RetriesExhausted
-from cauchylu.formats import serialize_value
+from cauchylu.formats import parse_value, serialize_value
 from cauchylu.matrix import ExactMatrix, build_matrix, lu_doolittle
 from cauchylu.ratfunc import SYMBOLIC_T
 from cauchylu.verify import (
@@ -427,6 +427,20 @@ def test_numeric_counterexample_names_t_and_ends_sampling(monkeypatch):
     assert report.counterexample.indices == {"s": 1, "t": "1/3", "i": 1, "l": 1}
     assert report.discarded_t_samples == ["2"]
     assert report.t_samples == ["1", "1/3"]  # t = 5 is never drawn
+
+
+def test_samples_are_recorded_as_the_package_prints_them(monkeypatch):
+    # A bool is an int, but str(True) is "True", which parse_value refuses:
+    # every recorded t is serialize_value's text, which reads back.
+    report = verify_factors_match(2, "numeric", t_samples=[False, True])
+    assert report.discarded_t_samples == ["0"]  # t = 0: a zero pivot at s = 2
+    assert report.t_samples[0] == "1"
+    assert all(serialize_value(parse_value(t)) == t for t in report.t_samples)
+    original = closed_form.entry_U
+    monkeypatch.setattr(closed_form, "entry_U", lambda j, l, t: original(j, l, t) * 2)
+    report = verify_lu_product(1, "numeric", t_samples=[True])
+    assert report.counterexample.indices == {"s": 1, "t": "1", "i": 1, "l": 1}
+    assert report.t_samples == ["1"]
 
 
 def test_fault_injected_diagonal_product_is_named(monkeypatch):
