@@ -121,6 +121,9 @@ class ExactMatrix:
 
     __matmul__ = matmul
 
+    def __rmatmul__(self, other):
+        raise DomainError(f"matmul needs an ExactMatrix, got {type(other).__name__}")
+
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -9,8 +9,8 @@ over 1.  The degree of the zero polynomial is the marker ``NEG_INFINITY``,
 which compares below every integer.
 
 All arithmetic runs on ints: sums scale by the lcm of the denominators and
-products are integer convolutions.  There is no division operator:
-``cofactors`` returns the primitive gcd g with positive lead together with
+products are integer convolutions.  There is no division (``/`` raises
+DomainError): ``cofactors`` returns the primitive gcd g with positive lead together with
 both operands divided by it, which is how ``RationalFunction`` cancels.
 When one operand is a monomial c t^e, g is t^min(e, ord_t of the other),
 read off the int lists.  Every other pair runs GCDHEU (``_heu_at``, Char,
@@ -27,7 +27,7 @@ The public accessors (``coeffs``, ``leading``, ``content``) hand out
 Instances are immutable and hashable; a constant hashes as its value.
 Arithmetic coerces ``int`` and ``Fraction`` scalars to constant
 polynomials; floats are refused everywhere: an inexact operand (float,
-complex, Decimal) of ``+ - *`` raises DomainError (``_unsupported``).
+complex, Decimal) of ``+ - * /`` raises DomainError (``_unsupported``).
 
 ``T`` is the indeterminate itself, the building block for all symbolic work:
 
@@ -60,6 +60,11 @@ def _unsupported(other):
     if isinstance(other, (float, complex, Decimal)):
         raise DomainError(f"not an exact operand: {other!r}")
     return NotImplemented
+
+
+def _t_exponent(self, base):
+    """``base ** self``: refused, since no exponent may depend on t."""
+    raise DomainError(f"an exponent must be an int, got {base!r} ** ({self})")
 
 
 def _as_ints(coeffs: Iterable[int | Fraction]) -> tuple[list[int], int]:
@@ -133,16 +138,6 @@ class Polynomial:
         return len(self._nums) - 1 if self._nums else NEG_INFINITY
 
     @property
-    def is_zero(self) -> bool:
-        return not self._nums
-
-    @property
-    def is_positive_primitive(self) -> bool:
-        """Integer coefficients with content 1 and a positive leading one."""
-        nums = self._nums
-        return self._den == 1 and bool(nums) and nums[-1] > 0 and _int_gcd(*nums) == 1
-
-    @property
     def leading(self) -> Fraction:
         if not self._nums:
             raise DomainError("the zero polynomial has no leading coefficient")
@@ -198,10 +193,7 @@ class Polynomial:
         return self._combine(o, -1)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return _unsupported(other)
-        return o._combine(self, -1)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -225,6 +217,13 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction, Polynomial)):
+            raise DomainError("a Polynomial has no division; divide RationalFunctions")
+        return _unsupported(other)
+
+    __rtruediv__ = __truediv__
+
     def __pow__(self, n: int) -> Polynomial:
         if not isinstance(n, int) or n < 0:
             raise DomainError(f"polynomial power must be a nonnegative int, got {n!r}")
@@ -236,6 +235,8 @@ class Polynomial:
             base = base * base if n > 1 else base
             n >>= 1
         return result
+
+    __rpow__ = _t_exponent
 
     def __call__(self, t0: int | Fraction) -> Fraction:
         """Evaluate at t0 = p/q by Horner's rule on q^deg * self(p/q)."""

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, DomainError, PoleAtPoint
-from .polynomial import Polynomial, T, _unsupported, parse_polynomial
+from .polynomial import Polynomial, T, _positive_primitive, _t_exponent, _unsupported, parse_polynomial
 
 
 class RationalFunction:
@@ -40,7 +40,7 @@ class RationalFunction:
         if p is None or q is None:
             value = num if p is None else den
             raise DomainError(f"cannot build a rational function from {value!r}")
-        if q.is_zero:
+        if not q:
             raise DivisionByZero("zero denominator polynomial")
         _, num, den = p.cofactors(q)
         self._num, self._den = _scale_canonical(num, den)
@@ -59,10 +59,6 @@ class RationalFunction:
     @property
     def den(self) -> Polynomial:
         return self._den
-
-    @property
-    def is_zero(self) -> bool:
-        return self._num.is_zero
 
     # -- field arithmetic ----------------------------------------------------
 
@@ -97,10 +93,7 @@ class RationalFunction:
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return _unsupported(other)
-        return o + (-self)
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -115,7 +108,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def invert(self) -> RationalFunction:
-        if self._num.is_zero:
+        if not self._num:
             raise DivisionByZero("inverse of the zero rational function")
         return RationalFunction._from_coprime(self._den, self._num)
 
@@ -137,6 +130,8 @@ class RationalFunction:
         if n < 0:
             return self.invert() ** (-n)
         return RationalFunction._from_coprime(self._num ** n, self._den ** n)
+
+    __rpow__ = _t_exponent
 
     def __call__(self, t0) -> Fraction:
         """Exact value at t0; raises PoleAtPoint where the denominator vanishes."""
@@ -167,7 +162,7 @@ class RationalFunction:
         return hash((self._num, self._den))
 
     def __bool__(self):
-        return not self._num.is_zero
+        return bool(self._num)
 
     def __repr__(self):
         return f"parse_ratfunc({str(self)!r})"
@@ -182,14 +177,12 @@ class RationalFunction:
 def _scale_canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Scale a reduced pair so den is integer, content 1, positive leading;
     a den already in that form is kept, with no rescaling."""
-    if num.is_zero:
+    if not num:
         return Polynomial(), Polynomial((1,))
-    if den.is_positive_primitive:
+    c, ints = _positive_primitive(den._nums)
+    if c == 1 and den._den == 1:
         return num, den
-    scale = 1 / den.content()
-    if den.leading < 0:
-        scale = -scale
-    return num * scale, den * scale
+    return num * Fraction(den._den, c), Polynomial(ints, _den=1)
 
 
 def coerce_scalar(t):

@@ -24,7 +24,8 @@ failure in one abort another, and aggregates the reports.  A suite that
 raises a CauchyLUError still raises to a direct caller; the driver attaches
 an error-only report for that suite as ``exc.report``, and run_all records
 that report in the suite's place.  Bad arguments -- a negative bound, an
-unknown mode, no t samples, t samples that are not iterable, a numeric
+unknown mode, no t samples, a sample count that is not an int >= 1 (even
+when t samples set the count), t samples that are not iterable, a numeric
 sample that is not an int or Fraction, an rng that is not a
 random.Random, t samples or an rng in symbolic mode, a config that is not
 a VerifyConfig -- raise DomainError before any check runs (a bound of 0
@@ -189,18 +190,22 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
     ``build(t)`` lists (label, lhs, rhs), each side a table of rows.  It
     runs once at the symbolic t, which takes no ``t_samples`` or ``rng``, or
     once per numeric sample t: the provided ``t_samples`` first, then draws
-    from ``rng``.  Each sample is recorded, as printed, as accepted or, when
-    ``build(t)`` raises SingularEntry/ZeroPivot, as discarded, and then a
-    fresh one takes its place.  A side that is not s_max by s_max fails
-    first, its indices marked ``"check": "shape"`` and both sides' shapes as
-    lhs and rhs.  Then for each size s = 1..s_max and each side in turn, the
-    border of the leading s-by-s block (``_border``) is gathered on both
-    sides as one list, and the two lists are compared with one ``!=``; only
-    when they differ is the first differing entry looked up.  So entries are
-    met by size s = max(i, l), then side, then row-major: the first
-    difference is the one a check of each leading s-by-s block in turn would
-    find first.  In numeric mode the indices also name the t.
+    from ``rng``.  ``n_samples`` must be an int >= 1 even when ``t_samples``
+    is given; the count is then the length of ``t_samples``.  Each sample
+    is recorded, as printed, as accepted or, when ``build(t)`` raises
+    SingularEntry/ZeroPivot, as discarded, and then a fresh one takes its
+    place.  A side that is not s_max by s_max fails first, its indices
+    marked ``"check": "shape"`` and both sides' shapes as lhs and rhs.  Then
+    for each size s = 1..s_max and each side in turn, the border of the
+    leading s-by-s block (``_border``) is gathered on both sides as one
+    list, and the two lists are compared with one ``!=``; only when they
+    differ is the first differing entry looked up.  So entries are met by
+    size s = max(i, l), then side, then row-major: the first difference is
+    the one a check of each leading s-by-s block in turn would find first.
+    In numeric mode the indices also name the t.
     """
+    require_at_least(0, s_max=s_max)
+    require_at_least(1, samples=n_samples)
     if t_samples is not None:
         try:
             samples = iter(t_samples)
@@ -208,8 +213,7 @@ def _verify_sizes(suite, s_max, mode, t_samples, n_samples, rng, build):
             raise DomainError(f"t_samples must be iterable, got {t_samples!r}") from None
         t_samples = list(samples)
         n_samples = len(t_samples)
-    require_at_least(0, s_max=s_max)
-    require_at_least(1, samples=n_samples)
+        require_at_least(1, samples=n_samples)
     if mode not in ("symbolic", "numeric"):
         raise DomainError(f"mode must be 'symbolic' or 'numeric', got {mode!r}")
     if mode == "symbolic" and (t_samples is not None or rng is not None):

@@ -186,7 +186,7 @@ mixed_entries = st.one_of(
     st.booleans(),
     entries,
     small_polys,
-    st.builds(RationalFunction, small_polys, small_polys.filter(lambda p: not p.is_zero)),
+    st.builds(RationalFunction, small_polys, small_polys.filter(bool)),
 )
 
 
@@ -225,6 +225,8 @@ def test_at_refuses_indices_that_are_not_ints(i, l):
         pytest.param(det_elimination, None, id="det_elimination-None"),
         pytest.param(ExactMatrix([[1]]).matmul, 5, id="matmul-int"),
         pytest.param(lambda m: ExactMatrix([[1]]) @ m, [[1]], id="matmul-operator-list"),
+        pytest.param(lambda m: m @ ExactMatrix([[1]]), 5, id="rmatmul-operator-int"),
+        pytest.param(lambda m: m @ ExactMatrix([[1]]), [[1]], id="rmatmul-operator-list"),
     ],
 )
 def test_kernels_refuse_what_is_not_a_matrix(kernel, m):

@@ -15,7 +15,7 @@ from cauchylu import polynomial as polynomial_module
 
 coefficients = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 10))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=6))
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_polys = polys.filter(bool)
 
 # Coefficients of more than 1000 bits mixed with small ones.
 big_ints = st.integers(2**1000, 2**1100) | st.integers(-(2**1100), -(2**1000)) | st.integers(-20, 20)
@@ -32,7 +32,7 @@ def test_zero_polynomial_degree_is_minus_infinity():
     zero = Polynomial()
     assert zero.degree == NEG_INFINITY
     assert zero.degree < -(10**9)
-    assert Polynomial((0, 0)).is_zero
+    assert not Polynomial((0, 0))
 
 
 def test_float_coefficients_rejected():
@@ -86,7 +86,7 @@ def test_gcd_is_primitive():
 
 
 def test_gcd_of_zeros_is_zero():
-    assert Polynomial().cofactors(Polynomial())[0].is_zero
+    assert not Polynomial().cofactors(Polynomial())[0]
 
 
 def test_evaluation_horner():
@@ -163,7 +163,7 @@ def test_ring_axioms(a, b, c):
 @given(nonzero_polys, nonzero_polys)
 def test_gcd_divides_both_and_is_primitive(a, b):
     g, ca, cb = a.cofactors(b)
-    assert g.is_positive_primitive
+    assert _is_positive_primitive(g)
     assert g * ca == a and g * cb == b
     assert ca.cofactors(cb)[0] == 1  # no common factor is left over
 
@@ -287,13 +287,18 @@ def test_content_matches_fraction_reference(a):
     assert Polynomial(a).content() == _ref_content(_strip(a))
 
 
+def _is_positive_primitive(p):
+    """Integer coefficients with content 1 and a positive leading one."""
+    return p.content() == 1 and p.leading > 0
+
+
 def test_is_positive_primitive():
-    assert (3 * T**2 - 2).is_positive_primitive
-    assert Polynomial((1,)).is_positive_primitive
-    assert not (4 * T - 2).is_positive_primitive
-    assert not (2 - 3 * T).is_positive_primitive
-    assert not (Fraction(1, 2) * T + 1).is_positive_primitive
-    assert not Polynomial().is_positive_primitive
+    assert _is_positive_primitive(3 * T**2 - 2)
+    assert _is_positive_primitive(Polynomial((1,)))
+    assert not _is_positive_primitive(4 * T - 2)
+    assert not _is_positive_primitive(2 - 3 * T)
+    assert not _is_positive_primitive(Fraction(1, 2) * T + 1)
+    assert not _is_positive_primitive(Polynomial())
 
 
 # -- huge coefficients, against the pseudo-remainder reference ---------------
@@ -438,7 +443,7 @@ def _reference_primitive_gcd(a, b):
 
 def _assert_cofactors(a, b, result=None):
     g, ca, cb = result or a.cofactors(b)
-    assert g.is_positive_primitive
+    assert _is_positive_primitive(g)
     assert g * ca == a and g * cb == b
     assert g == _reference_primitive_gcd(a, b)
     return g
@@ -466,10 +471,10 @@ def test_cofactors_match_prs_reference(f, h, g, c1, c2, e, even):
 @given(polys, polys)
 def test_cofactors_of_rational_operands(a, b):
     g, ca, cb = a.cofactors(b)
-    if a.is_zero and b.is_zero:
-        assert g.is_zero and ca.is_zero and cb.is_zero
+    if not a and not b:
+        assert not g and not ca and not cb
         return
-    assert g.is_positive_primitive
+    assert _is_positive_primitive(g)
     assert g * ca == a and g * cb == b
 
 

@@ -21,12 +21,13 @@ from cauchylu import (
     build_matrix,
     parse_ratfunc,
 )
+from cauchylu.ratfunc import _scale_canonical
 
 coefficients = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
 polys = st.builds(Polynomial, st.lists(coefficients, max_size=4))
-nonzero_polys = polys.filter(lambda p: not p.is_zero)
+nonzero_polys = polys.filter(bool)
 ratfuncs = st.builds(RationalFunction, polys, nonzero_polys)
-nonzero_ratfuncs = ratfuncs.filter(lambda f: not f.is_zero)
+nonzero_ratfuncs = ratfuncs.filter(bool)
 points = st.builds(Fraction, st.integers(-10, 10), st.integers(1, 10))
 
 
@@ -63,7 +64,7 @@ def test_additive_identity_example():
 
 def test_zero_is_zero_over_one():
     f = RationalFunction(0, 7 * T**2 + 1)
-    assert f.num.is_zero
+    assert not f.num
     assert f.den == 1
     assert f == 0
 
@@ -96,6 +97,33 @@ def test_inexact_arithmetic_operand_is_a_domain_error(value, inexact):
                 op(a, b)
     assert value != inexact
     assert Polynomial((1, 2)) + SYMBOLIC_T == RationalFunction(3 * T + 1)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: 1.5 ** SYMBOLIC_T, "exponent must be an int", id="float**RationalFunction"),
+        pytest.param(lambda: 2 ** SYMBOLIC_T, "exponent must be an int", id="int**RationalFunction"),
+        pytest.param(lambda: Fraction(1, 2) ** SYMBOLIC_T, "exponent must be an int", id="Fraction**RationalFunction"),
+        pytest.param(lambda: 2 ** T, "exponent must be an int", id="int**Polynomial"),
+        pytest.param(lambda: Polynomial((1,)) / 2, "has no division", id="Polynomial/int"),
+        pytest.param(lambda: 2 / Polynomial((1,)), "has no division", id="int/Polynomial"),
+        pytest.param(lambda: Fraction(1, 2) / T, "has no division", id="Fraction/Polynomial"),
+        pytest.param(lambda: T / Fraction(1, 2), "has no division", id="Polynomial/Fraction"),
+        pytest.param(lambda: T / T, "has no division", id="Polynomial/Polynomial"),
+        pytest.param(lambda: T / 1.5, "not an exact operand", id="Polynomial/float"),
+        pytest.param(lambda: Decimal(1) / T, "not an exact operand", id="Decimal/Polynomial"),
+    ],
+)
+def test_operators_with_no_meaning_are_domain_errors(call, match):
+    with pytest.raises(DomainError, match=match):
+        call()
+
+
+def test_polynomial_and_rational_function_divide_in_q_of_t():
+    # Polynomial's / leaves a RationalFunction operand to RationalFunction.
+    assert T / SYMBOLIC_T == 1 and SYMBOLIC_T / T == 1
+    assert (T**2 - 1) / RationalFunction(T + 1) == T - 1
 
 
 def test_division_by_zero_function_raises():
@@ -222,9 +250,9 @@ def test_eval_is_a_homomorphism(f, g, x):
 
 @given(ratfuncs)
 def test_canonical_invariants_hold(f):
-    assert not f.den.is_zero
+    assert f.den
     assert f.num.cofactors(f.den)[0] == 1
-    if not f.is_zero:
+    if f:
         assert f.den.content() == 1
         assert f.den.leading > 0
     else:
@@ -237,7 +265,7 @@ def _assert_canonical(f):
     assert den.content() == 1
     assert den.leading > 0
     assert f.num.cofactors(den)[0] == 1
-    if f.is_zero:
+    if not f:
         assert den == 1
 
 
@@ -250,6 +278,45 @@ def test_arithmetic_keeps_denominators_canonical(f, g, h):
     results += [a / b] if b else []
     for r in results:
         _assert_canonical(r)
+
+
+def _scaled_by_content(num, den):
+    """The pair scaled by 1 / content(den), negated for a negative lead."""
+    if not num:
+        return Polynomial(), Polynomial((1,))
+    scale = 1 / den.content()
+    if den.leading < 0:
+        scale = -scale
+    return num * scale, den * scale
+
+
+scales = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+
+
+@given(polys, nonzero_polys, scales)
+def test_scale_canonical_matches_the_content_formula(num, den, scale):
+    # den * scale has rational coefficients, either lead sign and, mostly,
+    # a content other than 1; scale = 1 hits the untouched return as well.
+    den = den * scale
+    got = _scale_canonical(num, den)
+    assert got == _scaled_by_content(num, den)
+    if num and den.content() == 1 and den.leading > 0:
+        assert got[0] is num and got[1] is den
+
+
+@given(st.integers(-9, 9) | points, polys | ratfuncs)
+def test_reflected_subtraction_is_negated_subtraction(c, x):
+    left, right = c - x, -(x - c)
+    assert left == right and type(left) is type(right) is type(x)
+
+
+@pytest.mark.parametrize("x", [T + 1, RationalFunction(1, T + 1)], ids=["Polynomial", "RationalFunction"])
+def test_reflected_subtraction_refuses_what_addition_refuses(x):
+    for inexact in (1.5, Decimal(1)):
+        with pytest.raises(DomainError, match="not an exact operand"):
+            inexact - x
+    with pytest.raises(TypeError, match="unsupported operand"):
+        "a" - x
 
 
 def test_factor_product_needs_no_denominator_rescaling(monkeypatch):
@@ -316,7 +383,7 @@ small_values = st.one_of(
     small_fractions,
     small_polys,
     st.builds(RationalFunction, small_polys),
-    st.builds(RationalFunction, small_polys, small_polys.filter(lambda p: not p.is_zero)),
+    st.builds(RationalFunction, small_polys, small_polys.filter(bool)),
 )
 
 

@@ -533,6 +533,14 @@ def test_run_all_survives_suite_errors(monkeypatch):
             lambda: verify_factors_match(2, "numeric", t_samples=[]), id="factors-empty-t_samples"
         ),
         pytest.param(
+            lambda: verify_lu_product(1, "numeric", t_samples=[Fraction(1)], n_samples=-5),
+            id="lu_product-t_samples-negative-n_samples",
+        ),
+        pytest.param(
+            lambda: verify_lu_product(1, "numeric", t_samples=[Fraction(1)], n_samples="x"),
+            id="lu_product-t_samples-str-n_samples",
+        ),
+        pytest.param(
             lambda: verify_lu_product(2, "numeric", t_samples=5), id="lu_product-t_samples-int"
         ),
         pytest.param(
